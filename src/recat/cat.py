@@ -2,7 +2,9 @@
 
 A category is a carrier with a hom matrix satisfying reflexivity and
 (*)-transitivity.  Relations compose by sup-(*) products and carry the two
-residuals; weights and coweights elsewhere are the one-sided special cases.
+inf-(->) residuals, computed by the relation kernel below.  Weights (n x 1
+distributors X -+-> 1) and coweights (1 x n, 1 -+-> X) in `presheaf` are
+one-column and one-row matrices, so each of their formulas is one kernel call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     NotAFunctorError,
     RecatError,
 )
-from .poset import FinitePoset
+from .poset import FinitePoset, _relabelings
 
 
 def _normalize(v):
@@ -93,7 +95,12 @@ class EnrichedCategory:
         t = tn.parse_tnorm(data["tnorm"])
         grid = vals.grid_validate(data["grid"], t) if data.get("grid") else None
         hom = tuple(tuple(row) for row in data["hom"])
-        return EnrichedCategory(t, hom, tuple(data.get("names") or ()), grid)
+        X = EnrichedCategory(t, hom, tuple(data.get("names") or ()), grid)
+        if grid is not None:
+            off = [v for row in X.hom for v in row if isinstance(v, Fraction) and v not in grid]
+            if off:
+                raise RecatError(f"hom value {vals.format_value(off[0])} is not a grid point")
+        return X
 
 
 def terminal(t: tn.TNorm, grid=None, mode="exact") -> EnrichedCategory:
@@ -158,37 +165,65 @@ def identity_rel(n: int, mode="exact") -> Rel:
     return Rel(n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
 
+# The relation kernel: the sup-(*) and inf-(->) loops under compose, the
+# residuals and the presheaf calculus.  Each takes its operands as tuples of
+# row or column tuples, never as `Rel`, and the value of an empty sup or inf,
+# since an empty carrier shows no mode.  tn.conj and tn.imp are looked up at
+# each call, never bound at import, so wrappers put on the tnorm module (the
+# benchmark's call tracer) see every scalar operation.
+
+
+def _columns(rows, width):
+    """The columns of a matrix with `width` columns, as tuples."""
+    return tuple(zip(*rows)) or ((),) * width
+
+
+def _compose(t, s_cols, r_rows, zero):
+    """m[x][z] = sup_y s_cols[z][y] (*) r_rows[x][y], the matrix of s o r."""
+    conj = tn.conj
+    return tuple(
+        tuple(max((conj(t, a, b) for a, b in zip(col, row)), default=zero) for col in s_cols)
+        for row in r_rows
+    )
+
+
+def _residual_left(t, tt_cols, r_cols, one):
+    """m[y][z] = inf_x r_cols[y][x] -> tt_cols[z][x], the matrix of tt // r."""
+    imp = tn.imp
+    return tuple(
+        tuple(min((imp(t, a, b) for a, b in zip(rcol, col)), default=one) for col in tt_cols)
+        for rcol in r_cols
+    )
+
+
+def _residual_right(t, s_rows, tt_rows, one):
+    """m[x][y] = inf_z s_rows[y][z] -> tt_rows[x][z], the matrix of s \\ tt."""
+    imp = tn.imp
+    return tuple(
+        tuple(min((imp(t, a, b) for a, b in zip(srow, row)), default=one) for srow in s_rows)
+        for row in tt_rows
+    )
+
+
 def compose(t: tn.TNorm, s: Rel, r: Rel) -> Rel:
     """(s o r)(x, z) = sup_y s(y, z) (*) r(x, y)."""
     if r.tgt != s.src:
         raise CarrierMismatchError("middle carriers differ")
-    rows = tuple(
-        tuple(max(tn.conj(t, s(y, z), r(x, y)) for y in range(r.tgt)) for z in range(s.tgt))
-        for x in range(r.src)
-    )
-    return Rel(r.src, s.tgt, rows)
+    return Rel(r.src, s.tgt, _compose(t, _columns(s.rows, s.tgt), r.rows, tn.ZERO))
 
 
 def residual_left(t: tn.TNorm, tt: Rel, r: Rel) -> Rel:
     """(t // r)(y, z) = inf_x (r(x, y) -> t(x, z)); right adjoint of - o r."""
     if tt.src != r.src:
         raise CarrierMismatchError("sources differ")
-    rows = tuple(
-        tuple(min(tn.imp(t, r(x, y), tt(x, z)) for x in range(r.src)) for z in range(tt.tgt))
-        for y in range(r.tgt)
-    )
-    return Rel(r.tgt, tt.tgt, rows)
+    return Rel(r.tgt, tt.tgt, _residual_left(t, _columns(tt.rows, tt.tgt), _columns(r.rows, r.tgt), tn.ONE))
 
 
 def residual_right(t: tn.TNorm, s: Rel, tt: Rel) -> Rel:
     """(s \\ t)(x, y) = inf_z (s(y, z) -> t(x, z)); right adjoint of s o -."""
     if tt.tgt != s.tgt:
         raise CarrierMismatchError("targets differ")
-    rows = tuple(
-        tuple(min(tn.imp(t, s(y, z), tt(x, z)) for z in range(s.tgt)) for y in range(s.src))
-        for x in range(tt.src)
-    )
-    return Rel(tt.src, s.src, rows)
+    return Rel(tt.src, s.src, _residual_right(t, s.rows, tt.rows, tn.ONE))
 
 
 def rel_le(a: Rel, b: Rel) -> bool:
@@ -327,15 +362,4 @@ def hom_category(X: EnrichedCategory, Y: EnrichedCategory, bound: int = 4096) ->
 
 def categories_isomorphic(A: EnrichedCategory, B: EnrichedCategory) -> bool:
     """Bijective hom-preserving correspondence, by permutation search (small n)."""
-    from itertools import permutations
-
-    if A.n != B.n:
-        return False
-    for perm in permutations(range(A.n)):
-        if all(
-            tn.veq(A.hom[x][y], B.hom[perm[x]][perm[y]])
-            for x in range(A.n)
-            for y in range(A.n)
-        ):
-            return True
-    return False
+    return any(_relabelings(A.hom, B.hom, tn.veq))

@@ -10,11 +10,14 @@ import random
 from dataclasses import dataclass, field
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, is_separated
+from .cat import EnrichedCategory, _columns, is_separated
 from .errors import RecatError
 from .presheaf import (
     Coweight,
     Weight,
+    _representing,
+    _zero,
+    coweight_closure,
     enumerate_coweights,
     enumerate_weights,
     isbell_ub,
@@ -27,10 +30,7 @@ from .presheaf import (
 def is_representable(phi: Weight):
     """Least-index a with phi equal to the Yoneda weight of a, else None."""
     X = phi.base
-    for a in range(X.n):
-        if all(tn.veq(phi(x), X.hom[x][a]) for x in range(X.n)):
-            return a
-    return None
+    return _representing(_columns(X.hom, X.n), phi.values)
 
 
 def is_cauchy(phi: Weight):
@@ -141,11 +141,9 @@ def _coweight_family(X: EnrichedCategory, bound: int, rng):
     """Exhaustive grid coweights when affordable, otherwise a generated family."""
     if X.mode == "exact" and X.grid is not None and len(X.grid.points) ** X.n <= bound:
         return enumerate_coweights(X, bound), True
-    from .presheaf import coweight_closure
-
     fam = []
     seen = set()
-    points = list(X.grid.points) if X.grid is not None else [tn.ZERO, tn.ONE]
+    points = list(X.grid.points) if X.grid is not None else [_zero(X), X.one]
     for p in points:
         for x in range(X.n):
             cw = Coweight(X, tuple(X.conj(p, X.hom[x][y]) for y in range(X.n)))
@@ -168,10 +166,15 @@ def is_flat(phi: Weight, bound: int = 10**6, rng=None):
     The extra condition quantifies pairing(phi, r -> psi) = r -> pairing(phi, psi)
     over grid scalars r and a coweight family (exhaustive under the bound).
     """
-    X = phi.base
-    cf, wit, exact = is_conically_flat(phi)
+    return _flat(phi, is_conically_flat(phi), bound, rng)
+
+
+def _flat(phi: Weight, conical, bound: int, rng):
+    """is_flat, given the result of is_conically_flat(phi)."""
+    cf, wit, exact = conical
     if not cf:
         return False, ("conically_flat", wit), exact
+    X = phi.base
     points, _ = _breakpoints(X)
     family, exhaustive = _coweight_family(X, bound, rng)
     for r in points:
@@ -229,8 +232,9 @@ def classify(phi: Weight, bound: int = 10**6, rng=None) -> WeightClassReport:
     rep = is_representable(phi)
     cw = is_cauchy(phi)
     ideal, ideal_wit = is_ideal(phi)
-    cf, cf_wit, _ = is_conically_flat(phi)
-    flat, flat_wit, exhaustive = is_flat(phi, bound, rng)
+    conical = is_conically_flat(phi)
+    cf, cf_wit, _ = conical
+    flat, flat_wit, exhaustive = _flat(phi, conical, bound, rng)
     report = WeightClassReport(
         representable=rep,
         cauchy=cw.values if cw else None,

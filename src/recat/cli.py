@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from fractions import Fraction
 
 from . import tnorm as tn
 from .balls import ball_poset_dot
@@ -66,13 +67,33 @@ def load_weight(path, X: EnrichedCategory) -> Weight:
         values = [parse_value(v) if isinstance(v, (str, int)) else v for v in data["values"]]
     except (RecatError, KeyError, TypeError) as exc:
         raise _ParseFailure(f"bad weight file {path}: {exc}") from exc
+    if X.grid is not None:
+        off = [v for v in values if isinstance(v, Fraction) and v not in X.grid]
+        if off:
+            raise _ParseFailure(f"bad weight file {path}: {format_value(off[0])} is not a grid point")
     if len(values) != X.n:
         raise RecatError(f"weight has {len(values)} entries for a {X.n}-point carrier")
     return Weight(X, tuple(values))
 
 
+def _grid_option(text, t):
+    try:
+        return grid_validate(parse_grid_text(text), t)
+    except RecatError as exc:
+        raise _ParseFailure(f"bad --grid {text!r}: {exc}") from exc
+
+
 def _emit(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _valid_category(path) -> EnrichedCategory:
+    """The category in the file; failed axioms are a semantic failure (exit 1)."""
+    X = load_category(path)
+    rep = validate(X)
+    if not rep.ok:
+        raise RecatError(f"category axioms fail: {rep.reason} at {rep.witness}")
+    return X
 
 
 def cmd_check(args) -> int:
@@ -83,16 +104,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    X = load_category(args.category)
-    rep = validate(X)
-    if not rep.ok:
-        print(_emit({"error": f"category axioms fail: {rep.reason} at {rep.witness}"}))
-        return EXIT_SEMANTIC
-    try:
-        phi = load_weight(args.weight, X)
-    except RecatError as exc:
-        print(_emit({"error": str(exc)}))
-        return EXIT_SEMANTIC
+    X = _valid_category(args.category)
+    phi = load_weight(args.weight, X)
     out = classify(phi, bound=args.bound, rng=random.Random(args.seed)).to_json()
     out["seed"] = args.seed
     print(_emit(out))
@@ -100,24 +113,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_balls(args) -> int:
-    X = load_category(args.category)
-    rep = validate(X)
-    if not rep.ok:
-        print(_emit({"error": f"category axioms fail: {rep.reason} at {rep.witness}"}))
-        return EXIT_SEMANTIC
+    X = _valid_category(args.category)
     grid = X.grid
     if args.grid:
-        grid = grid_validate(parse_grid_text(args.grid), X.tnorm)
+        grid = _grid_option(args.grid, X.tnorm)
     print(ball_poset_dot(X, grid))
     return EXIT_OK
 
 
 def cmd_complete(args) -> int:
-    X = load_category(args.category)
-    rep = validate(X)
-    if not rep.ok:
-        print(_emit({"error": f"category axioms fail: {rep.reason} at {rep.witness}"}))
-        return EXIT_SEMANTIC
+    X = _valid_category(args.category)
     completion, embedding = cauchy_completion(X, bound=args.bound)
     out = completion.to_json()
     out["embedding"] = list(embedding)
@@ -284,11 +289,14 @@ SUITES = {
 
 
 def cmd_laws(args) -> int:
-    t = tn.parse_tnorm(args.tnorm)
+    try:
+        t = tn.parse_tnorm(args.tnorm)
+    except RecatError as exc:
+        raise _ParseFailure(f"bad --tnorm {args.tnorm!r}: {exc}") from exc
     grid = None
     if t.supports_exact and args.mode == "exact":
         grid = (
-            grid_validate(parse_grid_text(args.grid), t)
+            _grid_option(args.grid, t)
             if args.grid
             else unit_grid(4, t) if t.kind != tn.GODEL else unit_grid(2, t)
         )

@@ -12,7 +12,7 @@ from . import tnorm as tn
 from .cat import EnrichedCategory, EnrichedFunctor
 from .errors import NotAFunctorError
 from .laws import ModuleAction
-from .poset import FinitePoset, chain, lattice_catalog
+from .poset import FinitePoset, chain, closure, lattice_catalog
 from .presheaf import Coweight, Weight, coweight_closure, weight_closure
 from .values import ValueGrid, grid_validate, unit_grid
 
@@ -24,17 +24,8 @@ def random_category(rng: random.Random, n: int, grid: ValueGrid) -> EnrichedCate
     hom = [[rng.choice(pts) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         hom[i][i] = tn.ONE
-    changed = True
-    while changed:
-        changed = False
-        for y in range(n):
-            for z in range(n):
-                for x in range(n):
-                    v = tn.conj(t, hom[y][z], hom[x][y])
-                    if v > hom[x][z]:
-                        hom[x][z] = v
-                        changed = True
-    return EnrichedCategory(t, tuple(tuple(row) for row in hom), (), grid)
+    hom = closure(hom, lambda a, b: tn.conj(t, a, b))
+    return EnrichedCategory(t, hom, (), grid)
 
 
 def random_weight(rng: random.Random, X: EnrichedCategory) -> Weight:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import eq
 
 from . import tnorm as tn
 from .cat import EnrichedCategory, is_separated, underlying_order
 from .classify import is_cauchy
 from .errors import RecatError
-from .poset import FinitePoset
+from .poset import FinitePoset, _relabelings
 from .presheaf import (
     Weight,
     enumerate_weights,
@@ -152,22 +153,12 @@ def category_to_module(A: EnrichedCategory) -> ModuleAction:
 
 
 def modules_isomorphic(M: ModuleAction, N: ModuleAction) -> bool:
-    from itertools import permutations
-
-    if M.lattice.n != N.lattice.n or M.grid.points != N.grid.points:
+    if M.grid.points != N.grid.points:
         return False
-    for perm in permutations(range(M.lattice.n)):
-        if all(
-            M.lattice.leq[i][j] == N.lattice.leq[perm[i]][perm[j]]
-            for i in range(M.lattice.n)
-            for j in range(M.lattice.n)
-        ) and all(
-            perm[M.action[ri][x]] == N.action[ri][perm[x]]
-            for ri in range(len(M.grid.points))
-            for x in range(M.lattice.n)
-        ):
-            return True
-    return False
+    return any(
+        all(perm[a[x]] == b[perm[x]] for a, b in zip(M.action, N.action) for x in range(M.lattice.n))
+        for perm in _relabelings(M.lattice.leq, N.lattice.leq, eq)
+    )
 
 
 # --- negation duality -----------------------------------------------------

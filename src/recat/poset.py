@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import and_, eq
 
 from .errors import AxiomError, RecatError
 
@@ -108,17 +109,28 @@ def from_covers(n: int, covers) -> FinitePoset:
     leq = [[i == j for j in range(n)] for i in range(n)]
     for a, b in covers:
         leq[a][b] = True
+    return FinitePoset(n, closure(leq, and_))
+
+
+def closure(matrix, op):
+    """Least matrix above `matrix` with m[x][z] >= op(m[y][z], m[x][y]), as tuples.
+
+    With `and` on booleans this is transitive closure; with a t-norm on a
+    reflexive matrix it is the sup-(*) closure that makes a category.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
     changed = True
     while changed:
         changed = False
-        for i in range(n):
-            for j in range(n):
-                if leq[i][j]:
-                    for k in range(n):
-                        if leq[j][k] and not leq[i][k]:
-                            leq[i][k] = True
-                            changed = True
-    return FinitePoset(n, tuple(tuple(row) for row in leq))
+        for y in range(n):
+            for z in range(n):
+                for x in range(n):
+                    v = op(m[y][z], m[x][y])
+                    if v > m[x][z]:
+                        m[x][z] = v
+                        changed = True
+    return tuple(tuple(row) for row in m)
 
 
 def boolean_lattice() -> FinitePoset:
@@ -146,13 +158,18 @@ def lattice_catalog(max_n: int = 5):
     return [L for L in cat if L.n <= max_n]
 
 
+def _relabelings(A, B, same):
+    """Permutations p, lexicographically, with same(A[i][j], B[p[i]][p[j]]) for all i, j."""
+    n = len(A)
+    if n != len(B):
+        return
+    for perm in permutations(range(n)):
+        if all(same(A[i][j], B[perm[i]][perm[j]]) for i in range(n) for j in range(n)):
+            yield perm
+
+
 def posets_isomorphic(P: FinitePoset, Q: FinitePoset) -> bool:
-    if P.n != Q.n:
-        return False
-    for perm in permutations(range(P.n)):
-        if all(P.leq[i][j] == Q.leq[perm[i]][perm[j]] for i in range(P.n) for j in range(P.n)):
-            return True
-    return False
+    return any(_relabelings(P.leq, Q.leq, eq))
 
 
 def enumerate_lattices(n: int):
@@ -170,21 +187,10 @@ def enumerate_lattices(n: int):
         for b, (i, j) in enumerate(pairs):
             if bits >> b & 1:
                 leq[i][j] = True
-        transitive = True
-        for i in range(n):
-            for j in range(n):
-                if leq[i][j]:
-                    for k in range(n):
-                        if leq[j][k] and not leq[i][k]:
-                            transitive = False
-                            break
-                    if not transitive:
-                        break
-            if not transitive:
-                break
-        if not transitive:
-            continue
-        P = FinitePoset(n, tuple(tuple(r) for r in leq))
+        leq = tuple(map(tuple, leq))
+        if closure(leq, and_) != leq:
+            continue  # transitivity
+        P = FinitePoset(n, leq)
         if not P.is_lattice():
             continue
         if not any(posets_isomorphic(P, Q) for Q in found):

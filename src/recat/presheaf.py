@@ -1,8 +1,10 @@
 """Weight and coweight calculus: Yoneda, colimits, tensors, Kan, Isbell.
 
-Weights are contravariant [0,1]-valued presheaves (distributors into the
-one-point category); coweights are the covariant side.  All sup/inf formulas
-evaluate exactly on grid values and with tolerance in float mode.
+A weight on X is a distributor X -+-> 1, kept as an n x 1 column; a coweight
+is a distributor 1 -+-> X, kept as a 1 x n row.  Every sup/inf formula below
+is one call of the relation kernel in `cat` on those matrices, the hom, and
+the graph or cograph of a functor; values are exact on grid points and
+tolerance-compared in float mode.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, EnrichedFunctor, Rel
+from .cat import EnrichedCategory, EnrichedFunctor, Rel, _columns, _compose, _residual_left, _residual_right
 from .errors import AxiomError, BoundExceededError, CarrierMismatchError, RecatError
 
 
@@ -76,90 +78,87 @@ def coyoneda(X: EnrichedCategory, a: int) -> Coweight:
     return Coweight(X, tuple(X.hom[a][x] for x in range(X.n)))
 
 
+def _zero(X: EnrichedCategory):
+    return tn.ZERO if X.mode == "exact" else 0.0
+
+
+def _column(m) -> tuple:
+    """The entries of an n x 1 matrix."""
+    return tuple(row[0] for row in m)
+
+
+def _representing(vectors, want):
+    """Least index whose vector equals `want` entrywise, or None."""
+    for c, vec in enumerate(vectors):
+        if all(tn.veq(a, b) for a, b in zip(vec, want)):
+            return c
+    return None
+
+
+def _at(f: EnrichedFunctor, vectors) -> tuple:
+    """Each vector read at f(0), ..., f(n-1): rows of the hom give the cograph
+    of f row by row, columns give the graph of f column by column."""
+    return tuple(tuple(v[fx] for fx in f.mapping) for v in vectors)
+
+
 def sub(phi1: Weight, phi2: Weight):
     """Hom of the weight category: inf_x (phi1(x) -> phi2(x))."""
     _same_base(phi1, phi2)
     X = phi1.base
-    return min((X.imp(phi1(x), phi2(x)) for x in range(X.n)), default=X.one)
+    return _residual_left(X.tnorm, (phi2.values,), (phi1.values,), X.one)[0][0]
 
 
 def cosub(psi1: Coweight, psi2: Coweight):
     """Hom of the coweight category: inf_x (psi2(x) -> psi1(x))."""
     _same_base(psi1, psi2)
     X = psi1.base
-    return min((X.imp(psi2(x), psi1(x)) for x in range(X.n)), default=X.one)
+    return _residual_right(X.tnorm, (psi2.values,), (psi1.values,), X.one)[0][0]
 
 
 def pairing(phi: Weight, psi: Coweight):
     """sup_x phi(x) (*) psi(x), the degree that phi and psi meet."""
     _same_base(phi, psi)
     X = phi.base
-    zero = tn.ZERO if X.mode == "exact" else 0.0
-    return max((X.conj(phi(x), psi(x)) for x in range(X.n)), default=zero)
+    return _compose(X.tnorm, (phi.values,), (psi.values,), _zero(X))[0][0]
 
 
 def isbell_ub(phi: Weight) -> Coweight:
     """The coweight of upper bounds of phi: inf_x (phi(x) -> X(x, -))."""
     X = phi.base
-    return Coweight(
-        X, tuple(min((X.imp(phi(x), X.hom[x][y]) for x in range(X.n)), default=X.one) for y in range(X.n))
-    )
+    return Coweight(X, _residual_left(X.tnorm, _columns(X.hom, X.n), (phi.values,), X.one)[0])
 
 
 def isbell_lb(psi: Coweight) -> Weight:
     """The weight of lower bounds of psi: inf_y (psi(y) -> X(-, y))."""
     X = psi.base
-    return Weight(
-        X, tuple(min((X.imp(psi(y), X.hom[x][y]) for y in range(X.n)), default=X.one) for x in range(X.n))
-    )
+    return Weight(X, _column(_residual_right(X.tnorm, (psi.values,), X.hom, X.one)))
 
 
 def colim(phi: Weight):
     """Least-index element representing the upper-bound coweight, or None."""
-    X = phi.base
-    ub = isbell_ub(phi)
-    for c in range(X.n):
-        if all(tn.veq(X.hom[c][y], ub(y)) for y in range(X.n)):
-            return c
-    return None
+    return _representing(phi.base.hom, isbell_ub(phi).values)
 
 
 def lim(psi: Coweight):
     X = psi.base
-    lb = isbell_lb(psi)
-    for c in range(X.n):
-        if all(tn.veq(X.hom[x][c], lb(x)) for x in range(X.n)):
-            return c
-    return None
+    return _representing(_columns(X.hom, X.n), isbell_lb(psi).values)
 
 
 def weighted_colim(phi: Weight, f: EnrichedFunctor):
     """Colimit of f weighted by phi, i.e. colim of phi composed with the cograph."""
-    K, X = f.src, f.tgt
-    if phi.base.n != K.n:
+    if phi.base.n != f.src.n:
         raise CarrierMismatchError("weight must live on the functor source")
-    vec = tuple(
-        max(X.conj(phi(z), X.hom[x][f(z)]) for z in range(K.n)) for x in range(X.n)
-    )
-    return colim(Weight(X, vec))
+    return colim(f_exists(f, phi))
 
 
 def tensor(X: EnrichedCategory, r, x: int):
     """Element c with X(c, y) = r -> X(x, y) for all y, or None."""
-    want = tuple(X.imp(r, X.hom[x][y]) for y in range(X.n))
-    for c in range(X.n):
-        if all(tn.veq(X.hom[c][y], want[y]) for y in range(X.n)):
-            return c
-    return None
+    return _representing(X.hom, tuple(X.imp(r, X.hom[x][y]) for y in range(X.n)))
 
 
 def cotensor(X: EnrichedCategory, r, y: int):
     """Element c with X(x, c) = r -> X(x, y) for all x, or None."""
-    want = tuple(X.imp(r, X.hom[x][y]) for x in range(X.n))
-    for c in range(X.n):
-        if all(tn.veq(X.hom[x][c], want[x]) for x in range(X.n)):
-            return c
-    return None
+    return _representing(_columns(X.hom, X.n), tuple(X.imp(r, X.hom[x][y]) for x in range(X.n)))
 
 
 def is_cocomplete_over_grid(X: EnrichedCategory) -> bool:
@@ -185,9 +184,8 @@ def is_cocomplete_over_grid(X: EnrichedCategory) -> bool:
 
 def f_exists(f: EnrichedFunctor, phi: Weight) -> Weight:
     """Left Kan extension along f: phi composed with the cograph of f."""
-    K, Y = f.src, f.tgt
-    vec = tuple(max(Y.conj(phi(x), Y.hom[y][f(x)]) for x in range(K.n)) for y in range(Y.n))
-    return Weight(Y, vec)
+    Y = f.tgt
+    return Weight(Y, _column(_compose(Y.tnorm, (phi.values,), _at(f, Y.hom), _zero(Y))))
 
 
 def f_inv(f: EnrichedFunctor, gamma: Weight) -> Weight:
@@ -197,29 +195,20 @@ def f_inv(f: EnrichedFunctor, gamma: Weight) -> Weight:
 
 def f_forall(f: EnrichedFunctor, phi: Weight) -> Weight:
     """Right Kan extension along f: inf_x (Y(f(x), -) -> phi(x))."""
-    K, Y = f.src, f.tgt
-    vec = tuple(
-        min((Y.imp(Y.hom[f(x)][y], phi(x)) for x in range(K.n)), default=Y.one)
-        for y in range(Y.n)
-    )
-    return Weight(Y, vec)
+    Y = f.tgt
+    return Weight(Y, _column(_residual_left(Y.tnorm, (phi.values,), _at(f, _columns(Y.hom, Y.n)), Y.one)))
 
 
 def f_dag_exists(f: EnrichedFunctor, psi: Coweight) -> Coweight:
     """Covariant left extension: sup_x Y(f(x), -) (*) psi(x)."""
-    K, Y = f.src, f.tgt
-    vec = tuple(max(Y.conj(Y.hom[f(x)][y], psi(x)) for x in range(K.n)) for y in range(Y.n))
-    return Coweight(Y, vec)
+    Y = f.tgt
+    return Coweight(Y, _compose(Y.tnorm, _at(f, _columns(Y.hom, Y.n)), (psi.values,), _zero(Y))[0])
 
 
 def f_dag_forall(f: EnrichedFunctor, psi: Coweight) -> Coweight:
     """Covariant right extension: inf_x (Y(-, f(x)) -> psi(x))."""
-    K, Y = f.src, f.tgt
-    vec = tuple(
-        min((Y.imp(Y.hom[y][f(x)], psi(x)) for x in range(K.n)), default=Y.one)
-        for y in range(Y.n)
-    )
-    return Coweight(Y, vec)
+    Y = f.tgt
+    return Coweight(Y, _residual_right(Y.tnorm, _at(f, Y.hom), (psi.values,), Y.one)[0])
 
 
 def f_inv_coweight(f: EnrichedFunctor, mu: Coweight) -> Coweight:
@@ -229,59 +218,35 @@ def f_inv_coweight(f: EnrichedFunctor, mu: Coweight) -> Coweight:
 # --- enumeration ----------------------------------------------------------
 
 
-def enumerate_weights(X: EnrichedCategory, bound: int = 10**6):
-    """All grid-valued weights of X, lexicographically (requires a grid)."""
+def _lawful(X: EnrichedCategory, cls, bound: int):
+    """Every grid vector that `cls` (Weight or Coweight) accepts, lexicographically."""
+    what = cls.__name__.lower()
     if X.grid is None:
-        raise RecatError("weight enumeration needs a grid")
+        raise RecatError(f"{what} enumeration needs a grid")
     if len(X.grid.points) ** X.n > bound:
-        raise BoundExceededError("weight space exceeds bound")
+        raise BoundExceededError(f"{what} space exceeds bound")
     out = []
     for vec in iproduct(X.grid.points, repeat=X.n):
-        ok = True
-        for x1 in range(X.n):
-            for x2 in range(X.n):
-                if not X.conj(vec[x2], X.hom[x1][x2]) <= vec[x1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(Weight(X, vec))
+        try:
+            out.append(cls(X, vec))
+        except AxiomError:
+            continue
     return out
+
+
+def enumerate_weights(X: EnrichedCategory, bound: int = 10**6):
+    """All grid-valued weights of X, lexicographically (requires a grid)."""
+    return _lawful(X, Weight, bound)
 
 
 def enumerate_coweights(X: EnrichedCategory, bound: int = 10**6):
-    if X.grid is None:
-        raise RecatError("coweight enumeration needs a grid")
-    if len(X.grid.points) ** X.n > bound:
-        raise BoundExceededError("coweight space exceeds bound")
-    out = []
-    for vec in iproduct(X.grid.points, repeat=X.n):
-        ok = True
-        for y1 in range(X.n):
-            for y2 in range(X.n):
-                if not X.conj(X.hom[y1][y2], vec[y1]) <= vec[y2]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(Coweight(X, vec))
-    return out
+    return _lawful(X, Coweight, bound)
 
 
 def weight_closure(X: EnrichedCategory, vec) -> Weight:
     """The least weight above an arbitrary vector: sup_z v(z) (*) X(-, z)."""
-    vec = tuple(vec)
-    out = tuple(
-        max(X.conj(vec[z], X.hom[x][z]) for z in range(X.n)) for x in range(X.n)
-    )
-    return Weight(X, out)
+    return Weight(X, _column(_compose(X.tnorm, (tuple(vec),), X.hom, _zero(X))))
 
 
 def coweight_closure(X: EnrichedCategory, vec) -> Coweight:
-    vec = tuple(vec)
-    out = tuple(
-        max(X.conj(X.hom[z][y], vec[z]) for z in range(X.n)) for y in range(X.n)
-    )
-    return Coweight(X, out)
+    return Coweight(X, _compose(X.tnorm, _columns(X.hom, X.n), (tuple(vec),), _zero(X))[0])

@@ -127,9 +127,12 @@ def parse_tnorm(text: str) -> TNorm:
         while body:
             if not body.startswith("("):
                 raise RecatError(f"cannot parse t-norm {text!r}")
-            close = body.index(")")
-            lo, hi, inner = (p.strip() for p in body[1:close].split(","))
-            blocks.append(Block(Fraction(lo), Fraction(hi), inner))
+            try:
+                close = body.index(")")
+                lo, hi, inner = (p.strip() for p in body[1:close].split(","))
+                blocks.append(Block(Fraction(lo), Fraction(hi), inner))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise RecatError(f"cannot parse t-norm {text!r}") from exc
             body = body[close + 1 :].lstrip(", ")
         return TNorm(ORDINAL, tuple(blocks))
     raise RecatError(f"cannot parse t-norm {text!r}")

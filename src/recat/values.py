@@ -24,7 +24,10 @@ def parse_value(v) -> Fraction:
     elif isinstance(v, int):
         f = Fraction(v)
     elif isinstance(v, str):
-        f = Fraction(v.strip())
+        try:
+            f = Fraction(v.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise RecatError(f"cannot parse exact value from {v!r}") from exc
     else:
         raise RecatError(f"cannot parse exact value from {v!r}")
     if not (ZERO <= f <= ONE):

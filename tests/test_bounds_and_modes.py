@@ -75,6 +75,10 @@ class TestFloatMode:
         assert cl.is_cauchy(phi) is not None
         assert cl.is_ideal(phi)[0]
 
+    def test_classify_conically_flat_weight(self):
+        rep = cl.classify(psh.yoneda(self._float_cat(), 1))
+        assert all(rep.flags.values()) and rep.exhaustive is False
+
     def test_exact_ops_refuse_float(self):
         X = self._float_cat()
         with pytest.raises(Exception):

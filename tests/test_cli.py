@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recat.cli as cli
 from recat import fixtures
@@ -136,3 +142,72 @@ class TestLaws:
         assert code == 0 and data["pass"]
         names = {c["name"] for c in data["checks"]}
         assert "cotensor_escapes_class" in names
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("balls", "{a2}", "--grid", "{0,1/0,1}"),
+            ("balls", "{a2}", "--grid", "{0,abc,1}"),
+            ("laws", "kz", "--tnorm", "ordinal[(0,1)]"),
+        ],
+    )
+    def test_bad_option_exits_2(self, files, capsys, argv):
+        code, out = run(capsys, *(files["a2"] if a == "{a2}" else a for a in argv))
+        assert code == 2 and "error" in json.loads(out)
+
+    def test_bad_grid_in_file_exits_2(self, tmp_path, capsys):
+        data = fixtures.a2().to_json()
+        data["grid"] = ["0", "1/0", "1"]
+        p = tmp_path / "zero.json"
+        p.write_text(json.dumps(data))
+        code, out = run(capsys, "check", str(p))
+        assert code == 2 and "error" in json.loads(out)
+
+    def test_off_grid_values_exit_2(self, tmp_path, capsys):
+        cat = {"tnorm": "lukasiewicz", "grid": ["0", "1/2", "1"], "hom": [["1", "1/3"], ["0", "1"]]}
+        p = tmp_path / "off.json"
+        p.write_text(json.dumps(cat))
+        for command in ("check", "complete"):
+            code, out = run(capsys, command, str(p))
+            assert code == 2 and "not a grid point" in json.loads(out)["error"]
+        a2 = tmp_path / "a2.json"
+        a2.write_text(json.dumps(fixtures.a2().to_json()))
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps({"values": ["1", "1/2"]}))
+        code, out = run(capsys, "classify", str(a2), str(w))
+        assert code == 2 and "not a grid point" in json.loads(out)["error"]
+
+
+# Fragments that join into well-formed and malformed grids, t-norms and values.
+# None ends in a digit followed by 'e', so no string is a huge exponent literal.
+FRAGMENTS = ["0", "1", "1/2", "1/3", "2/3", "1/0", "-1", "2", "abc", ",", "/", " ",
+             "(", ")", "[", "]", "{", "}", "ordinal", "lukasiewicz", "godel", "product"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["grid", "tnorm", "hom", "weight"]),
+    text=st.lists(st.sampled_from(FRAGMENTS), max_size=8).map("".join),
+)
+def test_cli_always_exits_with_a_json_body(kind, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        a2 = fixtures.a2().to_json()
+        if kind == "hom":
+            a2["hom"][0][1] = text
+        cpath = Path(tmp) / "a2.json"
+        cpath.write_text(json.dumps(a2))
+        wpath = Path(tmp) / "w.json"
+        wpath.write_text(json.dumps({"values": ["1", text]}))
+        argv = {
+            "grid": ["laws", "tnorm", f"--grid={text}", "--seed", "0"],
+            "tnorm": ["laws", "tnorm", f"--tnorm={text}", "--seed", "0"],
+            "hom": ["check", str(cpath)],
+            "weight": ["classify", str(cpath), str(wpath)],
+        }[kind]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    json.loads(out.getvalue())
