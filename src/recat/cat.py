@@ -27,10 +27,11 @@ from .poset import FinitePoset, _relabelings
 
 
 def _normalize(v):
+    # Fractions and floats are kept as the caller's objects, not copied
+    if type(v) is Fraction or isinstance(v, float):
+        return v
     if isinstance(v, (Fraction, int)):
         return Fraction(v)
-    if isinstance(v, float):
-        return v
     if isinstance(v, str):
         return vals.parse_value(v)
     raise ModeMismatchError(f"unsupported hom value {v!r}")

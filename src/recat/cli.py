@@ -53,6 +53,14 @@ class _ParseFailure(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a parse failure, so that it gets a JSON body."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _ParseFailure(f"{self.prog}: {message}")
+
+
 def load_category(path) -> EnrichedCategory:
     data = _load_json(path)
     try:
@@ -323,7 +331,7 @@ def cmd_laws(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="recat", description=__doc__)
+    p = _Parser(prog="recat", description=__doc__)
     sp = p.add_subparsers(dest="command", required=True)
 
     c = sp.add_parser("check", help="validate a category file")
@@ -360,13 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help; usage errors raise _ParseFailure
+        return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     except _ParseFailure as exc:
         print(_emit({"error": str(exc)}))
         return EXIT_PARSE

@@ -17,12 +17,14 @@ from .classify import is_cauchy
 from .errors import RecatError
 from .poset import FinitePoset, _relabelings
 from .presheaf import (
+    Coweight,
     Weight,
     enumerate_weights,
     is_cocomplete_over_grid,
+    isbell_ub,
+    pairing,
     sub,
     tensor,
-    yoneda,
 )
 from .values import ValueGrid
 
@@ -34,25 +36,31 @@ def kz_defect(phi: Weight, gamma: Weight):
     """(lhs, rhs) of the unit comparison at (phi, gamma); lhs <= rhs always.
 
     lhs is the image of phi under the free functor applied to the unit,
-    evaluated at gamma; rhs is the unit at the free level.  Equality for all
-    gamma characterizes the Cauchy weights.
+    evaluated at gamma: sup_x phi(x) (*) sub(gamma, yoneda(X, x)).  The
+    identity sub(gamma, yoneda(X, x)) = isbell_ub(gamma)(x) holds scalar for
+    scalar, both being inf_z (gamma(z) -> X(z, x)) with the same operands in
+    the same order, so lhs is pairing(phi, isbell_ub(gamma)) and one Isbell
+    bound serves every phi tested against gamma.  rhs is the unit at the
+    free level, sub(gamma, phi).  Equality for all gamma characterizes the
+    Cauchy weights.  On an empty carrier the pair is (0, 1).
     """
-    X = phi.base
-    lhs = max(
-        X.conj(phi(x), sub(gamma, yoneda(X, x))) for x in range(X.n)
-    )
-    rhs = sub(gamma, phi)
-    return lhs, rhs
+    return _kz_pair(phi, gamma, isbell_ub(gamma))
+
+
+def _kz_pair(phi: Weight, gamma: Weight, gamma_ub: Coweight):
+    """kz_defect(phi, gamma) given gamma's upper-bound coweight."""
+    return pairing(phi, gamma_ub), sub(gamma, phi)
 
 
 def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
     """Inequality report over the sampled weight pairs."""
+    tests = [(gamma, isbell_ub(gamma)) for gamma in test_weights]
     violations = []
     equalities = 0
     total = 0
     for phi in weights:
-        for gamma in test_weights:
-            lhs, rhs = kz_defect(phi, gamma)
+        for gamma, gamma_ub in tests:
+            lhs, rhs = _kz_pair(phi, gamma, gamma_ub)
             total += 1
             if not tn.vle(lhs, rhs):
                 violations.append((phi.values, gamma.values))
@@ -64,9 +72,10 @@ def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
 def kz_equality_consistent_with_cauchy(X: EnrichedCategory, bound: int = 10**6) -> bool:
     """Equality against every grid test weight holds exactly for Cauchy weights."""
     weights = enumerate_weights(X, bound)
+    tests = [(gamma, isbell_ub(gamma)) for gamma in weights]
     for phi in weights:
         everywhere_equal = all(
-            tn.veq(*kz_defect(phi, gamma)) for gamma in weights
+            tn.veq(*_kz_pair(phi, gamma, gamma_ub)) for gamma, gamma_ub in tests
         )
         if everywhere_equal != (is_cauchy(phi) is not None):
             return False

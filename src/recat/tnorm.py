@@ -5,12 +5,19 @@ Godel and Lukasiewicz t-norms and for ordinal sums whose blocks are all
 Lukasiewicz.  The product t-norm (and any ordinal sum containing a product
 block) is evaluated in float mode only, since no finite rational set is
 closed under it.
+
+`conj` and `imp` check their operands on entry.  Two plain floats in
+[0.0, 1.0] go straight to the float evaluation; every other pair (ints,
+Fractions, mixed modes, NaN, values outside [0,1]) goes through the checked
+path, which settles the mode with `same_mode`, applies `_check_range` and
+raises `ModeMismatchError` or `RecatError` there.  The evaluators below
+never check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -68,10 +75,15 @@ class Block:
     lo: Fraction
     hi: Fraction
     inner: str  # PRODUCT or LUKASIEWICZ
+    # lo and hi as floats, converted once for float-mode evaluation
+    flo: float = field(init=False, repr=False, compare=False)
+    fhi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "flo", float(self.lo))
+        object.__setattr__(self, "fhi", float(self.hi))
         if not (ZERO <= self.lo < self.hi <= ONE):
             raise RecatError(f"block needs 0 <= lo < hi <= 1, got [{self.lo}, {self.hi}]")
         if self.inner not in (PRODUCT, LUKASIEWICZ):
@@ -145,10 +157,6 @@ def format_tnorm(t: TNorm) -> str:
     return f"ordinal[{parts}]"
 
 
-def _coerce(bound: Fraction, mode: str):
-    return bound if mode == "exact" else float(bound)
-
-
 def _conj_raw(t: TNorm, x, y, mode: str):
     if t.kind == GODEL:
         return x if x <= y else y
@@ -159,7 +167,7 @@ def _conj_raw(t: TNorm, x, y, mode: str):
     if t.kind == PRODUCT:
         return x * y
     for b in t.blocks:
-        lo, hi = _coerce(b.lo, mode), _coerce(b.hi, mode)
+        lo, hi = (b.lo, b.hi) if mode == "exact" else (b.flo, b.fhi)
         if lo <= x <= hi and lo <= y <= hi:
             if b.inner == LUKASIEWICZ:
                 z = x + y - hi
@@ -179,7 +187,7 @@ def _imp_raw(t: TNorm, x, y, mode: str):
     if t.kind == PRODUCT:
         return y / x
     for b in t.blocks:
-        lo, hi = _coerce(b.lo, mode), _coerce(b.hi, mode)
+        lo, hi = (b.lo, b.hi) if mode == "exact" else (b.flo, b.fhi)
         if lo <= y < x <= hi:
             if b.inner == LUKASIEWICZ:
                 return hi - x + y
@@ -204,6 +212,8 @@ def _check_range(v):
 
 def conj(t: TNorm, x, y):
     """x (*) y for the t-norm t."""
+    if type(x) is float and type(y) is float and 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0:
+        return _conj_raw(t, x, y, "float")
     mode = same_mode(x, y)
     _check_range(x)
     _check_range(y)
@@ -216,6 +226,8 @@ def conj(t: TNorm, x, y):
 
 def imp(t: TNorm, x, y):
     """The residuum x -> y: the largest z with x (*) z <= y."""
+    if type(x) is float and type(y) is float and 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0:
+        return _imp_raw(t, x, y, "float")
     mode = same_mode(x, y)
     _check_range(x)
     _check_range(y)

@@ -255,3 +255,22 @@ class TestHomCategory:
                 X.hom[x][y] == Y.hom[f(x)][f(y)] for x in range(2) for y in range(2)
             )
             assert cat.is_fully_faithful(f) == pres
+
+
+class TestValueNormalization:
+    def test_keeps_the_callers_fractions_and_parses_the_rest(self):
+        third = F(1, 3)
+        half = F(1, 2)
+        X = cat.EnrichedCategory(tn.lukasiewicz, ((1, third), ("1/3", F(1))))
+        assert X.hom[0][1] is third
+        assert X.hom == ((F(1), F(1, 3)), (F(1, 3), F(1)))
+        assert all(type(v) is F for row in X.hom for v in row)
+        r = cat.Rel(1, 3, ((half, "1/3", 0),))
+        assert r(0, 0) is half
+        assert r.rows == ((F(1, 2), F(1, 3), F(0)),)
+        assert all(type(v) is F for v in r.rows[0])
+
+    def test_keeps_floats(self):
+        v = 0.25
+        X = cat.EnrichedCategory(tn.product, ((1.0, v), (0.0, 1.0)))
+        assert X.hom[0][1] is v and X.mode == "float"

@@ -165,6 +165,27 @@ class TestMalformedInput:
         code, out = run(capsys, "check", str(p))
         assert code == 2 and "error" in json.loads(out)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("laws", "kz", "--tnorm"),
+            ("laws",),
+            ("laws", "nosuchsuite"),
+            ("check",),
+            ("check", "a.json", "extra"),
+            ("nosuchcommand",),
+            (),
+        ],
+    )
+    def test_usage_error_exits_2_with_a_json_body(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 2 and "error" in json.loads(out)
+
+    def test_help_still_exits_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert cli.main(["laws", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: recat")
+
     def test_off_grid_values_exit_2(self, tmp_path, capsys):
         cat = {"tnorm": "lukasiewicz", "grid": ["0", "1/2", "1"], "hom": [["1", "1/3"], ["0", "1"]]}
         p = tmp_path / "off.json"
@@ -201,8 +222,8 @@ def test_cli_always_exits_with_a_json_body(kind, text):
         wpath = Path(tmp) / "w.json"
         wpath.write_text(json.dumps({"values": ["1", text]}))
         argv = {
-            "grid": ["laws", "tnorm", f"--grid={text}", "--seed", "0"],
-            "tnorm": ["laws", "tnorm", f"--tnorm={text}", "--seed", "0"],
+            "grid": ["laws", "tnorm", "--grid", text, "--seed", "0"],
+            "tnorm": ["laws", "tnorm", "--tnorm", text, "--seed", "0"],
             "hom": ["check", str(cpath)],
             "weight": ["classify", str(cpath), str(wpath)],
         }[kind]

@@ -1,0 +1,118 @@
+"""The KZ law check against its Yoneda form, written out here.
+
+`laws.kz_defect` reads sub(gamma, yoneda(X, x)) as isbell_ub(gamma)(x), and
+`kz_check` and `kz_equality_consistent_with_cauchy` take one Isbell bound
+per test weight.  These seeded cases recompute every pair from n Yoneda
+weights, on exact Lukasiewicz 1/6 and Godel categories and on float product
+categories, and require equal values; a counted case pins the number of
+scalar operations.
+"""
+
+import random
+
+import pytest
+
+import recat.cat as cat
+import recat.laws as laws
+import recat.presheaf as ps
+import recat.tnorm as tn
+import recat.values as vals
+from recat import gen
+from recat.classify import is_cauchy
+from recat.poset import closure
+
+SIZES = range(1, 6)
+MODES = ("lukasiewicz", "godel", "product")
+
+
+def category(rng, n, mode):
+    if mode == "lukasiewicz":
+        return gen.random_category(rng, n, vals.unit_grid(6, tn.lukasiewicz))
+    if mode == "godel":
+        return gen.random_category(rng, n, vals.unit_grid(5, tn.godel))
+    hom = [[1.0 if i == j else round(rng.random(), 3) for j in range(n)] for i in range(n)]
+    return cat.EnrichedCategory(tn.product, closure(hom, lambda a, b: tn.conj(tn.product, a, b)))
+
+
+def weights(rng, X, count):
+    """`count` weights: closures of random vectors, plus every Yoneda weight."""
+    if X.mode == "exact":
+        vecs = [tuple(rng.choice(X.grid.points) for _ in range(X.n)) for _ in range(count)]
+    else:
+        vecs = [tuple(round(rng.random(), 3) for _ in range(X.n)) for _ in range(count)]
+    return [ps.weight_closure(X, v) for v in vecs] + [ps.yoneda(X, a) for a in range(X.n)]
+
+
+def yoneda_defect(phi, gamma):
+    """(max_x phi(x) (*) sub(gamma, yoneda(X, x)), sub(gamma, phi))."""
+    X = phi.base
+    lhs = max(X.conj(phi(x), ps.sub(gamma, ps.yoneda(X, x))) for x in range(X.n))
+    return lhs, ps.sub(gamma, phi)
+
+
+def yoneda_report(ws, tests):
+    violations = []
+    equalities = 0
+    for phi in ws:
+        for gamma in tests:
+            lhs, rhs = yoneda_defect(phi, gamma)
+            if not tn.vle(lhs, rhs):
+                violations.append((phi.values, gamma.values))
+            elif tn.veq(lhs, rhs):
+                equalities += 1
+    return {"total": len(ws) * len(tests), "equalities": equalities, "violations": violations}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", SIZES)
+def test_kz_defect_and_check_equal_the_yoneda_form(mode, n):
+    rng = random.Random(100 * n + MODES.index(mode))
+    X = category(rng, n, mode)
+    ws = weights(rng, X, 4)
+    for phi in ws:
+        for gamma in ws:
+            assert laws.kz_defect(phi, gamma) == yoneda_defect(phi, gamma)
+    tests = ws[::2]
+    assert laws.kz_check(X, ws, tests) == yoneda_report(ws, tests)
+
+
+@pytest.mark.parametrize("mode", ("lukasiewicz", "godel"))
+@pytest.mark.parametrize("n", (1, 2))
+def test_equality_vs_cauchy_equals_the_yoneda_form(mode, n):
+    rng = random.Random(200 * n + MODES.index(mode))
+    X = category(rng, n, mode)
+    ws = ps.enumerate_weights(X)
+    expected = all(
+        all(tn.veq(*yoneda_defect(phi, gamma)) for gamma in ws) == (is_cauchy(phi) is not None)
+        for phi in ws
+    )
+    assert laws.kz_equality_consistent_with_cauchy(X) == expected
+
+
+def test_kz_check_scalar_operation_count(monkeypatch):
+    """One Isbell bound per test weight: at most W * 2n^2 + W^2 * 2n scalar calls."""
+    n, W = 4, 8
+    rng = random.Random(7)
+    X = category(rng, n, "lukasiewicz")
+    ws = [gen.random_weight(rng, X) for _ in range(W)]
+    calls = [0]
+
+    def counted(f):
+        def wrapper(*args):
+            calls[0] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(tn, "conj", counted(tn.conj))
+    monkeypatch.setattr(tn, "imp", counted(tn.imp))
+    rep = laws.kz_check(X, ws, ws)
+    assert rep["total"] == W * W and rep["violations"] == []
+    assert 0 < calls[0] <= W * 2 * n * n + W * W * 2 * n
+
+
+def test_empty_carrier():
+    X = cat.EnrichedCategory(tn.lukasiewicz, ())
+    phi = ps.Weight(X, ())
+    assert laws.kz_defect(phi, phi) == (tn.ZERO, tn.ONE)
+    assert laws.kz_check(X, [phi], [phi]) == {"total": 1, "equalities": 0, "violations": []}
