@@ -10,6 +10,7 @@ from __future__ import annotations
 from . import tnorm as tn
 from .cat import EnrichedCategory, Rel, _columns, _residual_right, compose, rel_eq
 from .errors import RecatError
+from .poset import _directed, _least
 from .presheaf import Weight, colim, enumerate_weights, yoneda
 from .classify import is_ideal
 
@@ -31,7 +32,7 @@ def radius_candidates(X: EnrichedCategory, balls):
     so scaling against it yields the same candidate set.
     """
     out = set(X.grid.points) if X.grid is not None else set()
-    out |= {tn.ZERO if X.mode == "exact" else 0.0, X.one}
+    out |= {X.zero, X.one}
     for (_, s) in balls:
         out.add(s)
         for x in range(X.n):
@@ -43,11 +44,7 @@ def radius_candidates(X: EnrichedCategory, balls):
 def directed_check(X: EnrichedCategory, balls) -> bool:
     """Every pair of the set has an upper bound within the set."""
     balls = list(balls)
-    if not balls:
-        return False
-    return all(
-        any(ball_leq(X, a, c) and ball_leq(X, b, c) for c in balls) for a in balls for b in balls
-    )
+    return bool(balls) and _directed(balls, lambda a, b: ball_leq(X, a, b))
 
 
 def directed_join(X: EnrichedCategory, balls):
@@ -57,10 +54,7 @@ def directed_join(X: EnrichedCategory, balls):
     balls = list(balls)
     candidates = [(z, t) for z in range(X.n) for t in radius_candidates(X, balls)]
     ubs = [c for c in candidates if all(ball_leq(X, b, c) for b in balls)]
-    for c in ubs:
-        if all(ball_leq(X, c, d) for d in ubs):
-            return c
-    return None
+    return _least(ubs, lambda c, d: ball_leq(X, c, d))
 
 
 def way_below_distributor(X: EnrichedCategory, bound: int = 10**6) -> Rel:

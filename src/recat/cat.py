@@ -16,7 +16,6 @@ from itertools import product as iproduct
 from . import tnorm as tn
 from . import values as vals
 from .errors import (
-    AxiomError,
     BoundExceededError,
     CarrierMismatchError,
     ModeMismatchError,
@@ -70,6 +69,10 @@ class EnrichedCategory:
     def one(self):
         return tn.ONE if self.mode == "exact" else 1.0
 
+    @property
+    def zero(self):
+        return tn.ZERO if self.mode == "exact" else 0.0
+
     def conj(self, x, y):
         return tn.conj(self.tnorm, x, y)
 
@@ -94,9 +97,12 @@ class EnrichedCategory:
     @staticmethod
     def from_json(data) -> "EnrichedCategory":
         t = tn.parse_tnorm(data["tnorm"])
-        grid = vals.grid_validate(data["grid"], t) if data.get("grid") else None
-        hom = tuple(tuple(row) for row in data["hom"])
-        X = EnrichedCategory(t, hom, tuple(data.get("names") or ()), grid)
+        points = vals._json_array(data.get("grid"), "grid", optional=True)
+        grid = vals.grid_validate(points, t) if points else None
+        rows = vals._json_array(data["hom"], "hom")
+        hom = tuple(tuple(vals._json_array(row, "hom row")) for row in rows)
+        names = tuple(vals._json_array(data.get("names"), "names", optional=True))
+        X = EnrichedCategory(t, hom, names, grid)
         if grid is not None:
             off = [v for row in X.hom for v in row if isinstance(v, Fraction) and v not in grid]
             if off:
@@ -116,22 +122,16 @@ class ValidationReport:
     witness: tuple | None = None
 
 
-def validate(X: EnrichedCategory, strict: bool = False) -> ValidationReport:
+def validate(X: EnrichedCategory) -> ValidationReport:
     """Check reflexivity and transitivity; report the first violating triple."""
     for x in range(X.n):
         if not tn.veq(X.hom[x][x], X.one):
-            rep = ValidationReport(False, "reflexivity", (x,))
-            if strict:
-                raise AxiomError("hom(x,x) != 1", witness=rep.witness)
-            return rep
+            return ValidationReport(False, "reflexivity", (x,))
     for y in range(X.n):
         for z in range(X.n):
             for x in range(X.n):
                 if not tn.vle(X.conj(X.hom[y][z], X.hom[x][y]), X.hom[x][z]):
-                    rep = ValidationReport(False, "transitivity", (y, z, x))
-                    if strict:
-                        raise AxiomError("transitivity fails", witness=rep.witness)
-                    return rep
+                    return ValidationReport(False, "transitivity", (y, z, x))
     return ValidationReport(True)
 
 

@@ -16,7 +16,6 @@ from .presheaf import (
     Coweight,
     Weight,
     _representing,
-    _zero,
     coweight_closure,
     enumerate_coweights,
     enumerate_weights,
@@ -143,7 +142,7 @@ def _coweight_family(X: EnrichedCategory, bound: int, rng):
         return enumerate_coweights(X, bound), True
     fam = []
     seen = set()
-    points = list(X.grid.points) if X.grid is not None else [_zero(X), X.one]
+    points = list(X.grid.points) if X.grid is not None else [X.zero, X.one]
     for p in points:
         for x in range(X.n):
             cw = Coweight(X, tuple(X.conj(p, X.hom[x][y]) for y in range(X.n)))

@@ -33,7 +33,7 @@ from .laws import (
     powerset_monad_check,
 )
 from .presheaf import Weight
-from .values import format_value, grid_validate, parse_grid_text, parse_value, unit_grid
+from .values import _json_array, format_value, grid_validate, parse_grid_text, parse_value, unit_grid
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -72,7 +72,7 @@ def load_category(path) -> EnrichedCategory:
 def load_weight(path, X: EnrichedCategory) -> Weight:
     data = _load_json(path)
     try:
-        values = [parse_value(v) if isinstance(v, (str, int)) else v for v in data["values"]]
+        values = [v if isinstance(v, float) else parse_value(v) for v in _json_array(data["values"], "values")]
     except (RecatError, KeyError, TypeError) as exc:
         raise _ParseFailure(f"bad weight file {path}: {exc}") from exc
     if X.grid is not None:
@@ -159,13 +159,13 @@ def _suite_tnorm(t, grid, rng, bound):
     witness = None
     for _ in range(samples):
         x, y, z = rng.random(), rng.random(), rng.random()
-        if abs(tn.conj(t, x, y) - tn.conj(t, y, x)) > 1e-12:
+        if not tn.veq(tn.conj(t, x, y), tn.conj(t, y, x)):
             ok, witness = False, (x, y)
             break
-        if abs(tn.conj(t, tn.conj(t, x, y), z) - tn.conj(t, x, tn.conj(t, y, z))) > 1e-12:
+        if not tn.veq(tn.conj(t, tn.conj(t, x, y), z), tn.conj(t, x, tn.conj(t, y, z))):
             ok, witness = False, (x, y, z)
             break
-        if abs(tn.conj(t, x, tn.imp(t, x, y)) - min(x, y)) > 1e-12:
+        if not tn.veq(tn.conj(t, x, tn.imp(t, x, y)), min(x, y)):
             ok, witness = False, (x, y)
             break
     checks.append({"name": "laws_float_sampled", "pass": ok, "witness": witness})

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import tnorm as tn
-from .cat import EnrichedCategory
+from .cat import EnrichedCategory, opposite
 from .presheaf import Weight
 from .values import ValueGrid, grid_validate, unit_grid
 
@@ -20,10 +20,7 @@ def grid_v(t: tn.TNorm, grid: ValueGrid) -> EnrichedCategory:
 
 def grid_v_op(t: tn.TNorm, grid: ValueGrid) -> EnrichedCategory:
     """The opposite hom y -> x."""
-    pts = grid.points
-    hom = tuple(tuple(tn.imp(t, y, x) for y in pts) for x in pts)
-    names = tuple(str(p) for p in pts)
-    return EnrichedCategory(t, hom, names, grid)
+    return opposite(grid_v(t, grid))
 
 
 def d2(t: tn.TNorm = tn.godel, grid: ValueGrid | None = None) -> EnrichedCategory:

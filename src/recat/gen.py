@@ -38,9 +38,9 @@ def random_coweight(rng: random.Random, X: EnrichedCategory) -> Coweight:
     return coweight_closure(X, vec)
 
 
-def random_functor(rng: random.Random, X: EnrichedCategory, Y: EnrichedCategory, tries: int = 64):
-    """A random functor X -> Y, falling back to a constant map."""
-    for _ in range(tries):
+def random_functor(rng: random.Random, X: EnrichedCategory, Y: EnrichedCategory):
+    """A random functor X -> Y from 64 tries, falling back to a constant map."""
+    for _ in range(64):
         mapping = tuple(rng.randrange(Y.n) for _ in range(X.n))
         try:
             return EnrichedFunctor(X, Y, mapping)
@@ -131,14 +131,11 @@ def _relabel_module(rng: random.Random, M: ModuleAction) -> ModuleAction:
 def random_module(rng: random.Random, t: tn.TNorm, max_size: int = 5) -> ModuleAction:
     """A random grid module with at most max_size elements."""
     kind = rng.randrange(4)
-    if kind == 0:
+    if kind < 2:
         k = rng.randint(1, max_size - 1)
         grid = unit_grid(k, t) if t.kind == tn.LUKASIEWICZ else _godel_grid(rng, k, t)
-        return _relabel_module(rng, _chain_module(grid))
-    if kind == 1:
-        k = rng.randint(1, max_size - 1)
-        grid = unit_grid(k, t) if t.kind == tn.LUKASIEWICZ else _godel_grid(rng, k, t)
-        return _relabel_module(rng, _opposite_chain_module(grid))
+        build = _chain_module if kind == 0 else _opposite_chain_module
+        return _relabel_module(rng, build(grid))
     if kind == 2:
         from .poset import boolean_lattice
 

@@ -8,14 +8,14 @@ filter axioms and the Kowalsky sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 from operator import eq
 
 from . import tnorm as tn
 from .cat import EnrichedCategory, is_separated, underlying_order
 from .classify import is_cauchy
 from .errors import RecatError
-from .poset import FinitePoset, _relabelings
+from .poset import FinitePoset, _directed, _relabelings
 from .presheaf import (
     Coweight,
     Weight,
@@ -199,6 +199,10 @@ def _sub_vec(t: tn.TNorm, xi, lam):
     return min(tn.imp(t, a, b) for a, b in zip(xi, lam))
 
 
+def _pointwise_ge(a, b):
+    return all(x >= y for x, y in zip(a, b))
+
+
 @dataclass(frozen=True)
 class ConicalFilter:
     """A filter generated by a finite directed set of grid vectors.
@@ -220,10 +224,8 @@ class ConicalFilter:
         for g in gens:
             if len(g) != self.size:
                 raise RecatError("generator length mismatch")
-        for a in gens:
-            for b in gens:
-                if not any(all(c[i] <= min(a[i], b[i]) for i in range(self.size)) for c in gens):
-                    raise RecatError("generators are not directed")
+        if not _directed(gens, _pointwise_ge):
+            raise RecatError("generators are not directed")
 
     def __call__(self, lam):
         return max(_sub_vec(self.tnorm, g, tuple(lam)) for g in self.generators)
@@ -288,10 +290,8 @@ def kowalsky_sum(meta_generators, filters, t: tn.TNorm, grid: ValueGrid) -> Coni
     for xi in metas:
         if len(xi) != len(filters):
             raise RecatError("meta generator length mismatch")
-    for a in metas:
-        for b in metas:
-            if not any(all(c[k] <= min(a[k], b[k]) for k in range(len(filters))) for c in metas):
-                raise RecatError("meta generators are not directed")
+    if not _directed(metas, _pointwise_ge):
+        raise RecatError("meta generators are not directed")
     size = filters[0].size
     gens = []
     for xi in metas:
@@ -306,7 +306,7 @@ def kowalsky_sum(meta_generators, filters, t: tn.TNorm, grid: ValueGrid) -> Coni
     # with the least member generators supplies the common lower bound
     minimal = []
     for g in sorted(set(gens)):
-        if not any(all(h[i] <= g[i] for i in range(size)) for h in minimal):
+        if not any(_pointwise_ge(g, h) for h in minimal):
             minimal.append(g)
     return ConicalFilter(t, grid, size, tuple(minimal))
 
@@ -320,7 +320,7 @@ def conical_filter_check_float(t: tn.TNorm, size: int, rng, samples: int = 200) 
     """
 
     def make(vec):
-        return lambda lam: min(tn.imp(t, g, v) for g, v in zip(vec, lam))
+        return lambda lam: _sub_vec(t, vec, lam)
 
     for _ in range(samples):
         gen_vec = tuple(rng.random() for _ in range(size))
@@ -329,8 +329,7 @@ def conical_filter_check_float(t: tn.TNorm, size: int, rng, samples: int = 200) 
             lam = tuple(rng.random() for _ in range(size))
             mu = tuple(rng.random() for _ in range(size))
             r = rng.random()
-            sub_lm = min(tn.imp(t, a, b) for a, b in zip(lam, mu))
-            if sub_lm > tn.imp(t, F(lam), F(mu)) + tn.TOL:
+            if _sub_vec(t, lam, mu) > tn.imp(t, F(lam), F(mu)) + tn.TOL:
                 return False
             if abs(F(tuple(1.0 for _ in range(size))) - 1.0) > tn.TOL:
                 return False
@@ -353,23 +352,10 @@ def find_cf4_cotensor_witness(t: tn.TNorm, grid: ValueGrid):
     diagonal.
     """
     pts = grid.points
-    k = len(pts)
-
-    def monotone_tables():
-        def rec(prefix):
-            i = len(prefix)
-            if i == k:
-                if prefix[-1] == tn.ONE:
-                    yield dict(zip(((p,) for p in pts), prefix))
-                return
-            lo = prefix[-1] if prefix else tn.ZERO
-            for v in pts:
-                if v >= lo:
-                    yield from rec(prefix + [v])
-
-        yield from rec([])
-
-    for table in monotone_tables():
+    for values in combinations_with_replacement(pts, len(pts)):
+        if values[-1] != tn.ONE:
+            continue
+        table = dict(zip(((p,) for p in pts), values))
         if not filter_axiom_check(t, grid, 1, table)["pass"]:
             continue
         for r in pts:

@@ -2,6 +2,8 @@
 
 Orders are reflexive transitive boolean matrices; antisymmetry is tracked but
 not required except where lattice operations need canonical meets and joins.
+`_least` and `_directed` take the order as a function `le`, so `balls` and
+`laws` run the same searches on formal balls and on vectors.
 """
 
 from __future__ import annotations
@@ -53,18 +55,10 @@ class FinitePoset:
 
     def join(self, elems):
         """Least upper bound, or None; picks the least index among equivalents."""
-        ubs = self.upper_bounds(elems)
-        for u in ubs:
-            if all(self.leq[u][v] for v in ubs):
-                return u
-        return None
+        return _least(self.upper_bounds(elems), lambda a, b: self.leq[a][b])
 
     def meet(self, elems):
-        lbs = self.lower_bounds(elems)
-        for l in lbs:
-            if all(self.leq[v][l] for v in lbs):
-                return l
-        return None
+        return _least(self.lower_bounds(elems), lambda a, b: self.leq[b][a])
 
     @property
     def bottom(self):
@@ -94,6 +88,19 @@ class FinitePoset:
     @staticmethod
     def from_json(data) -> "FinitePoset":
         return FinitePoset(int(data["n"]), tuple(tuple(row) for row in data["leq"]))
+
+
+def _least(items, le):
+    """The first item a with le(a, b) for every item b, or None."""
+    for a in items:
+        if all(le(a, b) for b in items):
+            return a
+    return None
+
+
+def _directed(items, le):
+    """Every pair of `items` has an upper bound among the items."""
+    return all(any(le(a, c) and le(b, c) for c in items) for a in items for b in items)
 
 
 def chain(n: int) -> FinitePoset:
@@ -217,12 +224,7 @@ def left_adjoint_of(g, Q: FinitePoset, P: FinitePoset):
         return None
     f = []
     for x in range(P.n):
-        candidates = [y for y in range(Q.n) if P.le(x, g[y])]
-        least = None
-        for y in candidates:
-            if all(Q.le(y, z) for z in candidates):
-                least = y
-                break
+        least = _least([y for y in range(Q.n) if P.le(x, g[y])], Q.le)
         if least is None:
             return None
         f.append(least)
@@ -245,48 +247,42 @@ def _subsets(n):
         yield from (list(c) for c in combinations(elems, r))
 
 
-def totally_below(L: FinitePoset, x: int, y: int) -> bool:
-    """True iff every subset whose join dominates y contains a member above x."""
-    for A in _subsets(L.n):
+def _below_members(L: FinitePoset, x: int, y: int, family) -> bool:
+    """Every subset in `family` whose join dominates y has a member above x."""
+    for A in family:
         j = L.join(A)
         if j is not None and L.le(y, j) and not any(L.le(x, a) for a in A):
             return False
     return True
 
 
+def totally_below(L: FinitePoset, x: int, y: int) -> bool:
+    """True iff every subset whose join dominates y contains a member above x."""
+    return _below_members(L, x, y, _subsets(L.n))
+
+
 def is_directed_subset(L: FinitePoset, A) -> bool:
-    if not A:
-        return False
-    return all(any(L.le(a, c) and L.le(b, c) for c in A) for a in A for b in A)
+    return bool(A) and _directed(A, L.le)
 
 
 def way_below(L: FinitePoset, x: int, y: int) -> bool:
     """Totally-below restricted to directed subsets (brute force)."""
-    for A in _subsets(L.n):
-        if not is_directed_subset(L, A):
-            continue
-        j = L.join(A)
-        if j is not None and L.le(y, j) and not any(L.le(x, a) for a in A):
-            return False
-    return True
+    return _below_members(L, x, y, (A for A in _subsets(L.n) if is_directed_subset(L, A)))
+
+
+def _joins_what_is_below(L: FinitePoset, below) -> bool:
+    """Every x is the join of the z with below(z, x)."""
+    return all(L.join([z for z in range(L.n) if below(z, x)]) == x for x in range(L.n))
 
 
 def is_completely_distributive(L: FinitePoset) -> bool:
     """Every element is the join of the elements totally below it."""
-    for x in range(L.n):
-        below = [z for z in range(L.n) if totally_below(L, z, x)]
-        if L.join(below) != x:
-            return False
-    return True
+    return _joins_what_is_below(L, lambda z, x: totally_below(L, z, x))
 
 
 def is_continuous_lattice(L: FinitePoset) -> bool:
     """Every element is the join of the elements way below it (finitely always true)."""
-    for x in range(L.n):
-        below = [z for z in range(L.n) if way_below(L, z, x)]
-        if L.join(below) != x:
-            return False
-    return True
+    return _joins_what_is_below(L, lambda z, x: way_below(L, z, x))
 
 
 def coprimes(L: FinitePoset, include_vacuous_bottom: bool = True):
@@ -321,10 +317,7 @@ def primes(L: FinitePoset):
 
 def has_enough_coprimes(L: FinitePoset) -> bool:
     cs = set(coprimes(L))
-    for x in range(L.n):
-        if L.join([c for c in cs if L.le(c, x)]) != x:
-            return False
-    return True
+    return _joins_what_is_below(L, lambda c, x: c in cs and L.le(c, x))
 
 
 def lower_sets(L: FinitePoset):

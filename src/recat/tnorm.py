@@ -130,6 +130,8 @@ def ordinal_sum(*blocks) -> TNorm:
 
 def parse_tnorm(text: str) -> TNorm:
     """Parse the textual form: godel, product, lukasiewicz, ordinal[(lo,hi,inner),...]."""
+    if not isinstance(text, str):
+        raise RecatError(f"cannot parse t-norm {text!r}")
     s = text.strip().lower()
     if s in (GODEL, PRODUCT, LUKASIEWICZ):
         return TNorm(s)

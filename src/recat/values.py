@@ -35,6 +35,17 @@ def parse_value(v) -> Fraction:
     return f
 
 
+def _json_array(v, what: str, optional: bool = False) -> list:
+    """A JSON field that must be an array with no boolean in it; null reads as [] if optional."""
+    if v is None and optional:
+        return []
+    if not isinstance(v, list):
+        raise RecatError(f"{what} must be a JSON array, not {type(v).__name__}")
+    if any(isinstance(a, bool) for a in v):
+        raise RecatError(f"{what} holds a boolean")
+    return v
+
+
 def format_value(v: Fraction) -> str:
     return str(Fraction(v))
 
@@ -49,13 +60,27 @@ def parse_grid_text(text: str):
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """A finite ascending set of rationals closed under the t-norm operations."""
+    """A finite ascending set of rationals closed under the t-norm operations.
+
+    Construction raises on a point outside [0,1] or a missing 0 or 1, and
+    with NotClosedError on the first pair whose (*) or -> escapes the set.
+    """
 
     points: tuple
     tnorm: tn.TNorm
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(set(map(Fraction, self.points)))))
+        pts = tuple(sorted({parse_value(p) for p in self.points}))
+        object.__setattr__(self, "points", pts)
+        if ZERO not in pts or ONE not in pts:
+            raise RecatError("grid must contain 0 and 1")
+        pset = set(pts)
+        for x in pts:
+            for y in pts:
+                if tn.conj_exact_unchecked(self.tnorm, x, y) not in pset:
+                    raise NotClosedError(x, y, "conj")
+                if tn.imp_exact_unchecked(self.tnorm, x, y) not in pset:
+                    raise NotClosedError(x, y, "imp")
 
     def __contains__(self, v):
         return Fraction(v) in set(self.points)
@@ -72,17 +97,7 @@ class ValueGrid:
 
 def grid_validate(points, t: tn.TNorm) -> ValueGrid:
     """Return the validated grid, or raise NotClosedError on the first bad pair."""
-    pts = tuple(sorted({parse_value(p) for p in points}))
-    if ZERO not in pts or ONE not in pts:
-        raise RecatError("grid must contain 0 and 1")
-    pset = set(pts)
-    for x in pts:
-        for y in pts:
-            if tn.conj_exact_unchecked(t, x, y) not in pset:
-                raise NotClosedError(x, y, "conj")
-            if tn.imp_exact_unchecked(t, x, y) not in pset:
-                raise NotClosedError(x, y, "imp")
-    return ValueGrid(pts, t)
+    return ValueGrid(points, t)
 
 
 def grid_closure(seed, t: tn.TNorm, cap: int = 4096) -> ValueGrid:

@@ -200,6 +200,40 @@ class TestMalformedInput:
         code, out = run(capsys, "classify", str(a2), str(w))
         assert code == 2 and "not a grid point" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("tnorm", [5, None, ["godel"]])
+    def test_non_string_tnorm_exits_2(self, tmp_path, capsys, tnorm):
+        data = fixtures.a2().to_json()
+        data["tnorm"] = tnorm
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(data))
+        code, out = run(capsys, "check", str(p))
+        assert code == 2 and "cannot parse t-norm" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "category, values",
+        [
+            ({"tnorm": "godel", "grid": "01", "hom": [["1", "0"], ["0", "1"]]}, None),
+            ({"tnorm": "godel", "hom": [["1", "0"], "01"]}, None),
+            ({"tnorm": "godel", "hom": "1"}, None),
+            ({"tnorm": "godel", "names": "ab", "hom": [["1", "0"], ["0", "1"]]}, None),
+            ({"tnorm": "godel", "hom": [[True, False], [False, True]]}, None),
+            ({"tnorm": "godel", "grid": [False, True], "hom": [["1", "0"], ["0", "1"]]}, None),
+            ({"tnorm": "godel", "hom": [["1", "0"], ["0", "1"]]}, "10"),
+            ({"tnorm": "godel", "hom": [["1", "0"], ["0", "1"]]}, [True, False]),
+            ({"tnorm": "godel", "hom": [["1", "0"], ["0", "1"]]}, ["1", None]),
+        ],
+    )
+    def test_wrong_json_types_exit_2(self, tmp_path, capsys, category, values):
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(category))
+        argv = ["check", str(c)]
+        if values is not None:
+            w = tmp_path / "w.json"
+            w.write_text(json.dumps({"values": values}))
+            argv = ["classify", str(c), str(w)]
+        code, out = run(capsys, *argv)
+        assert code == 2 and "error" in json.loads(out)
+
 
 # Fragments that join into well-formed and malformed grids, t-norms and values.
 # None ends in a digit followed by 'e', so no string is a huge exponent literal.
@@ -232,3 +266,46 @@ def test_cli_always_exits_with_a_json_body(kind, text):
             code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     json.loads(out.getvalue())
+
+
+# Values of each JSON type; none is what a category or weight field expects
+# where it is put.  The strings avoid 'e', so none is a huge exponent literal.
+WRONG_TYPES = st.one_of(
+    st.integers(-2, 2),
+    st.floats(-1, 2),
+    st.text(alphabet="01/ab ", max_size=4),
+    st.none(),
+    st.booleans(),
+    st.dictionaries(st.sampled_from(["a", "0"]), st.sampled_from(["0", "1"]), max_size=2),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    field=st.sampled_from(["tnorm", "grid", "names", "hom", "hom row", "hom value", "values", "value"]),
+    value=WRONG_TYPES,
+)
+def test_cli_wrong_json_types_exit_with_a_json_body(field, value):
+    a2 = fixtures.a2().to_json()
+    weight = {"values": ["1", "0"]}
+    if field in ("tnorm", "grid", "names", "hom"):
+        a2[field] = value
+    elif field == "hom row":
+        a2["hom"][0] = value
+    elif field == "hom value":
+        a2["hom"][0][1] = value
+    elif field == "values":
+        weight["values"] = value
+    else:
+        weight["values"][1] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cpath, wpath = Path(tmp) / "a2.json", Path(tmp) / "w.json"
+        cpath.write_text(json.dumps(a2))
+        wpath.write_text(json.dumps(weight))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["classify", str(cpath), str(wpath)])
+    assert code in (0, 1, 2, 3)
+    json.loads(out.getvalue())
+    if field in ("hom", "hom row", "values") or (field in ("grid", "names") and value is not None):
+        assert code == 2

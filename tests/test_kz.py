@@ -19,6 +19,7 @@ import recat.tnorm as tn
 import recat.values as vals
 from recat import gen
 from recat.classify import is_cauchy
+from recat.errors import AxiomError
 from recat.poset import closure
 
 SIZES = range(1, 6)
@@ -116,3 +117,21 @@ def test_empty_carrier():
     phi = ps.Weight(X, ())
     assert laws.kz_defect(phi, phi) == (tn.ZERO, tn.ONE)
     assert laws.kz_check(X, [phi], [phi]) == {"total": 1, "equalities": 0, "violations": []}
+
+
+def test_float_isbell_bounds_of_a_category_valid_within_tolerance():
+    """hom(0, 2) sits 0.9e-12 below hom(1, 2) (*) hom(0, 1): `validate` passes,
+    but the residual y / x doubles that slack, so the upper-bound coweight of
+    gamma breaks the coweight law by more than TOL.  The Isbell bounds are
+    lawful by the Isbell adjunction and come back unchecked; the public
+    constructor still checks."""
+    X = cat.EnrichedCategory(tn.product, ((1.0, 0.4, 0.2 - 0.9e-12), (0.0, 1.0, 0.5), (0.0, 0.0, 1.0)))
+    assert cat.validate(X).ok
+    gamma = ps.Weight(X, (0.5, 0.0, 0.0))
+    ub = ps.isbell_ub(gamma)
+    assert ub.values == tuple(min(tn.imp(X.tnorm, gamma(x), X.hom[x][y]) for x in range(3)) for y in range(3))
+    with pytest.raises(AxiomError):
+        ps.Coweight(X, ub.values)
+    lb = ps.isbell_lb(ub)
+    assert lb.values == tuple(min(tn.imp(X.tnorm, ub(y), X.hom[x][y]) for y in range(3)) for x in range(3))
+    assert laws.kz_check(X, [gamma], [gamma]) == yoneda_report([gamma], [gamma])

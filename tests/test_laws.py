@@ -197,6 +197,12 @@ class TestCotensorWitness:
         # the other three axioms survive the cotensor
         assert rep["CF1"] is None and rep["CF2"] is None and rep["CF3"] is None
 
+    def test_witness_is_the_first_in_lexicographic_table_order(self):
+        g = fixtures.upper_block_grid()
+        table, r, lam, s = laws.find_cf4_cotensor_witness(fixtures.upper_block_sum(), g)
+        assert [table[(p,)] for p in g.points] == [F(0), F(1, 2), F(1, 2), F(5, 8), F(3, 4), F(7, 8), F(1)]
+        assert (r, lam, s) == (F(5, 8), (F(1, 4),), F(1, 2))
+
     def test_base_tnorms_closed(self):
         assert laws.find_cf4_cotensor_witness(tn.lukasiewicz, luka_grid(4)) is None
         g = vals.grid_validate([0, F(1, 4), F(1, 2), F(3, 4), 1], tn.godel)

@@ -4,7 +4,7 @@ import pytest
 
 import recat.tnorm as tn
 import recat.values as vals
-from recat.errors import CapExceededError, NotClosedError
+from recat.errors import CapExceededError, NotClosedError, RecatError
 
 
 class TestGridValidate:
@@ -33,6 +33,27 @@ class TestGridValidate:
         x, y, op = exc.value.x, exc.value.y, exc.value.op
         fn = tn.conj_exact_unchecked if op == "conj" else tn.imp_exact_unchecked
         assert fn(tn.lukasiewicz, x, y) not in {F(0), F(3, 4), F(1)}
+
+
+class TestValueGridValidates:
+    """Building a ValueGrid directly runs the same checks as grid_validate."""
+
+    @pytest.mark.parametrize(
+        "points, t, pair",
+        [
+            ((0, F(1, 3), 1), tn.lukasiewicz, (F(1, 3), F(0), "imp")),
+            ((0, F(1, 2), 1), tn.product, (F(1, 2), F(1, 2), "conj")),
+        ],
+    )
+    def test_not_closed(self, points, t, pair):
+        with pytest.raises(NotClosedError) as exc:
+            vals.ValueGrid(points, t)
+        assert (exc.value.x, exc.value.y, exc.value.op) == pair
+
+    @pytest.mark.parametrize("points", [(0, F(3, 2), 1), (0, F(-1, 2), 1), (F(1, 2), 1), (0, F(1, 2))])
+    def test_out_of_range_or_missing_bound(self, points):
+        with pytest.raises(RecatError):
+            vals.ValueGrid(points, tn.godel)
 
 
 class TestGridClosure:
