@@ -84,14 +84,11 @@ class EnrichedCategory:
         return tn.vle(self.one, v)
 
     def to_json(self):
-        def enc(v):
-            return vals.format_value(v) if isinstance(v, Fraction) else v
-
         return {
             "tnorm": tn.format_tnorm(self.tnorm),
-            "grid": [vals.format_value(p) for p in self.grid.points] if self.grid else None,
+            "grid": vals._encode(self.grid.points) if self.grid else None,
             "names": list(self.names),
-            "hom": [[enc(v) for v in row] for row in self.hom],
+            "hom": vals._encode(self.hom),
         }
 
     @staticmethod
@@ -102,11 +99,10 @@ class EnrichedCategory:
         rows = vals._json_array(data["hom"], "hom")
         hom = tuple(tuple(vals._json_array(row, "hom row")) for row in rows)
         names = tuple(vals._json_array(data.get("names"), "names", optional=True))
+        if not all(isinstance(a, str) for a in names) or len(set(names)) < len(names):
+            raise RecatError(f"names must be distinct strings, got {list(names)}")
         X = EnrichedCategory(t, hom, names, grid)
-        if grid is not None:
-            off = [v for row in X.hom for v in row if isinstance(v, Fraction) and v not in grid]
-            if off:
-                raise RecatError(f"hom value {vals.format_value(off[0])} is not a grid point")
+        vals._check_on_grid((v for row in X.hom for v in row), grid, "hom value ")
         return X
 
 

@@ -24,6 +24,7 @@ from .presheaf import (
     sub,
     yoneda,
 )
+from .values import _encode
 
 
 def is_representable(phi: Weight):
@@ -207,21 +208,11 @@ class WeightClassReport:
         }
 
     def to_json(self):
-        def enc(v):
-            from fractions import Fraction
-            from .values import format_value
-
-            if isinstance(v, Fraction):
-                return format_value(v)
-            if isinstance(v, tuple):
-                return [enc(x) for x in v]
-            return v
-
         return {
             "flags": self.flags,
             "representable_element": self.representable,
-            "cauchy_left_adjoint": enc(self.cauchy) if self.cauchy else None,
-            "witnesses": {k: enc(w) for k, w in self.witnesses.items()},
+            "cauchy_left_adjoint": _encode(self.cauchy) if self.cauchy else None,
+            "witnesses": _encode(self.witnesses),
             "exhaustive": self.exhaustive,
         }
 

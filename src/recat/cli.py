@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import tnorm as tn
 from .balls import ball_poset_dot
@@ -32,8 +31,8 @@ from .laws import (
     negation_duality_check,
     powerset_monad_check,
 )
-from .presheaf import Weight
-from .values import _json_array, format_value, grid_validate, parse_grid_text, parse_value, unit_grid
+from .presheaf import Weight, f_exists, f_inv, sub as psub
+from .values import _check_on_grid, _encode, _json_array, grid_validate, parse_grid_text, parse_value, unit_grid
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -73,12 +72,9 @@ def load_weight(path, X: EnrichedCategory) -> Weight:
     data = _load_json(path)
     try:
         values = [v if isinstance(v, float) else parse_value(v) for v in _json_array(data["values"], "values")]
+        _check_on_grid(values, X.grid)
     except (RecatError, KeyError, TypeError) as exc:
         raise _ParseFailure(f"bad weight file {path}: {exc}") from exc
-    if X.grid is not None:
-        off = [v for v in values if isinstance(v, Fraction) and v not in X.grid]
-        if off:
-            raise _ParseFailure(f"bad weight file {path}: {format_value(off[0])} is not a grid point")
     if len(values) != X.n:
         raise RecatError(f"weight has {len(values)} entries for a {X.n}-point carrier")
     return Weight(X, tuple(values))
@@ -138,6 +134,12 @@ def cmd_complete(args) -> int:
     return EXIT_OK
 
 
+def _check(name, failures) -> dict:
+    """A report entry for one check: the first failure is its witness, none is a pass."""
+    witness = next(failures, None)
+    return {"name": name, "pass": witness is None, "witness": _encode(witness)}
+
+
 def _suite_tnorm(t, grid, rng, bound):
     checks = []
     if grid is not None:
@@ -155,133 +157,98 @@ def _suite_tnorm(t, grid, rng, bound):
         div = all(tn.conj(t, x, tn.imp(t, x, y)) == min(x, y) for x in pts for y in pts)
         checks.append({"name": "divisibility", "pass": div, "witness": None})
     samples = 2000
-    ok = True
-    witness = None
-    for _ in range(samples):
-        x, y, z = rng.random(), rng.random(), rng.random()
-        if not tn.veq(tn.conj(t, x, y), tn.conj(t, y, x)):
-            ok, witness = False, (x, y)
-            break
-        if not tn.veq(tn.conj(t, tn.conj(t, x, y), z), tn.conj(t, x, tn.conj(t, y, z))):
-            ok, witness = False, (x, y, z)
-            break
-        if not tn.veq(tn.conj(t, x, tn.imp(t, x, y)), min(x, y)):
-            ok, witness = False, (x, y)
-            break
-    checks.append({"name": "laws_float_sampled", "pass": ok, "witness": witness})
-    if tn.is_archimedean(t):
-        ok = True
-        witness = None
+
+    def float_failures():
+        for _ in range(samples):
+            x, y, z = rng.random(), rng.random(), rng.random()
+            if not tn.veq(tn.conj(t, x, y), tn.conj(t, y, x)):
+                yield x, y
+            elif not tn.veq(tn.conj(t, tn.conj(t, x, y), z), tn.conj(t, x, tn.conj(t, y, z))):
+                yield x, y, z
+            elif not tn.veq(tn.conj(t, x, tn.imp(t, x, y)), min(x, y)):
+                yield x, y
+
+    def generator_failures():
         for _ in range(samples):
             x, y = rng.random(), rng.random()
             u = tn.generator_eval(t, x) + tn.generator_eval(t, y)
             if abs(tn.pseudo_inverse(t, u) - tn.conj(t, x, y)) > 1e-9:
-                ok, witness = False, (x, y)
-                break
-        checks.append({"name": "generator_reconstruction", "pass": ok, "witness": witness})
+                yield x, y
+
+    checks.append(_check("laws_float_sampled", float_failures()))
+    if tn.is_archimedean(t):
+        checks.append(_check("generator_reconstruction", generator_failures()))
     return checks
 
 
 def _suite_kan(t, grid, rng, bound):
-    from .presheaf import f_exists, f_inv, sub as psub
+    def failures():
+        for _ in range(25):
+            X = random_category(rng, rng.randint(1, 4), grid)
+            Y = random_category(rng, rng.randint(1, 4), grid)
+            f = random_functor(rng, X, Y)
+            for _ in range(10):
+                phi = random_weight(rng, X)
+                gamma = random_weight(rng, Y)
+                if psub(f_exists(f, phi), gamma) != psub(phi, f_inv(f, gamma)):
+                    yield f.mapping, phi.values, gamma.values
 
-    checks = []
-    ok = True
-    witness = None
-    for _ in range(25):
-        X = random_category(rng, rng.randint(1, 4), grid)
-        Y = random_category(rng, rng.randint(1, 4), grid)
-        f = random_functor(rng, X, Y)
-        for _ in range(10):
-            phi = random_weight(rng, X)
-            gamma = random_weight(rng, Y)
-            if psub(f_exists(f, phi), gamma) != psub(phi, f_inv(f, gamma)):
-                ok, witness = False, (f.mapping, phi.values, gamma.values)
-                break
-        if not ok:
-            break
-    checks.append({"name": "kan_adjunction", "pass": ok, "witness": witness})
-    return checks
+    return [_check("kan_adjunction", failures())]
 
 
 def _suite_kz(t, grid, rng, bound):
-    checks = []
-    ok = True
-    witness = None
-    for _ in range(20):
-        X = random_category(rng, rng.randint(1, 4), grid)
-        ws = [random_weight(rng, X) for _ in range(8)]
-        rep = kz_check(X, ws, ws)
-        if rep["violations"]:
-            ok, witness = False, rep["violations"][0]
-            break
-    checks.append({"name": "kz_inequality", "pass": ok, "witness": witness})
+    def violations():
+        for _ in range(20):
+            X = random_category(rng, rng.randint(1, 4), grid)
+            ws = [random_weight(rng, X) for _ in range(8)]
+            yield from kz_check(X, ws, ws)["violations"]
+
+    checks = [_check("kz_inequality", violations())]
     Xs = random_category(rng, 2, grid)
-    checks.append(
-        {
-            "name": "kz_equality_vs_cauchy",
-            "pass": kz_equality_consistent_with_cauchy(Xs, bound),
-            "witness": None,
-        }
-    )
-    checks.append(
-        {
-            "name": "powerset_monad",
-            "pass": powerset_monad_check(t, grid, 2, rng, samples=20),
-            "witness": None,
-        }
-    )
+    equal = kz_equality_consistent_with_cauchy(Xs, bound)
+    checks.append({"name": "kz_equality_vs_cauchy", "pass": equal, "witness": None})
+    monad = powerset_monad_check(t, grid, 2, rng, samples=20)
+    checks.append({"name": "powerset_monad", "pass": monad, "witness": None})
     return checks
 
 
 def _suite_module(t, grid, rng, bound):
-    checks = []
-    ok = True
-    witness = None
-    for _ in range(20):
-        M = random_module(rng, t)
-        back = category_to_module(module_to_category(M))
-        if not modules_isomorphic(M, back):
-            ok, witness = False, M.action
-            break
-    checks.append({"name": "module_round_trip", "pass": ok, "witness": witness})
+    def failures():
+        for _ in range(20):
+            M = random_module(rng, t)
+            if not modules_isomorphic(M, category_to_module(module_to_category(M))):
+                yield M.action
+
+    checks = [_check("module_round_trip", failures())]
     if grid is not None:
         verdict, wit = negation_duality_check(grid, t)
-        checks.append(
-            {
-                "name": "negation_involution",
-                "pass": verdict if t.kind == tn.LUKASIEWICZ else not verdict,
-                "witness": format_value(wit) if wit is not None else None,
-            }
-        )
+        expected = verdict if t.kind == tn.LUKASIEWICZ else not verdict
+        checks.append({"name": "negation_involution", "pass": expected, "witness": _encode(wit)})
     return checks
 
 
 def _suite_filters(t, grid, rng, bound):
-    checks = []
-    ok = True
     pts = list(grid.points)
-    for _ in range(10):
-        g1 = tuple(rng.choice(pts) for _ in range(2))
-        g2 = tuple(min(a, rng.choice(pts)) for a in g1)
-        F = ConicalFilter(t, grid, 2, (g1, g2))
-        if not conical_filter_check(F)["pass"]:
-            ok = False
-            break
-    checks.append({"name": "generated_filters_cf", "pass": ok, "witness": None})
+
+    def failures():
+        for _ in range(10):
+            g1 = tuple(rng.choice(pts) for _ in range(2))
+            g2 = tuple(min(a, rng.choice(pts)) for a in g1)
+            if not conical_filter_check(ConicalFilter(t, grid, 2, (g1, g2)))["pass"]:
+                yield g1, g2
+
+    checks = [_check("generated_filters_cf", failures())]
     F1 = ConicalFilter(t, grid, 2, ((pts[-1], pts[0]),))
     F2 = ConicalFilter(t, grid, 2, ((pts[0], pts[-1]),))
     ks = kowalsky_sum([(tn.ONE, tn.ONE)], [F1, F2], t, grid)
     checks.append({"name": "kowalsky_sum_cf", "pass": conical_filter_check(ks)["pass"], "witness": None})
-    wit = find_cf4_cotensor_witness(t, grid)
+    wit = find_cf4_cotensor_witness(t, grid, bound)
     expected_closed = tn.continuous_off_diagonal(t)
     checks.append(
         {
             "name": "cotensor_stays_in_class" if expected_closed else "cotensor_escapes_class",
             "pass": (wit is None) == expected_closed,
-            "witness": None
-            if wit is None
-            else {"r": format_value(wit[1]), "lam": format_value(wit[2][0]), "s": format_value(wit[3])},
+            "witness": None if wit is None else _encode({"r": wit[1], "lam": wit[2][0], "s": wit[3]}),
         }
     )
     return checks

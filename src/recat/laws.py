@@ -2,19 +2,23 @@
 
 Covers the lax-idempotent inequality of the free-cocompletion monad, the
 module/cocomplete-category correspondence, the negation involution, conical
-filter axioms and the Kowalsky sum.
+filter axioms and the Kowalsky sum.  Each law has one checker for both modes:
+it compares through tn.vle/tn.veq, exact on Fractions and within TOL on
+floats, so the float checks run the exact checkers on sampled points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement, product as iproduct
+from math import comb
 from operator import eq
 
 from . import tnorm as tn
 from .cat import EnrichedCategory, is_separated, underlying_order
 from .classify import is_cauchy
-from .errors import RecatError
+from .errors import BoundExceededError, RecatError
 from .poset import FinitePoset, _directed, _relabelings
 from .presheaf import (
     Coweight,
@@ -173,23 +177,21 @@ def modules_isomorphic(M: ModuleAction, N: ModuleAction) -> bool:
 # --- negation duality -----------------------------------------------------
 
 
-def negation_duality_check(grid: ValueGrid, t: tn.TNorm):
-    """(verdict, witness): x -> (x -> 0) -> 0 is an involution on the grid."""
-    zero = tn.ZERO
-    for x in grid.points:
-        neg = tn.imp(t, x, zero)
-        if tn.imp(t, neg, zero) != x:
+def negation_duality_check(grid, t: tn.TNorm):
+    """(verdict, witness): x -> (x -> 0) -> 0 is an involution on the points.
+
+    grid is a ValueGrid or any sequence of points of one mode; 0 is taken in
+    that mode (Fraction or float).
+    """
+    for x in grid:
+        zero = type(x)(0)
+        if not tn.veq(tn.imp(t, tn.imp(t, x, zero), zero), x):
             return False, x
     return True, None
 
 
 def negation_duality_check_float(t: tn.TNorm, samples=64):
-    for k in range(1, samples):
-        x = k / samples
-        neg = tn.imp(t, x, 0.0)
-        if not tn.veq(tn.imp(t, neg, 0.0), x):
-            return False, x
-    return True, None
+    return negation_duality_check([k / samples for k in range(1, samples)], t)
 
 
 # --- conical filters ------------------------------------------------------
@@ -236,34 +238,41 @@ def filter_table(F, t: tn.TNorm, grid: ValueGrid, size: int) -> dict:
     return {lam: F(lam) for lam in iproduct(grid.points, repeat=size)}
 
 
+def _cf_failures(t: tn.TNorm, F, one, size: int, pairs, shifts):
+    """(axiom, witness) for each failure of the functional F, in check order.
+
+    CF2: F(1) = 1, at the top vector
+    CF1: sub(lam, mu) <= F(lam) -> F(mu), at each (lam, mu) in pairs
+    CF3: F(lam meet mu) = F(lam) meet F(mu), at each (lam, mu) in pairs
+    CF4: F(r -> lam) = 1 whenever F(lam) > r, at each (lam, r) in shifts
+
+    Comparisons go through tn.vle/tn.veq: exact on Fractions, within TOL on
+    floats.
+    """
+    top = (one,) * size
+    if not tn.veq(F(top), one):
+        yield "CF2", (top,)
+    for lam, mu in pairs:
+        if not tn.vle(_sub_vec(t, lam, mu), tn.imp(t, F(lam), F(mu))):
+            yield "CF1", (lam, mu)
+        if not tn.veq(min(F(lam), F(mu)), F(tuple(map(min, lam, mu)))):
+            yield "CF3", (lam, mu)
+    for lam, r in shifts:
+        if not tn.vle(F(lam), r) and not tn.veq(F(tuple(tn.imp(t, r, v) for v in lam)), one):
+            yield "CF4", (lam, r)
+
+
 def filter_axiom_check(t: tn.TNorm, grid: ValueGrid, size: int, table) -> dict:
     """CF1..CF4 on grid arguments for an arbitrary functional given as a table.
 
-    CF1: sub(lam, mu) <= F(lam) -> F(mu)
-    CF2: F(1) = 1
-    CF3: F(lam meet mu) = F(lam) meet F(mu)
-    CF4: F(r -> lam) = 1 whenever F(lam) > r
+    The report holds the first witness of each failed axiom, or None.
     """
     lams = list(iproduct(grid.points, repeat=size))
-    report = {"CF1": None, "CF2": None, "CF3": None, "CF4": None}
-    top = tuple(tn.ONE for _ in range(size))
-    if table[top] != tn.ONE:
-        report["CF2"] = (top,)
-    for lam in lams:
-        for mu in lams:
-            s = _sub_vec(t, lam, mu)
-            if not s <= tn.imp(t, table[lam], table[mu]):
-                report["CF1"] = report["CF1"] or (lam, mu)
-            meet = tuple(min(a, b) for a, b in zip(lam, mu))
-            if min(table[lam], table[mu]) != table[meet]:
-                report["CF3"] = report["CF3"] or (lam, mu)
-    for lam in lams:
-        for r in grid.points:
-            if table[lam] > r:
-                shifted = tuple(tn.imp(t, r, v) for v in lam)
-                if table[shifted] != tn.ONE:
-                    report["CF4"] = report["CF4"] or (lam, r)
-    report["pass"] = all(report[k] is None for k in ("CF1", "CF2", "CF3", "CF4"))
+    report = dict.fromkeys(("CF1", "CF2", "CF3", "CF4"))
+    pairs, shifts = iproduct(lams, lams), iproduct(lams, grid.points)
+    for axiom, witness in _cf_failures(t, table.__getitem__, tn.ONE, size, pairs, shifts):
+        report[axiom] = report[axiom] or witness
+    report["pass"] = all(w is None for w in report.values())
     return report
 
 
@@ -318,40 +327,30 @@ def conical_filter_check_float(t: tn.TNorm, size: int, rng, samples: int = 200) 
     CF1..CF4 (and the cotensor staying in class) on sampled arguments within
     the float tolerance.
     """
-
-    def make(vec):
-        return lambda lam: _sub_vec(t, vec, lam)
-
     for _ in range(samples):
         gen_vec = tuple(rng.random() for _ in range(size))
         r0 = rng.random()
-        for F in (make(gen_vec), make(tuple(tn.conj(t, r0, g) for g in gen_vec))):
+        for vec in (gen_vec, tuple(tn.conj(t, r0, g) for g in gen_vec)):
             lam = tuple(rng.random() for _ in range(size))
             mu = tuple(rng.random() for _ in range(size))
             r = rng.random()
-            if _sub_vec(t, lam, mu) > tn.imp(t, F(lam), F(mu)) + tn.TOL:
+            if any(_cf_failures(t, partial(_sub_vec, t, vec), 1.0, size, [(lam, mu)], [(lam, r)])):
                 return False
-            if abs(F(tuple(1.0 for _ in range(size))) - 1.0) > tn.TOL:
-                return False
-            meet = tuple(min(a, b) for a, b in zip(lam, mu))
-            if abs(min(F(lam), F(mu)) - F(meet)) > tn.TOL:
-                return False
-            if F(lam) > r + tn.TOL:
-                shifted = tuple(tn.imp(t, r, v) for v in lam)
-                if F(shifted) < 1.0 - tn.TOL:
-                    return False
     return True
 
 
-def find_cf4_cotensor_witness(t: tn.TNorm, grid: ValueGrid):
+def find_cf4_cotensor_witness(t: tn.TNorm, grid: ValueGrid, bound: int = 10**6):
     """Search one-point filter tables whose cotensor escapes the filter class.
 
     Returns (table, r, lam, s) such that the table passes CF1..CF4 but the
     cotensor r -> table fails CF4 at (lam, s); None when the class is closed,
     which is the case exactly when the implication is continuous off the
-    diagonal.
+    diagonal.  The C(2k - 1, k) monotone candidate tables on a k-point grid
+    must not exceed bound.
     """
     pts = grid.points
+    if comb(2 * len(pts) - 1, len(pts)) > bound:
+        raise BoundExceededError(f"C({2 * len(pts) - 1}, {len(pts)}) candidate tables exceed bound {bound}")
     for values in combinations_with_replacement(pts, len(pts)):
         if values[-1] != tn.ONE:
             continue

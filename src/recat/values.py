@@ -7,7 +7,7 @@ formulas of the rest of the library evaluate exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import tnorm as tn
@@ -50,6 +50,17 @@ def format_value(v: Fraction) -> str:
     return str(Fraction(v))
 
 
+def _encode(v):
+    """v ready for JSON: a Fraction as 'p/q', a tuple as a list, a dict by value, recursively."""
+    if isinstance(v, Fraction):
+        return format_value(v)
+    if isinstance(v, tuple):
+        return [_encode(a) for a in v]
+    if isinstance(v, dict):
+        return {k: _encode(a) for k, a in v.items()}
+    return v
+
+
 def parse_grid_text(text: str):
     """Parse the textual grid form '{0, 1/3, 2/3, 1}'."""
     s = text.strip()
@@ -68,13 +79,16 @@ class ValueGrid:
 
     points: tuple
     tnorm: tn.TNorm
+    # the points as a set, built once for membership tests
+    _pset: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(sorted({parse_value(p) for p in self.points}))
         object.__setattr__(self, "points", pts)
-        if ZERO not in pts or ONE not in pts:
+        pset = frozenset(pts)
+        object.__setattr__(self, "_pset", pset)
+        if ZERO not in pset or ONE not in pset:
             raise RecatError("grid must contain 0 and 1")
-        pset = set(pts)
         for x in pts:
             for y in pts:
                 if tn.conj_exact_unchecked(self.tnorm, x, y) not in pset:
@@ -83,7 +97,7 @@ class ValueGrid:
                     raise NotClosedError(x, y, "imp")
 
     def __contains__(self, v):
-        return Fraction(v) in set(self.points)
+        return Fraction(v) in self._pset
 
     def __len__(self):
         return len(self.points)
@@ -93,6 +107,14 @@ class ValueGrid:
 
     def index(self, v) -> int:
         return self.points.index(Fraction(v))
+
+
+def _check_on_grid(values, grid: ValueGrid | None, what: str = ""):
+    """Raise on the first exact value that is not a grid point; floats and no grid pass."""
+    if grid is not None:
+        for v in values:
+            if isinstance(v, Fraction) and v not in grid:
+                raise RecatError(f"{what}{format_value(v)} is not a grid point")
 
 
 def grid_validate(points, t: tn.TNorm) -> ValueGrid:

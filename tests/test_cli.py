@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -143,6 +144,38 @@ class TestLaws:
         names = {c["name"] for c in data["checks"]}
         assert "cotensor_escapes_class" in names
 
+    def test_filters_honours_the_bound(self, capsys):
+        # C(13, 7) = 1716 candidate tables on the 7-point grid
+        grid = "{0,1/6,1/3,1/2,2/3,5/6,1}"
+        code, out = run(capsys, "laws", "filters", "--tnorm", "lukasiewicz", "--grid", grid, "--bound", "1000")
+        data = json.loads(out)
+        assert code == 3 and set(data) == {"error", "seed"}
+
+    def test_stdout_and_exit_codes_are_pinned(self, capsys):
+        # one sha256 over a fixed matrix of seeded runs; a change to any
+        # report byte or exit code changes it
+        matrix = [
+            ["laws", suite, *tnorm, "--seed", str(seed)]
+            for suite in ("filters", "kan", "kz", "module", "tnorm")
+            for tnorm in (["--tnorm", "lukasiewicz", "--grid", "{0,1/3,2/3,1}"], ["--tnorm", "godel"])
+            for seed in (0, 1)
+        ]
+        matrix += [["laws", "tnorm", "--tnorm", t, "--mode", "float"] for t in ("product", "ordinal[(0,1/2,product)]")]
+        h = hashlib.sha256()
+        for argv in matrix:
+            code, out = run(capsys, *argv)
+            h.update(json.dumps([argv, code, out]).encode())
+        assert h.hexdigest() == "285efa1e544b28eece96b96bd42919407658ad88ef0a249759969bb6aa708aaa"
+
+    def test_failure_witness_is_encoded(self, capsys, monkeypatch):
+        # the first violation is the witness, with exact values as "p/q"
+        violation = ((F(1), F(1, 3)), (F(2, 3), F(0)))
+        monkeypatch.setattr(cli, "kz_check", lambda X, ws, tests: {"violations": [violation, None]})
+        code, out = run(capsys, "laws", "kz", "--tnorm", "lukasiewicz", "--grid", "{0,1/3,2/3,1}")
+        check = json.loads(out)["checks"][0]
+        assert code == 1 and check["name"] == "kz_inequality" and not check["pass"]
+        assert check["witness"] == [["1", "1/3"], ["2/3", "0"]]
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
@@ -199,6 +232,16 @@ class TestMalformedInput:
         w.write_text(json.dumps({"values": ["1", "1/2"]}))
         code, out = run(capsys, "classify", str(a2), str(w))
         assert code == 2 and "not a grid point" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("names", [["a", "a"], [{"a": 1}, None]])
+    def test_names_not_distinct_strings_exit_2(self, tmp_path, capsys, names):
+        # such names made `balls` print one DOT node for two distinct balls
+        cat = {"tnorm": "godel", "grid": ["0", "1"], "names": names, "hom": [["1", "0"], ["0", "1"]]}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cat))
+        for command in ("check", "balls"):
+            code, out = run(capsys, command, str(p))
+            assert code == 2 and "names must be distinct strings" in json.loads(out)["error"]
 
     @pytest.mark.parametrize("tnorm", [5, None, ["godel"]])
     def test_non_string_tnorm_exits_2(self, tmp_path, capsys, tnorm):

@@ -136,6 +136,13 @@ class TestConicalFilters:
                 Fg = laws.ConicalFilter(t, g, 2, (g1, g2))
                 assert laws.conical_filter_check(Fg)["pass"]
 
+    def test_join_functional_fails_only_cf3(self):
+        # F(lam) = max(lam) keeps CF1, CF2 and CF4 but not binary meets
+        g = luka_grid(2)
+        rep = laws.filter_axiom_check(tn.lukasiewicz, g, 2, laws.filter_table(max, tn.lukasiewicz, g, 2))
+        cf3 = ((F(0), F(1, 2)), (F(1, 2), F(0)))
+        assert rep == {"CF1": None, "CF2": None, "CF3": cf3, "CF4": None, "pass": False}
+
     def test_undirected_generators_rejected(self):
         g = luka_grid(3)
         with pytest.raises(RecatError):
