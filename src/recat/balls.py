@@ -8,7 +8,7 @@ critical products arising from the inputs.
 from __future__ import annotations
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, Rel, _columns, _residual_right, compose, rel_eq
+from .cat import EnrichedCategory, Rel, _columns, _residual_left, compose, rel_eq
 from .errors import RecatError
 from .poset import _directed, _least
 from .presheaf import Weight, colim, enumerate_weights, yoneda
@@ -69,13 +69,13 @@ def way_below_distributor(X: EnrichedCategory, bound: int = 10**6) -> Rel:
                 ideals.append((phi, c))
     if not ideals:
         raise RecatError("no ideals with colimits; carrier is empty")
-    return Rel(X.n, X.n, _below(X, ideals))
+    return Rel(X.n, X.n, _columns(_below(X, ideals), X.n))
 
 
 def _below(X: EnrichedCategory, pairs):
-    """m[y][x] = inf over (phi, c) in pairs of X(x, c) -> phi(y)."""
+    """m[x][y] = inf over (phi, c) in pairs of X(x, c) -> phi(y); row x is the below-weight at x."""
     at_colims = tuple(tuple(row[c] for _, c in pairs) for row in X.hom)
-    return _residual_right(X.tnorm, at_colims, _columns(tuple(phi.values for phi, _ in pairs), X.n), X.one)
+    return _residual_left(X.tnorm, _columns(tuple(phi.values for phi, _ in pairs), X.n), at_colims, X.one)
 
 
 def way_below_via_representables(X: EnrichedCategory) -> Rel:
@@ -152,7 +152,7 @@ def is_completely_distributive_enriched(X: EnrichedCategory, bound: int = 10**6)
         if c is None:
             raise RecatError("grid-cocomplete carrier is missing a colimit")
         pairs.append((phi, c))
-    for x, vec in enumerate(_columns(_below(X, pairs), X.n)):
+    for x, vec in enumerate(_below(X, pairs)):
         c = colim(Weight(X, vec))
         if c is None or not (X.leq1(X.hom[c][x]) and X.leq1(X.hom[x][c])):
             return False, x

@@ -1,10 +1,10 @@
 """Finite real-enriched categories, functors, [0,1]-relations and distributors.
 
 A category is a carrier with a hom matrix satisfying reflexivity and
-(*)-transitivity.  Relations compose by sup-(*) products and carry the two
-inf-(->) residuals, computed by the relation kernel below.  Weights (n x 1
-distributors X -+-> 1) and coweights (1 x n, 1 -+-> X) in `presheaf` are
-one-column and one-row matrices, so each of their formulas is one kernel call.
+(*)-transitivity.  Relations compose by sup-(*) products and carry two inf-(->)
+residuals; the relation kernel has two loops, `_compose` and `_residual_left`,
+and the right residual is the left one transposed.  Weights in `presheaf` are
+one-column matrices (one kernel call per formula); coweights are their duals.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ class EnrichedCategory:
     hom: tuple  # n x n matrix of values
     names: tuple = ()
     grid: vals.ValueGrid | None = None
+    _op = None  # opposite(self) once built; a plain attribute, not a dataclass field
 
     def __post_init__(self):
         rows = tuple(tuple(_normalize(v) for v in row) for row in self.hom)
@@ -193,15 +194,6 @@ def _residual_left(t, tt_cols, r_cols, one):
     )
 
 
-def _residual_right(t, s_rows, tt_rows, one):
-    """m[x][y] = inf_z s_rows[y][z] -> tt_rows[x][z], the matrix of s \\ tt."""
-    imp = tn.imp
-    return tuple(
-        tuple(min((imp(t, a, b) for a, b in zip(srow, row)), default=one) for srow in s_rows)
-        for row in tt_rows
-    )
-
-
 def compose(t: tn.TNorm, s: Rel, r: Rel) -> Rel:
     """(s o r)(x, z) = sup_y s(y, z) (*) r(x, y)."""
     if r.tgt != s.src:
@@ -220,7 +212,7 @@ def residual_right(t: tn.TNorm, s: Rel, tt: Rel) -> Rel:
     """(s \\ t)(x, y) = inf_z (s(y, z) -> t(x, z)); right adjoint of s o -."""
     if tt.tgt != s.tgt:
         raise CarrierMismatchError("targets differ")
-    return Rel(tt.src, s.src, _residual_right(t, s.rows, tt.rows, tn.ONE))
+    return Rel(tt.src, s.src, _columns(_residual_left(t, tt.rows, s.rows, tn.ONE), tt.src))
 
 
 def rel_le(a: Rel, b: Rel) -> bool:
@@ -305,8 +297,11 @@ def is_separated(X: EnrichedCategory) -> bool:
 
 
 def opposite(X: EnrichedCategory) -> EnrichedCategory:
-    hom = tuple(tuple(X.hom[y][x] for y in range(X.n)) for x in range(X.n))
-    return EnrichedCategory(X.tnorm, hom, X.names, X.grid)
+    """X^op, with hom X^op(x, y) = X(y, x); built once per category, and opposite(X^op) is X."""
+    if X._op is None:
+        object.__setattr__(X, "_op", EnrichedCategory(X.tnorm, _columns(X.hom, X.n), X.names, X.grid))
+        object.__setattr__(X._op, "_op", X)
+    return X._op
 
 
 def symmetrize(X: EnrichedCategory) -> EnrichedCategory:

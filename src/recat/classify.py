@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, _columns, is_separated
+from .cat import EnrichedCategory, is_separated, opposite
 from .errors import RecatError
 from .presheaf import (
     Coweight,
@@ -29,8 +29,7 @@ from .values import _encode
 
 def is_representable(phi: Weight):
     """Least-index a with phi equal to the Yoneda weight of a, else None."""
-    X = phi.base
-    return _representing(_columns(X.hom, X.n), phi.values)
+    return _representing(opposite(phi.base).hom, phi.values)
 
 
 def is_cauchy(phi: Weight):
@@ -67,38 +66,6 @@ def is_ideal(phi: Weight):
                 tn.vle(phi(x1), X.hom[x1][x]) and tn.vle(phi(x2), X.hom[x2][x]) for x in tops
             ):
                 return False, (x1, x2)
-    return True, None
-
-
-def is_ideal_threshold_form(phi: Weight):
-    """Strict-threshold form of the ideal criterion, swept over realized values.
-
-    Independent of is_ideal: quantifies r < 1 and s_i < phi(x_i) over the
-    finitely many values realized by phi and the hom matrix.
-    """
-    X = phi.base
-    levels = sorted(set(phi.values) | {v for row in X.hom for v in row} | {X.one})
-    for r in levels:
-        if not r < X.one:
-            continue
-        if not any(phi(x) > r for x in range(X.n)):
-            return False, ("inhabited", r)
-    for x1 in range(X.n):
-        for x2 in range(X.n):
-            for r in levels:
-                if not r < X.one:
-                    continue
-                for s1 in levels:
-                    if not s1 < phi(x1):
-                        continue
-                    for s2 in levels:
-                        if not s2 < phi(x2):
-                            continue
-                        if not any(
-                            phi(x) > r and X.hom[x1][x] > s1 and X.hom[x2][x] > s2
-                            for x in range(X.n)
-                        ):
-                            return False, (x1, x2, r, s1, s2)
     return True, None
 
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 import random
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, EnrichedFunctor
+from .cat import EnrichedCategory, EnrichedFunctor, opposite
 from .errors import NotAFunctorError
 from .laws import ModuleAction
 from .poset import FinitePoset, chain, closure, lattice_catalog
-from .presheaf import Coweight, Weight, coweight_closure, weight_closure
+from .presheaf import Coweight, Weight, _dual, weight_closure
 from .values import ValueGrid, grid_validate, unit_grid
 
 
@@ -34,8 +34,7 @@ def random_weight(rng: random.Random, X: EnrichedCategory) -> Weight:
 
 
 def random_coweight(rng: random.Random, X: EnrichedCategory) -> Coweight:
-    vec = tuple(rng.choice(list(X.grid.points)) for _ in range(X.n))
-    return coweight_closure(X, vec)
+    return _dual(random_weight(rng, opposite(X)))
 
 
 def random_functor(rng: random.Random, X: EnrichedCategory, Y: EnrichedCategory):
@@ -133,7 +132,8 @@ def random_module(rng: random.Random, t: tn.TNorm, max_size: int = 5) -> ModuleA
     kind = rng.randrange(4)
     if kind < 2:
         k = rng.randint(1, max_size - 1)
-        grid = unit_grid(k, t) if t.kind == tn.LUKASIEWICZ else _godel_grid(rng, k, t)
+        lukasiewicz = tn.is_archimedean(t) and tn.archimedean_base(t) == tn.LUKASIEWICZ
+        grid = unit_grid(k, t) if lukasiewicz else _godel_grid(rng, k, t)
         build = _chain_module if kind == 0 else _opposite_chain_module
         return _relabel_module(rng, build(grid))
     if kind == 2:
@@ -147,8 +147,9 @@ def random_module(rng: random.Random, t: tn.TNorm, max_size: int = 5) -> ModuleA
 
 
 def _godel_grid(rng: random.Random, k: int, t: tn.TNorm) -> ValueGrid:
-    """A random rational chain containing 0 and 1 (any chain is Godel-closed)."""
+    """A random chain of 0, 1 and at most k - 1 idempotent twelfths of t; t acts as min there, so closes it."""
     from fractions import Fraction
 
-    interior = sorted(rng.sample([Fraction(i, 12) for i in range(1, 12)], k - 1)) if k > 1 else []
+    pool = tn.idempotents(t, [Fraction(i, 12) for i in range(1, 12)])
+    interior = sorted(rng.sample(pool, min(k - 1, len(pool))))
     return grid_validate([0, *interior, 1], t)

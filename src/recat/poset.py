@@ -179,32 +179,6 @@ def posets_isomorphic(P: FinitePoset, Q: FinitePoset) -> bool:
     return any(_relabelings(P.leq, Q.leq, eq))
 
 
-def enumerate_lattices(n: int):
-    """Brute-force enumeration of all n-element lattices up to isomorphism.
-
-    Exponential in n^2; practical for n <= 5 catalog cross-checks.
-    """
-    found = []
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    rev = {b: pairs.index((j, i)) for b, (i, j) in enumerate(pairs)}
-    for bits in range(1 << len(pairs)):
-        if any(bits >> b & 1 and bits >> rev[b] & 1 for b in range(len(pairs))):
-            continue  # antisymmetry
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for b, (i, j) in enumerate(pairs):
-            if bits >> b & 1:
-                leq[i][j] = True
-        leq = tuple(map(tuple, leq))
-        if closure(leq, and_) != leq:
-            continue  # transitivity
-        P = FinitePoset(n, leq)
-        if not P.is_lattice():
-            continue
-        if not any(posets_isomorphic(P, Q) for Q in found):
-            found.append(P)
-    return found
-
-
 def galois_check(f, g, P: FinitePoset, Q: FinitePoset) -> bool:
     """True iff f(x) <= y exactly when x <= g(y), for all pairs."""
     return all(Q.le(f[x], y) == P.le(x, g[y]) for x in range(P.n) for y in range(Q.n))
@@ -318,32 +292,3 @@ def primes(L: FinitePoset):
 def has_enough_coprimes(L: FinitePoset) -> bool:
     cs = set(coprimes(L))
     return _joins_what_is_below(L, lambda c, x: c in cs and L.le(c, x))
-
-
-def lower_sets(L: FinitePoset):
-    """All lower sets, as sorted tuples."""
-    out = []
-    for A in _subsets(L.n):
-        s = set(A)
-        if all(y in s for x in s for y in range(L.n) if L.le(y, x)):
-            out.append(tuple(sorted(s)))
-    return out
-
-
-def cd_law_identity_check(L: FinitePoset) -> bool:
-    """Join-of-intersection equals meet-of-joins over families of lower sets.
-
-    On a finite lattice it suffices to test the empty family and all pairs,
-    since meets of finitely many lower sets are iterated binary meets.
-    """
-    los = lower_sets(L)
-    if L.join(list(range(L.n))) != L.top:
-        return False
-    for A in los:
-        for B in los:
-            inter = sorted(set(A) & set(B))
-            lhs = L.join(inter)
-            rhs = L.meet([L.join(list(A)), L.join(list(B))])
-            if lhs != rhs:
-                return False
-    return True

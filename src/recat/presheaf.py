@@ -1,10 +1,10 @@
 """Weight and coweight calculus: Yoneda, colimits, tensors, Kan, Isbell.
 
-A weight on X is a distributor X -+-> 1, kept as an n x 1 column; a coweight
-is a distributor 1 -+-> X, kept as a 1 x n row.  Every sup/inf formula below
-is one call of the relation kernel in `cat` on those matrices, the hom, and
-the graph or cograph of a functor; values are exact on grid points and
-tolerance-compared in float mode.
+A weight on X is a distributor X -+-> 1, kept as an n x 1 column; each sup/inf
+formula is one relation-kernel call on it, the hom, and the graph or cograph of
+a functor, exact on grid points and tolerance-compared in float mode.  A
+coweight on X (1 -+-> X) is a weight on X^op, so each coweight operation is its
+weight counterpart on `opposite(X)`, read back through `_dual`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, EnrichedFunctor, Rel, _columns, _compose, _residual_left, _residual_right
+from .cat import EnrichedCategory, EnrichedFunctor, Rel, _compose, _residual_left, opposite
 from .errors import AxiomError, BoundExceededError, CarrierMismatchError, RecatError
 
 
@@ -43,20 +43,19 @@ class Weight:
 
 @dataclass(frozen=True)
 class Coweight:
-    """psi with X(y1, y2) (*) psi(y1) <= psi(y2)."""
+    """psi with X(y1, y2) (*) psi(y1) <= psi(y2): a weight on X^op."""
 
     base: EnrichedCategory
     values: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        X = self.base
-        if len(self.values) != X.n:
+        if len(self.values) != self.base.n:
             raise CarrierMismatchError("coweight length differs from carrier")
-        for y1 in range(X.n):
-            for y2 in range(X.n):
-                if not tn.vle(X.conj(X.hom[y1][y2], self.values[y1]), self.values[y2]):
-                    raise AxiomError("not a coweight", witness=(y1, y2))
+        try:
+            Weight(opposite(self.base), self.values)
+        except AxiomError as exc:  # the witness (y2, y1) on X^op is (y1, y2) here
+            raise AxiomError("not a coweight", witness=exc.witness[::-1]) from None
 
     def __call__(self, y: int):
         return self.values[y]
@@ -75,7 +74,7 @@ def yoneda(X: EnrichedCategory, a: int) -> Weight:
 
 
 def coyoneda(X: EnrichedCategory, a: int) -> Coweight:
-    return Coweight(X, tuple(X.hom[a][x] for x in range(X.n)))
+    return _dual(yoneda(opposite(X), a))
 
 
 def _column(m) -> tuple:
@@ -106,9 +105,7 @@ def sub(phi1: Weight, phi2: Weight):
 
 def cosub(psi1: Coweight, psi2: Coweight):
     """Hom of the coweight category: inf_x (psi2(x) -> psi1(x))."""
-    _same_base(psi1, psi2)
-    X = psi1.base
-    return _residual_right(X.tnorm, (psi2.values,), (psi1.values,), X.one)[0][0]
+    return sub(_dual(psi2), _dual(psi1))
 
 
 def pairing(phi: Weight, psi: Coweight):
@@ -130,16 +127,24 @@ def _unchecked(cls, X: EnrichedCategory, values: tuple):
     return v
 
 
+def _dual(v):
+    """A weight on X^op as the coweight on X with the same values, and back; one law, no check."""
+    return _unchecked(Coweight if type(v) is Weight else Weight, opposite(v.base), v.values)
+
+
+def _op_functor(f: EnrichedFunctor) -> EnrichedFunctor:
+    return EnrichedFunctor(opposite(f.src), opposite(f.tgt), f.mapping)
+
+
 def isbell_ub(phi: Weight) -> Coweight:
     """The coweight of upper bounds of phi: inf_x (phi(x) -> X(x, -))."""
     X = phi.base
-    return _unchecked(Coweight, X, _residual_left(X.tnorm, _columns(X.hom, X.n), (phi.values,), X.one)[0])
+    return _unchecked(Coweight, X, _residual_left(X.tnorm, opposite(X).hom, (phi.values,), X.one)[0])
 
 
 def isbell_lb(psi: Coweight) -> Weight:
     """The weight of lower bounds of psi: inf_y (psi(y) -> X(-, y))."""
-    X = psi.base
-    return _unchecked(Weight, X, _column(_residual_right(X.tnorm, (psi.values,), X.hom, X.one)))
+    return _dual(isbell_ub(_dual(psi)))
 
 
 def colim(phi: Weight):
@@ -148,8 +153,7 @@ def colim(phi: Weight):
 
 
 def lim(psi: Coweight):
-    X = psi.base
-    return _representing(_columns(X.hom, X.n), isbell_lb(psi).values)
+    return colim(_dual(psi))
 
 
 def weighted_colim(phi: Weight, f: EnrichedFunctor):
@@ -166,7 +170,7 @@ def tensor(X: EnrichedCategory, r, x: int):
 
 def cotensor(X: EnrichedCategory, r, y: int):
     """Element c with X(x, c) = r -> X(x, y) for all x, or None."""
-    return _representing(_columns(X.hom, X.n), tuple(X.imp(r, X.hom[x][y]) for x in range(X.n)))
+    return tensor(opposite(X), r, y)
 
 
 def is_cocomplete_over_grid(X: EnrichedCategory) -> bool:
@@ -204,31 +208,28 @@ def f_inv(f: EnrichedFunctor, gamma: Weight) -> Weight:
 def f_forall(f: EnrichedFunctor, phi: Weight) -> Weight:
     """Right Kan extension along f: inf_x (Y(f(x), -) -> phi(x))."""
     Y = f.tgt
-    return Weight(Y, _column(_residual_left(Y.tnorm, (phi.values,), _at(f, _columns(Y.hom, Y.n)), Y.one)))
+    return Weight(Y, _column(_residual_left(Y.tnorm, (phi.values,), _at(f, opposite(Y).hom), Y.one)))
 
 
 def f_dag_exists(f: EnrichedFunctor, psi: Coweight) -> Coweight:
     """Covariant left extension: sup_x Y(f(x), -) (*) psi(x)."""
-    Y = f.tgt
-    return Coweight(Y, _compose(Y.tnorm, _at(f, _columns(Y.hom, Y.n)), (psi.values,), Y.zero)[0])
+    return _dual(f_exists(_op_functor(f), _dual(psi)))
 
 
 def f_dag_forall(f: EnrichedFunctor, psi: Coweight) -> Coweight:
     """Covariant right extension: inf_x (Y(-, f(x)) -> psi(x))."""
-    Y = f.tgt
-    return Coweight(Y, _residual_right(Y.tnorm, _at(f, Y.hom), (psi.values,), Y.one)[0])
+    return _dual(f_forall(_op_functor(f), _dual(psi)))
 
 
 def f_inv_coweight(f: EnrichedFunctor, mu: Coweight) -> Coweight:
-    return Coweight(f.src, tuple(mu(f(x)) for x in range(f.src.n)))
+    return _dual(f_inv(_op_functor(f), _dual(mu)))
 
 
 # --- enumeration ----------------------------------------------------------
 
 
-def _lawful(X: EnrichedCategory, cls, bound: int):
-    """Every grid vector that `cls` (Weight or Coweight) accepts, lexicographically."""
-    what = cls.__name__.lower()
+def _lawful(X: EnrichedCategory, bound: int, what: str):
+    """Every grid vector that the weight law accepts, lexicographically; `what` names it in errors."""
     if X.grid is None:
         raise RecatError(f"{what} enumeration needs a grid")
     if len(X.grid.points) ** X.n > bound:
@@ -236,7 +237,7 @@ def _lawful(X: EnrichedCategory, cls, bound: int):
     out = []
     for vec in iproduct(X.grid.points, repeat=X.n):
         try:
-            out.append(cls(X, vec))
+            out.append(Weight(X, vec))
         except AxiomError:
             continue
     return out
@@ -244,11 +245,11 @@ def _lawful(X: EnrichedCategory, cls, bound: int):
 
 def enumerate_weights(X: EnrichedCategory, bound: int = 10**6):
     """All grid-valued weights of X, lexicographically (requires a grid)."""
-    return _lawful(X, Weight, bound)
+    return _lawful(X, bound, "weight")
 
 
 def enumerate_coweights(X: EnrichedCategory, bound: int = 10**6):
-    return _lawful(X, Coweight, bound)
+    return [_dual(w) for w in _lawful(opposite(X), bound, "coweight")]
 
 
 def weight_closure(X: EnrichedCategory, vec) -> Weight:
@@ -257,4 +258,4 @@ def weight_closure(X: EnrichedCategory, vec) -> Weight:
 
 
 def coweight_closure(X: EnrichedCategory, vec) -> Coweight:
-    return Coweight(X, _compose(X.tnorm, _columns(X.hom, X.n), (tuple(vec),), X.zero)[0])
+    return _dual(weight_closure(opposite(X), vec))

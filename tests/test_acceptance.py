@@ -20,6 +20,7 @@ import recat.presheaf as psh
 import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures, gen
+from oracles import cd_law_identity_check
 
 _T0 = time.time()
 
@@ -244,7 +245,7 @@ def test_criterion_09_archimedean_coincidence_and_godel_divergence():
 
 def test_criterion_10_cd_brute_force():
     for L in ps.lattice_catalog(5):
-        assert ps.cd_law_identity_check(L) == ps.is_completely_distributive(L)
+        assert cd_law_identity_check(L) == ps.is_completely_distributive(L)
         assert ps.is_completely_distributive(L) == ps.is_completely_distributive(L.opposite())
     assert not ps.is_completely_distributive(ps.m3())
     for n in range(1, 6):

@@ -217,6 +217,12 @@ class TestDerivedStructure:
         A2 = fixtures.a2()
         assert cat.opposite(cat.opposite(A2)).hom == A2.hom
 
+    def test_opposite_is_built_once_and_transposes(self):
+        X = gen.random_category(random.Random(3), 4, luka_grid(6))
+        Xop = cat.opposite(X)
+        assert cat.opposite(X) is Xop and cat.opposite(Xop) is X
+        assert Xop == cat.EnrichedCategory(X.tnorm, tuple(zip(*X.hom)), X.names, X.grid)
+
     def test_symmetrize(self):
         A2 = fixtures.a2()
         S = cat.symmetrize(A2)

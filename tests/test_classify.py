@@ -10,6 +10,7 @@ import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures, gen
 from recat.errors import RecatError
+from oracles import is_ideal_threshold_form
 
 
 def luka_grid(n):
@@ -68,13 +69,13 @@ class TestIdeal:
         for _ in range(40):
             X = gen.random_category(rng, rng.randint(1, 3), luka_grid(3))
             phi = gen.random_weight(rng, X)
-            assert cl.is_ideal(phi)[0] == cl.is_ideal_threshold_form(phi)[0]
+            assert cl.is_ideal(phi)[0] == is_ideal_threshold_form(phi)[0]
         g = vals.grid_validate([0, F(1, 4), F(1, 2), F(3, 4), 1], tn.godel)
         for _ in range(40):
             X = gen.random_category(rng, rng.randint(1, 3), g)
             phi = gen.random_weight(rng, X)
-            assert cl.is_ideal(phi)[0] == cl.is_ideal_threshold_form(phi)[0]
-        assert not cl.is_ideal_threshold_form(fixtures.g5_weight())[0]
+            assert cl.is_ideal(phi)[0] == is_ideal_threshold_form(phi)[0]
+        assert not is_ideal_threshold_form(fixtures.g5_weight())[0]
 
 
 class TestConicallyFlat:

@@ -127,6 +127,23 @@ class TestLaws:
         code2, _ = run(capsys, "laws", "kz", "--tnorm", "product")
         assert code2 == 1
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "tnorm",
+        [
+            "ordinal[(0,1/2,lukasiewicz)]",
+            "ordinal[(1/2,1,lukasiewicz)]",
+            "ordinal[(1/4,1/2,lukasiewicz)]",
+            "ordinal[(0,1,lukasiewicz)]",
+        ],
+    )
+    def test_module_suite_passes_on_ordinal_sums(self, capsys, tnorm, seed):
+        # random chain modules were Godel chains that an ordinal sum need not close,
+        # and the negation verdict expected a failure for ordinal[(0,1,lukasiewicz)]
+        argv = ["laws", "module", "--tnorm", tnorm, "--grid", "{0,1/4,1/2,3/4,1}", "--seed", str(seed)]
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["pass"]
+
     def test_filters_negative_witness_on_interior_block(self, capsys):
         code, out = run(
             capsys,
@@ -232,6 +249,21 @@ class TestMalformedInput:
         w.write_text(json.dumps({"values": ["1", "1/2"]}))
         code, out = run(capsys, "classify", str(a2), str(w))
         assert code == 2 and "not a grid point" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "category, values",
+        [
+            (fixtures.a2().to_json(), [1.0, 0.0]),
+            ({"tnorm": "product", "hom": [[1.0, 0.5], [0.0, 1.0]]}, ["1/2", 1.0]),
+            ({"tnorm": "product", "hom": [[1.0, 0.5], [0.0, 1.0]]}, [1.0, 1]),
+        ],
+    )
+    def test_weight_mode_differs_from_category_exits_2(self, tmp_path, capsys, category, values):
+        c, w = tmp_path / "c.json", tmp_path / "w.json"
+        c.write_text(json.dumps(category))
+        w.write_text(json.dumps({"values": values}))
+        code, out = run(capsys, "classify", str(c), str(w))
+        assert code == 2 and "category" in json.loads(out)["error"]
 
     @pytest.mark.parametrize("names", [["a", "a"], [{"a": 1}, None]])
     def test_names_not_distinct_strings_exit_2(self, tmp_path, capsys, names):

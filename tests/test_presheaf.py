@@ -31,6 +31,22 @@ class TestYoneda:
         with pytest.raises(AxiomError):
             ps.Weight(A2, (F(0), F(1)))  # misses hom(a,b) (*) phi(b) <= phi(a)
 
+    def test_rejected_coweight_witness_breaks_the_coweight_law(self):
+        with pytest.raises(AxiomError, match="^not a coweight$") as info:
+            ps.Coweight(fixtures.a2(), (F(1), F(0)))  # hom(a,b) (*) psi(a) = 2/3 > psi(b)
+        assert info.value.witness == (0, 1)
+        rng, g, rejected = random.Random(5), luka_grid(4), 0
+        for _ in range(40):
+            X = gen.random_category(rng, 3, g)
+            psi = tuple(rng.choice(g.points) for _ in range(X.n))
+            try:
+                ps.Coweight(X, psi)
+            except AxiomError as exc:
+                y1, y2 = exc.witness
+                assert not tn.vle(X.conj(X.hom[y1][y2], psi[y1]), psi[y2])
+                rejected += 1
+        assert rejected
+
 
 class TestSub:
     def test_yoneda_exactness(self):

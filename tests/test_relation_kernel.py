@@ -81,6 +81,18 @@ def test_weight_formulas(seed, n, mode):
     v = vector(rng, X)
     assert ps.weight_closure(X, v).values == tuple(max(conj(v[z], X.hom[x][z]) for z in N) for x in N)
     assert ps.coweight_closure(X, v).values == tuple(max(conj(X.hom[z][y], v[z]) for z in N) for y in N)
+    lb = ps.isbell_lb(psi).values
+    assert ps.lim(psi) == next((c for c in N if all(tn.veq(X.hom[x][c], lb[x]) for x in N)), None)
+    for a in N:
+        assert ps.coyoneda(X, a).values == tuple(X.hom[a][y] for y in N)
+        r = value(rng, X)
+        at_a = tuple(imp(r, X.hom[x][a]) for x in N)
+        assert ps.cotensor(X, r, a) == next((c for c in N if all(tn.veq(X.hom[x][c], at_a[x]) for x in N)), None)
+    if mode == "exact":
+        draws = random.Random(seed)
+        drawn = tuple(draws.choice(X.grid.points) for _ in N)
+        closed = tuple(max(conj(X.hom[z][y], drawn[z]) for z in N) for y in N)
+        assert gen.random_coweight(random.Random(seed), X).values == closed
 
 
 @pytest.mark.parametrize("seed, n, mode", CASES)
@@ -104,6 +116,8 @@ def test_kan_extensions_and_weighted_colimit(seed, n, mode):
     ub = tuple(min(imp(exists[x], Y.hom[x][y]) for x in YN) for y in YN)
     colim = next((c for c in YN if all(tn.veq(Y.hom[c][y], ub[y]) for y in YN)), None)
     assert ps.weighted_colim(phi, f) == colim
+    mu = ps.coweight_closure(Y, vector(rng, Y))
+    assert ps.f_inv_coweight(f, mu).values == tuple(mu(f(x)) for x in KN)
 
 
 @pytest.mark.parametrize("seed, n, mode", CASES)
