@@ -2,16 +2,17 @@
 
 A formal ball is a pair (element, radius) ordered by r <= s (*) X(x, y).
 Radius candidates for join searches extend the grid by the finitely many
-critical products arising from the inputs.
+critical products arising from the inputs.  The way-below distributor and its
+finite-carrier collapse X \\ X are inf-(->) residuals in the relation kernel.
 """
 
 from __future__ import annotations
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, Rel, _columns, _residual_left, compose, rel_eq
+from .cat import EnrichedCategory, Rel, _columns, _residual_left, compose, hom_rel, rel_eq, residual_right
 from .errors import RecatError
 from .poset import _directed, _least
-from .presheaf import Weight, colim, enumerate_weights, yoneda
+from .presheaf import Weight, colim, enumerate_weights, is_cocomplete_over_grid, yoneda
 from .classify import is_ideal
 
 
@@ -79,27 +80,23 @@ def _below(X: EnrichedCategory, pairs):
 
 
 def way_below_via_representables(X: EnrichedCategory) -> Rel:
-    """Closed form inf_c (X(x, c) -> X(y, c)); the finite-carrier collapse."""
-    rows = tuple(
-        tuple(
-            min(X.imp(X.hom[x][c], X.hom[y][c]) for c in range(X.n))
-            for x in range(X.n)
-        )
-        for y in range(X.n)
-    )
-    return Rel(X.n, X.n, rows)
+    """Closed form w(y, x) = inf_c (X(x, c) -> X(y, c)); the finite-carrier collapse.
+
+    It is the right residual of the hom by itself, X \\ X.
+    """
+    return residual_right(X.tnorm, hom_rel(X), hom_rel(X))
 
 
-def is_compact(X: EnrichedCategory, a: int, bound: int = 10**6) -> bool:
+def is_compact(X: EnrichedCategory, a: int) -> bool:
     """a is compact iff the way-below column at a is the Yoneda weight of a."""
-    w = way_below_distributor(X, bound)
+    w = way_below_distributor(X)
     ya = yoneda(X, a)
     return all(tn.veq(w(y, a), ya(y)) for y in range(X.n))
 
 
-def is_continuous_enriched(X: EnrichedCategory, bound: int = 10**6) -> bool:
+def is_continuous_enriched(X: EnrichedCategory) -> bool:
     """Every way-below column is an ideal with its anchor as colimit."""
-    w = way_below_distributor(X, bound)
+    w = way_below_distributor(X)
     for x in range(X.n):
         phi = Weight(X, tuple(w(y, x) for y in range(X.n)))
         if not is_ideal(phi)[0]:
@@ -112,7 +109,7 @@ def is_continuous_enriched(X: EnrichedCategory, bound: int = 10**6) -> bool:
     return True
 
 
-def ball_way_below(X: EnrichedCategory, b1, b2, bound: int = 10**6) -> bool:
+def ball_way_below(X: EnrichedCategory, b1, b2) -> bool:
     """(x, r) way below (y, s) via the strict inequality r < s (*) w(x, y).
 
     The characterization is exact for Archimedean t-norms; elsewhere it is a
@@ -121,7 +118,7 @@ def ball_way_below(X: EnrichedCategory, b1, b2, bound: int = 10**6) -> bool:
     (x, r), (y, s) = b1, b2
     if not (r > 0 and s > 0):
         raise RecatError("ball way-below is stated for positive radii")
-    w = way_below_distributor(X, bound)
+    w = way_below_distributor(X)
     return r < X.conj(s, w(x, y))
 
 
@@ -129,23 +126,21 @@ def ball_way_below_is_exact(t: tn.TNorm) -> bool:
     return tn.is_archimedean(t)
 
 
-def interpolation_check(X: EnrichedCategory, bound: int = 10**6) -> bool:
+def interpolation_check(X: EnrichedCategory) -> bool:
     """w o w = w as an exact matrix identity."""
-    w = way_below_distributor(X, bound)
+    w = way_below_distributor(X)
     return rel_eq(compose(X.tnorm, w, w), w)
 
 
-def is_completely_distributive_enriched(X: EnrichedCategory, bound: int = 10**6):
+def is_completely_distributive_enriched(X: EnrichedCategory):
     """(verdict, witness): every x is the colimit of its below-weight.
 
     The below-weight at x is the pointwise inf over all grid weights phi of
     X(x, colim phi) -> phi; requires a grid-cocomplete carrier.
     """
-    from .presheaf import is_cocomplete_over_grid
-
     if not is_cocomplete_over_grid(X):
         raise RecatError("enriched complete distributivity needs a grid-cocomplete carrier")
-    weights = enumerate_weights(X, bound)
+    weights = enumerate_weights(X)
     pairs = []
     for phi in weights:
         c = colim(phi)

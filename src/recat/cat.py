@@ -150,7 +150,7 @@ class Rel:
         return self.rows[x][y]
 
     def op(self) -> "Rel":
-        return Rel(self.tgt, self.src, tuple(tuple(self.rows[x][y] for x in range(self.src)) for y in range(self.tgt)))
+        return Rel(self.tgt, self.src, _columns(self.rows, self.tgt))
 
 
 def hom_rel(X: EnrichedCategory) -> Rel:

@@ -1,5 +1,7 @@
 """Weight classification: representable, Cauchy, ideal, conically flat, flat.
 
+The Cauchy counit psi o phi <= X is one `cat.compose` and `rel_le`; conical
+flatness keeps its own loop, which stops at the first failing (x1, x2, p1, p2).
 Completion-style verdicts (Cauchy completion, Smyth completeness) enumerate
 grid weights, so they require exact mode with a validated grid.
 """
@@ -10,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, is_separated, opposite
+from .cat import EnrichedCategory, compose, hom_rel, is_separated, opposite, rel_le
 from .errors import RecatError
 from .presheaf import (
     Coweight,
@@ -42,10 +44,8 @@ def is_cauchy(phi: Weight):
     psi = isbell_ub(phi)
     if not tn.vle(X.one, pairing(phi, psi)):
         return None
-    for x in range(X.n):
-        for y in range(X.n):
-            if not tn.vle(X.conj(psi(y), phi(x)), X.hom[x][y]):
-                return None
+    if not rel_le(compose(X.tnorm, psi.to_rel(), phi.to_rel()), hom_rel(X)):  # psi o phi <= X
+        return None
     return psi
 
 
@@ -127,13 +127,13 @@ def _coweight_family(X: EnrichedCategory, bound: int, rng):
     return fam, False
 
 
-def is_flat(phi: Weight, bound: int = 10**6, rng=None):
+def is_flat(phi: Weight):
     """(verdict, witness, exhaustive_flag): conically flat plus cotensor stability.
 
     The extra condition quantifies pairing(phi, r -> psi) = r -> pairing(phi, psi)
-    over grid scalars r and a coweight family (exhaustive under the bound).
+    over grid scalars r and a coweight family (exhaustive up to 10**6 grid vectors).
     """
-    return _flat(phi, is_conically_flat(phi), bound, rng)
+    return _flat(phi, is_conically_flat(phi), 10**6, None)
 
 
 def _flat(phi: Weight, conical, bound: int, rng):
@@ -227,14 +227,7 @@ def cauchy_completion(X: EnrichedCategory, bound: int = 10**6):
     """
     if X.mode != "exact" or X.grid is None:
         raise RecatError("cauchy completion enumerates grid weights; exact mode required")
-    cauchys = []
-    seen = set()
-    for phi in enumerate_weights(X, bound):
-        if phi.values in seen:
-            continue
-        if is_cauchy(phi) is not None:
-            seen.add(phi.values)
-            cauchys.append(phi)
+    cauchys = [phi for phi in enumerate_weights(X, bound) if is_cauchy(phi) is not None]
     hom = tuple(tuple(sub(p1, p2) for p2 in cauchys) for p1 in cauchys)
     names = tuple(f"c{i}" for i in range(len(cauchys)))
     completion = EnrichedCategory(X.tnorm, hom, names, X.grid)
@@ -243,21 +236,21 @@ def cauchy_completion(X: EnrichedCategory, bound: int = 10**6):
     return completion, embedding
 
 
-def is_smyth_complete(X: EnrichedCategory, bound: int = 10**6) -> bool:
+def is_smyth_complete(X: EnrichedCategory) -> bool:
     """Separated and every enumerated grid ideal representable."""
     if not is_separated(X):
         return False
-    for phi in enumerate_weights(X, bound):
+    for phi in enumerate_weights(X):
         if is_ideal(phi)[0] and is_representable(phi) is None:
             return False
     return True
 
 
-def is_smyth_completable(X: EnrichedCategory, bound: int = 10**6) -> bool:
+def is_smyth_completable(X: EnrichedCategory) -> bool:
     """Every enumerated grid ideal is a Cauchy weight (separated carrier)."""
     if not is_separated(X):
         raise RecatError("smyth completability is postulated for separated carriers")
-    for phi in enumerate_weights(X, bound):
+    for phi in enumerate_weights(X):
         if is_ideal(phi)[0] and is_cauchy(phi) is None:
             return False
     return True

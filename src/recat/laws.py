@@ -4,7 +4,9 @@ Covers the lax-idempotent inequality of the free-cocompletion monad, the
 module/cocomplete-category correspondence, the negation involution, conical
 filter axioms and the Kowalsky sum.  Each law has one checker for both modes:
 it compares through tn.vle/tn.veq, exact on Fractions and within TOL on
-floats, so the float checks run the exact checkers on sampled points.
+floats, so the float checks run the exact checkers on sampled points.  The
+Kowalsky generator join and the powerset multiplication are each one sup-(*)
+composition in the relation kernel.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from math import comb
 from operator import eq
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, is_separated, underlying_order
+from .cat import EnrichedCategory, _columns, _compose, is_separated, underlying_order
 from .classify import is_cauchy
 from .errors import BoundExceededError, RecatError
 from .poset import FinitePoset, _directed, _relabelings
 from .presheaf import (
     Coweight,
     Weight,
+    _column,
     enumerate_weights,
     is_cocomplete_over_grid,
     isbell_ub,
@@ -302,15 +305,12 @@ def kowalsky_sum(meta_generators, filters, t: tn.TNorm, grid: ValueGrid) -> Coni
     if not _directed(metas, _pointwise_ge):
         raise RecatError("meta generators are not directed")
     size = filters[0].size
-    gens = []
-    for xi in metas:
-        # inf_F (xi(F) -> F) is generated by { join_F xi(F) (*) g_F : g_F in gens(F) }
-        for combo in iproduct(*(F.generators for F in filters)):
-            g = tuple(
-                max(tn.conj(t, xi[k], combo[k][i]) for k in range(len(filters)))
-                for i in range(size)
-            )
-            gens.append(g)
+    # inf_F (xi(F) -> F) is generated by { join_F xi(F) (*) g_F : g_F in gens(F) }
+    gens = [
+        _column(_compose(t, (xi,), _columns(combo, size), tn.ZERO))
+        for xi in metas
+        for combo in iproduct(*(F.generators for F in filters))
+    ]
     # pointwise-minimal generators suffice; the least meta generator combined
     # with the least member generators supplies the common lower bound
     minimal = []
@@ -377,14 +377,13 @@ def powerset_monad_check(t: tn.TNorm, grid: ValueGrid, size: int, rng, samples: 
     """
     pts = grid.points
     funcs = list(iproduct(pts, repeat=size))
+    at_point = _columns(funcs, size)  # at_point[i][j] = funcs[j][i]
 
     def unit(x_index):
         return tuple(tn.ONE if i == x_index else tn.ZERO for i in range(size))
 
     def mult(big):  # big: dict func -> value
-        return tuple(
-            max(tn.conj(t, big[g], g[i]) for g in funcs) for i in range(size)
-        )
+        return _column(_compose(t, (tuple(big[g] for g in funcs),), at_point, tn.ZERO))
 
     # m . e_P = id and m . P(e) = id
     for g in (funcs if len(funcs) <= samples else rng.sample(funcs, samples)):

@@ -207,14 +207,6 @@ def left_adjoint_of(g, Q: FinitePoset, P: FinitePoset):
     return f
 
 
-def right_adjoint_of(f, P: FinitePoset, Q: FinitePoset):
-    """Right adjoint of f: P -> Q, or None."""
-    g = left_adjoint_of(f, P.opposite(), Q.opposite())
-    if g is None:
-        return None
-    return g if galois_check(f, g, P, Q) else None
-
-
 def _subsets(n):
     elems = list(range(n))
     for r in range(n + 1):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, EnrichedFunctor, Rel, _compose, _residual_left, opposite
+from .cat import EnrichedCategory, EnrichedFunctor, Rel, _compose, _residual_left, opposite, underlying_order
 from .errors import AxiomError, BoundExceededError, CarrierMismatchError, RecatError
 
 
@@ -174,16 +174,16 @@ def cotensor(X: EnrichedCategory, r, y: int):
 
 
 def is_cocomplete_over_grid(X: EnrichedCategory) -> bool:
-    """Order-complete plus all grid tensors and cotensors exist."""
+    """Order-complete plus all grid tensors and cotensors exist.
+
+    A finite preorder is complete when it has a bottom and binary joins, since
+    the upper bounds of A + {a} are those of {join A, a}.
+    """
     if X.mode != "exact" or X.grid is None:
         raise RecatError("grid cocompleteness is decided in exact mode with a grid")
-    from .cat import underlying_order
-
     P = underlying_order(X)
-    for k in range(1 << X.n):
-        subset = [i for i in range(X.n) if k >> i & 1]
-        if P.join(subset) is None:
-            return False
+    if P.bottom is None or any(P.join([a, b]) is None for a in range(X.n) for b in range(X.n)):
+        return False
     for r in X.grid.points:
         for x in range(X.n):
             if tensor(X, r, x) is None or cotensor(X, r, x) is None:

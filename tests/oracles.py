@@ -36,6 +36,11 @@ def enumerate_lattices(n: int):
     return found
 
 
+def is_order_complete(P: FinitePoset) -> bool:
+    """Every subset has a join, tried on all 2^n subsets."""
+    return all(P.join(A) is not None for A in _subsets(P.n))
+
+
 def lower_sets(L: FinitePoset):
     """All lower sets, as sorted tuples."""
     out = []

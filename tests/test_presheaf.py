@@ -9,6 +9,8 @@ import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures, gen
 from recat.errors import AxiomError
+from recat.poset import FinitePoset, lattice_catalog
+from oracles import is_order_complete
 
 
 def luka_grid(n):
@@ -329,3 +331,46 @@ class TestEnumeration:
             got = ps.colim(Phi)
             assert got is not None and weights[got].values == expect.values
             assert yon  # the embedding indexes representables inside the fragment
+
+
+def _boolean_category(L):
+    """The {0,1}-valued category of an order, on the grid {0,1}."""
+    hom = tuple(tuple(tn.ONE if L.le(x, y) else tn.ZERO for y in range(L.n)) for x in range(L.n))
+    return cat.EnrichedCategory(tn.lukasiewicz, hom, (), vals.unit_grid(1, tn.lukasiewicz))
+
+
+COMPLETENESS_GRIDS = (
+    vals.unit_grid(1, tn.lukasiewicz),
+    vals.unit_grid(3, tn.lukasiewicz),
+    vals.grid_validate((F(0), F(1, 2), F(1)), tn.godel),
+)
+
+
+def _two_layer_order(rng):
+    """0 < {1, 2} < {3, 4} < 5 with random links between the layers.
+
+    1 and 2 have no join exactly when all four links are drawn.
+    """
+    up = {(x, y) for x in (1, 2) for y in (3, 4) if rng.random() < 0.75}
+    leq = tuple(tuple(x == y or x == 0 or y == 5 or (x, y) in up for y in range(6)) for x in range(6))
+    return FinitePoset(6, leq)
+
+
+def _completeness_cases(key):
+    if key == "orders":
+        rng = random.Random(0)
+        orders = [M for L in lattice_catalog() for M in (L, L.opposite())]
+        return [_boolean_category(L) for L in orders + [_two_layer_order(rng) for _ in range(40)]]
+    rng = random.Random(key)
+    return [gen.random_category(rng, key, g) for g in COMPLETENESS_GRIDS for _ in range(40)]
+
+
+@pytest.mark.parametrize("key", [*range(7), "orders"])
+def test_grid_cocompleteness_matches_the_subset_oracle(key):
+    for X in _completeness_cases(key):
+        tensors = all(
+            ps.tensor(X, r, x) is not None and ps.cotensor(X, r, x) is not None
+            for r in X.grid.points
+            for x in range(X.n)
+        )
+        assert ps.is_cocomplete_over_grid(X) == (is_order_complete(cat.underlying_order(X)) and tensors)

@@ -1,9 +1,10 @@
 """The presheaf calculus against its pointwise formulas, written out here.
 
-Every sup-(*) and inf-(->) formula of `presheaf` runs through the relation
-kernel in `cat`.  These seeded cases recompute each one entry by entry, in
-the argument order of the formula, on exact Lukasiewicz 1/6 categories and
-on float product categories, and require equal values.
+Every sup-(*) and inf-(->) formula of `presheaf`, and those of `classify`,
+`balls` and `laws` built on it, runs through the relation kernel in `cat`.
+These seeded cases recompute each one entry by entry, in the argument order
+of the formula, on exact Lukasiewicz 1/6 categories and on float product
+categories, and require equal values.
 """
 
 import random
@@ -11,7 +12,10 @@ from itertools import product as iproduct
 
 import pytest
 
+import recat.balls as balls
 import recat.cat as cat
+import recat.classify as cl
+import recat.laws as laws
 import recat.presheaf as ps
 import recat.tnorm as tn
 import recat.values as vals
@@ -93,6 +97,13 @@ def test_weight_formulas(seed, n, mode):
         drawn = tuple(draws.choice(X.grid.points) for _ in N)
         closed = tuple(max(conj(X.hom[z][y], drawn[z]) for z in N) for y in N)
         assert gen.random_coweight(random.Random(seed), X).values == closed
+    for w in (phi, phi2, ps.yoneda(X, rng.randrange(X.n))):
+        # Cauchy: the upper-bound coweight is a left adjoint, 1 <= w . ub (unit) and ub o w <= X (counit)
+        up = tuple(min(imp(w(x), X.hom[x][y]) for x in N) for y in N)
+        unit = tn.vle(X.one, max(conj(w(x), up[x]) for x in N))
+        counit = all(tn.vle(conj(up[y], w(x)), X.hom[x][y]) for x in N for y in N)
+        left = cl.is_cauchy(w)
+        assert (None if left is None else left.values) == (up if unit and counit else None)
 
 
 @pytest.mark.parametrize("seed, n, mode", CASES)
@@ -139,6 +150,31 @@ def test_relation_wrappers(seed, n, mode):
     assert cat.residual_right(t, s.op(), r).rows == tuple(
         tuple(min(tn.imp(t, s(z, y), r(x, z)) for z in N) for y in M) for x in N
     )
+    assert balls.way_below_via_representables(X).rows == tuple(
+        tuple(min(tn.imp(t, X.hom[x][c], X.hom[y][c]) for c in N) for x in N) for y in N
+    )
+
+
+def directed(rng, points, size):
+    """Two random grid vectors and their pointwise min, which lies below both."""
+    a, b = (tuple(rng.choice(points) for _ in range(size)) for _ in range(2))
+    return (a, b, tuple(map(min, a, b)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kowalsky_generator_join(seed):
+    rng = random.Random(seed)
+    t, grid = tn.lukasiewicz, vals.unit_grid(6, tn.lukasiewicz)
+    size, count = rng.randint(1, 3), rng.randint(1, 3)
+    filters = [laws.ConicalFilter(t, grid, size, directed(rng, grid.points, size)) for _ in range(count)]
+    metas = directed(rng, grid.points, count)
+    joins = {
+        tuple(max(tn.conj(t, xi[k], combo[k][i]) for k in range(count)) for i in range(size))
+        for xi in metas
+        for combo in iproduct(*(F.generators for F in filters))
+    }
+    minimal = [g for g in joins if not any(h != g and all(a >= b for a, b in zip(g, h)) for h in joins)]
+    assert laws.kowalsky_sum(metas, filters, t, grid).generators == tuple(sorted(minimal))
 
 
 @pytest.mark.parametrize("n", range(1, 4))
