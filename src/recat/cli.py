@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from functools import lru_cache
 
 from . import tnorm as tn
 from .balls import ball_poset_dot
@@ -142,7 +143,7 @@ def _check(name, failures) -> dict:
     return {"name": name, "pass": witness is None, "witness": _encode(witness)}
 
 
-def _suite_tnorm(t, grid, rng, bound):
+def _suite_tnorm(t, grid, rng, args):
     checks = []
     if grid is not None:
         pts = grid.points
@@ -183,7 +184,7 @@ def _suite_tnorm(t, grid, rng, bound):
     return checks
 
 
-def _suite_kan(t, grid, rng, bound):
+def _suite_kan(t, grid, rng, args):
     def failures():
         for _ in range(25):
             X = random_category(rng, rng.randint(1, 4), grid)
@@ -198,7 +199,7 @@ def _suite_kan(t, grid, rng, bound):
     return [_check("kan_adjunction", failures())]
 
 
-def _suite_kz(t, grid, rng, bound):
+def _suite_kz(t, grid, rng, args):
     def violations():
         for _ in range(20):
             X = random_category(rng, rng.randint(1, 4), grid)
@@ -207,17 +208,19 @@ def _suite_kz(t, grid, rng, bound):
 
     checks = [_check("kz_inequality", violations())]
     Xs = random_category(rng, 2, grid)
-    equal = kz_equality_consistent_with_cauchy(Xs, bound)
+    equal = kz_equality_consistent_with_cauchy(Xs, args.bound)
     checks.append({"name": "kz_equality_vs_cauchy", "pass": equal, "witness": None})
     monad = powerset_monad_check(t, grid, 2, rng, samples=20)
     checks.append({"name": "powerset_monad", "pass": monad, "witness": None})
     return checks
 
 
-def _suite_module(t, grid, rng, bound):
+def _suite_module(t, grid, rng, args):
+    named = grid if args.grid else None  # modules act by the grid the user named
+
     def failures():
         for _ in range(20):
-            M = random_module(rng, t)
+            M = random_module(rng, t, grid=named)
             if not modules_isomorphic(M, category_to_module(module_to_category(M))):
                 yield M.action
 
@@ -229,7 +232,7 @@ def _suite_module(t, grid, rng, bound):
     return checks
 
 
-def _suite_filters(t, grid, rng, bound):
+def _suite_filters(t, grid, rng, args):
     pts = list(grid.points)
 
     def failures():
@@ -244,7 +247,7 @@ def _suite_filters(t, grid, rng, bound):
     F2 = ConicalFilter(t, grid, 2, ((pts[0], pts[-1]),))
     ks = kowalsky_sum([(tn.ONE, tn.ONE)], [F1, F2], t, grid)
     checks.append({"name": "kowalsky_sum_cf", "pass": conical_filter_check(ks)["pass"], "witness": None})
-    wit = find_cf4_cotensor_witness(t, grid, bound)
+    wit = find_cf4_cotensor_witness(t, grid, args.bound)
     expected_closed = tn.continuous_off_diagonal(t)
     checks.append(
         {
@@ -284,7 +287,7 @@ def cmd_laws(args) -> int:
     rng = random.Random(args.seed)
     suite = SUITES[args.suite]
     try:
-        checks = suite(t, grid, rng, args.bound)
+        checks = suite(t, grid, rng, args)
     except BoundExceededError as exc:
         print(_emit({"error": str(exc), "seed": args.seed}))
         return EXIT_BOUND
@@ -336,9 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # --help; usage errors raise _ParseFailure
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK

@@ -13,24 +13,29 @@ from .cat import EnrichedCategory, EnrichedFunctor, opposite
 from .errors import NotAFunctorError
 from .laws import ModuleAction
 from .poset import FinitePoset, chain, closure, lattice_catalog
-from .presheaf import Coweight, Weight, _dual, weight_closure
+from .presheaf import Coweight, Weight, _dual
 from .values import ValueGrid, grid_validate, unit_grid
 
 
 def random_category(rng: random.Random, n: int, grid: ValueGrid) -> EnrichedCategory:
-    """Random hom matrix, repaired by sup-(*) transitive closure."""
-    t = grid.tnorm
-    pts = list(grid.points)
-    hom = [[rng.choice(pts) for _ in range(n)] for _ in range(n)]
+    """Random hom matrix, repaired by sup-(*) transitive closure on the grid's tables."""
+    k = len(grid.points)
+    m = [[rng.randrange(k) for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        hom[i][i] = tn.ONE
-    hom = closure(hom, lambda a, b: tn.conj(t, a, b))
-    return EnrichedCategory(t, hom, (), grid)
+        m[i][i] = k - 1
+    conj = grid.conj_table
+    m = closure(m, lambda a, b: conj[a][b])
+    hom = tuple(tuple(grid.points[i] for i in row) for row in m)
+    return EnrichedCategory(grid.tnorm, hom, (), grid)
 
 
 def random_weight(rng: random.Random, X: EnrichedCategory) -> Weight:
-    vec = tuple(rng.choice(list(X.grid.points)) for _ in range(X.n))
-    return weight_closure(X, vec)
+    """The closure sup_z v(z) (*) X(-, z) of a random grid vector v, on the grid's tables."""
+    grid = X.grid
+    vec = [rng.randrange(len(grid.points)) for _ in range(X.n)]
+    conj, index = grid.conj_table, grid.index
+    closed = (max(conj[v][index(h)] for v, h in zip(vec, row)) for row in X.hom)
+    return Weight(X, tuple(grid.points[i] for i in closed))
 
 
 def random_coweight(rng: random.Random, X: EnrichedCategory) -> Coweight:
@@ -79,29 +84,16 @@ def random_directed_balls(rng: random.Random, X: EnrichedCategory, length: int =
 
 
 def _chain_module(grid: ValueGrid) -> ModuleAction:
-    """The grid chain acting on itself by the t-norm."""
-    n = len(grid.points)
-    L = chain(n)
-    action = tuple(
-        tuple(grid.index(tn.conj(grid.tnorm, r, x)) for x in grid.points)
-        for r in grid.points
-    )
-    return ModuleAction(L, grid, action)
+    """The grid chain acting on itself by the t-norm: the conj table."""
+    return ModuleAction(chain(len(grid.points)), grid, grid.conj_table)
 
 
 def _opposite_chain_module(grid: ValueGrid) -> ModuleAction:
     """The reversed grid chain with the residuum action."""
-    n = len(grid.points)
-    L = chain(n)
-    # element i of the lattice is the grid point at position n-1-i
-    def elt(i):
-        return grid.points[n - 1 - i]
-
-    action = tuple(
-        tuple(n - 1 - grid.index(tn.imp(grid.tnorm, r, elt(x))) for x in range(n))
-        for r in grid.points
-    )
-    return ModuleAction(L, grid, action)
+    top = len(grid.points) - 1
+    # element i of the lattice is the grid point at position top - i
+    action = tuple(tuple(top - row[top - x] for x in range(top + 1)) for row in grid.imp_table)
+    return ModuleAction(chain(top + 1), grid, action)
 
 
 def _trivial_module(L: FinitePoset, grid: ValueGrid) -> ModuleAction:
@@ -127,21 +119,28 @@ def _relabel_module(rng: random.Random, M: ModuleAction) -> ModuleAction:
     return ModuleAction(FinitePoset(n, leq), M.grid, action)
 
 
-def random_module(rng: random.Random, t: tn.TNorm, max_size: int = 5) -> ModuleAction:
-    """A random grid module with at most max_size elements."""
+def random_module(
+    rng: random.Random, t: tn.TNorm, max_size: int = 5, grid: ValueGrid | None = None
+) -> ModuleAction:
+    """A random grid module: a chain module or a trivial one on a catalog lattice.
+
+    Without a grid, a chain module acts by a grid of at most max_size points
+    and the trivial modules by {0, 1}; with one, every module acts by it.
+    """
     kind = rng.randrange(4)
     if kind < 2:
-        k = rng.randint(1, max_size - 1)
-        lukasiewicz = tn.is_archimedean(t) and tn.archimedean_base(t) == tn.LUKASIEWICZ
-        grid = unit_grid(k, t) if lukasiewicz else _godel_grid(rng, k, t)
+        if grid is None:
+            k = rng.randint(1, max_size - 1)
+            lukasiewicz = tn.is_archimedean(t) and tn.archimedean_base(t) == tn.LUKASIEWICZ
+            grid = unit_grid(k, t) if lukasiewicz else _godel_grid(rng, k, t)
         build = _chain_module if kind == 0 else _opposite_chain_module
         return _relabel_module(rng, build(grid))
+    if grid is None:
+        grid = grid_validate([0, 1], t)
     if kind == 2:
         from .poset import boolean_lattice
 
-        grid = grid_validate([0, 1], t)
         return _relabel_module(rng, _trivial_module(boolean_lattice(), grid))
-    grid = grid_validate([0, 1], t)
     L = rng.choice([P for P in lattice_catalog(max_size) if P.is_lattice()])
     return _relabel_module(rng, _trivial_module(L, grid))
 

@@ -5,7 +5,8 @@ module/cocomplete-category correspondence, the negation involution, conical
 filter axioms and the Kowalsky sum.  Each law has one checker for both modes:
 it compares through tn.vle/tn.veq, exact on Fractions and within TOL on
 floats, so the float checks run the exact checkers on sampled points.  The
-Kowalsky generator join and the powerset multiplication are each one sup-(*)
+module, filter-axiom and powerset checks work on grid indices through the
+grid's conj/imp tables; the Kowalsky generator join is one sup-(*)
 composition in the relation kernel.
 """
 
@@ -109,44 +110,45 @@ class ModuleAction:
 
 
 def validate_module(M: ModuleAction):
-    L, grid = M.lattice, M.grid
-    t = grid.tnorm
+    """Raise on the first failed module law; scalars are grid indices throughout."""
+    L, pts = M.lattice, M.grid.points
+    act, conj, k = M.action, M.grid.conj_table, len(M.grid.points)
     if not L.is_lattice():
         raise RecatError("module carrier must be a complete lattice")
-    one_i = grid.index(tn.ONE)
     for x in range(L.n):
-        if M.action[one_i][x] != x:
+        if act[k - 1][x] != x:
             raise RecatError(f"unit law fails at {x}")
-    for r in grid.points:
-        for s in grid.points:
-            rs = tn.conj(t, s, r)
+    for ri in range(k):
+        for si in range(k):
+            r_row, s_row, rs_row = act[ri], act[si], act[conj[si][ri]]
             for x in range(L.n):
-                if M.act(s, M.act(r, x)) != M.act(rs, x):
-                    raise RecatError(f"associativity fails at ({s}, {r}, {x})")
+                if s_row[r_row[x]] != rs_row[x]:
+                    raise RecatError(f"associativity fails at ({pts[si]}, {pts[ri]}, {x})")
     bot = L.bottom
-    for r in grid.points:
-        ri = grid.index(r)
-        if M.action[ri][bot] != bot:
+    join = [[L.join([x, y]) for y in range(L.n)] for x in range(L.n)]
+    for ri in range(k):
+        row = act[ri]
+        if row[bot] != bot:
             raise RecatError("action does not preserve the empty join")
         for x in range(L.n):
             for y in range(L.n):
-                j = L.join([x, y])
-                if L.join([M.action[ri][x], M.action[ri][y]]) != M.action[ri][j]:
-                    raise RecatError(f"action does not preserve joins at ({r}, {x}, {y})")
+                if join[row[x]][row[y]] != row[join[x][y]]:
+                    raise RecatError(f"action does not preserve joins at ({pts[ri]}, {x}, {y})")
     for x in range(L.n):
-        if M.act(tn.ZERO, x) != bot:
+        if act[0][x] != bot:
             raise RecatError("zero scalar must act as bottom")
-        for r in grid.points:
-            for s in grid.points:
-                if r <= s and not L.le(M.act(r, x), M.act(s, x)):
-                    raise RecatError(f"action not monotone in the scalar at ({r}, {s}, {x})")
+        for ri in range(k):
+            for si in range(ri, k):
+                if not L.le(act[ri][x], act[si][x]):
+                    raise RecatError(f"action not monotone in the scalar at ({pts[ri]}, {pts[si]}, {x})")
 
 
 def module_to_category(M: ModuleAction) -> EnrichedCategory:
     """hom(x, y) = max {r in grid : r act x <= y}."""
     L, grid = M.lattice, M.grid
+    scalars = range(len(grid.points))
     hom = tuple(
-        tuple(max(r for r in grid.points if L.le(M.act(r, x), y)) for y in range(L.n))
+        tuple(grid.points[max(ri for ri in scalars if L.le(M.action[ri][x], y))] for y in range(L.n))
         for x in range(L.n)
     )
     names = tuple(f"m{i}" for i in range(L.n))
@@ -200,8 +202,9 @@ def negation_duality_check_float(t: tn.TNorm, samples=64):
 # --- conical filters ------------------------------------------------------
 
 
-def _sub_vec(t: tn.TNorm, xi, lam):
-    return min(tn.imp(t, a, b) for a, b in zip(xi, lam))
+def _sub_vec(imp, xi, lam):
+    """inf_i (xi_i -> lam_i) for a residuum imp(a, b)."""
+    return min(imp(a, b) for a, b in zip(xi, lam))
 
 
 def _pointwise_ge(a, b):
@@ -233,7 +236,8 @@ class ConicalFilter:
             raise RecatError("generators are not directed")
 
     def __call__(self, lam):
-        return max(_sub_vec(self.tnorm, g, tuple(lam)) for g in self.generators)
+        imp = partial(tn.imp, self.tnorm)
+        return max(_sub_vec(imp, g, tuple(lam)) for g in self.generators)
 
 
 def filter_table(F, t: tn.TNorm, grid: ValueGrid, size: int) -> dict:
@@ -241,7 +245,7 @@ def filter_table(F, t: tn.TNorm, grid: ValueGrid, size: int) -> dict:
     return {lam: F(lam) for lam in iproduct(grid.points, repeat=size)}
 
 
-def _cf_failures(t: tn.TNorm, F, one, size: int, pairs, shifts):
+def _cf_failures(imp, F, one, size: int, pairs, shifts):
     """(axiom, witness) for each failure of the functional F, in check order.
 
     CF2: F(1) = 1, at the top vector
@@ -249,32 +253,40 @@ def _cf_failures(t: tn.TNorm, F, one, size: int, pairs, shifts):
     CF3: F(lam meet mu) = F(lam) meet F(mu), at each (lam, mu) in pairs
     CF4: F(r -> lam) = 1 whenever F(lam) > r, at each (lam, r) in shifts
 
-    Comparisons go through tn.vle/tn.veq: exact on Fractions, within TOL on
-    floats.
+    imp(a, b) is the residuum of the scalars F works on: tn.imp on floats, or
+    the grid's imp table on grid indices, whose order is the points' order.
+    Comparisons go through tn.vle/tn.veq: exact on Fractions and ints, within
+    TOL on floats.
     """
     top = (one,) * size
     if not tn.veq(F(top), one):
         yield "CF2", (top,)
     for lam, mu in pairs:
-        if not tn.vle(_sub_vec(t, lam, mu), tn.imp(t, F(lam), F(mu))):
+        if not tn.vle(_sub_vec(imp, lam, mu), imp(F(lam), F(mu))):
             yield "CF1", (lam, mu)
         if not tn.veq(min(F(lam), F(mu)), F(tuple(map(min, lam, mu)))):
             yield "CF3", (lam, mu)
     for lam, r in shifts:
-        if not tn.vle(F(lam), r) and not tn.veq(F(tuple(tn.imp(t, r, v) for v in lam)), one):
+        if not tn.vle(F(lam), r) and not tn.veq(F(tuple(imp(r, v) for v in lam)), one):
             yield "CF4", (lam, r)
 
 
 def filter_axiom_check(t: tn.TNorm, grid: ValueGrid, size: int, table) -> dict:
     """CF1..CF4 on grid arguments for an arbitrary functional given as a table.
 
-    The report holds the first witness of each failed axiom, or None.
+    The axioms run on grid indices through the grid's imp table; the report
+    holds the first witness of each failed axiom as grid points, or None.
     """
-    lams = list(iproduct(grid.points, repeat=size))
+    pts, index, imp = grid.points, grid.index, grid.imp_table
+    scalars = range(len(pts))
+    on_indices = {tuple(map(index, lam)): index(v) for lam, v in table.items()}
+    lams = list(iproduct(scalars, repeat=size))
+    pairs, shifts = iproduct(lams, lams), iproduct(lams, scalars)
     report = dict.fromkeys(("CF1", "CF2", "CF3", "CF4"))
-    pairs, shifts = iproduct(lams, lams), iproduct(lams, grid.points)
-    for axiom, witness in _cf_failures(t, table.__getitem__, tn.ONE, size, pairs, shifts):
-        report[axiom] = report[axiom] or witness
+    failures = _cf_failures(lambda a, b: imp[a][b], on_indices.__getitem__, scalars[-1], size, pairs, shifts)
+    for axiom, witness in failures:
+        if report[axiom] is None:  # index vectors and scalars back to points
+            report[axiom] = tuple(tuple(pts[i] for i in w) if isinstance(w, tuple) else pts[w] for w in witness)
     report["pass"] = all(w is None for w in report.values())
     return report
 
@@ -334,7 +346,8 @@ def conical_filter_check_float(t: tn.TNorm, size: int, rng, samples: int = 200) 
             lam = tuple(rng.random() for _ in range(size))
             mu = tuple(rng.random() for _ in range(size))
             r = rng.random()
-            if any(_cf_failures(t, partial(_sub_vec, t, vec), 1.0, size, [(lam, mu)], [(lam, r)])):
+            imp = partial(tn.imp, t)
+            if any(_cf_failures(imp, partial(_sub_vec, imp, vec), 1.0, size, [(lam, mu)], [(lam, r)])):
                 return False
     return True
 
@@ -374,37 +387,37 @@ def powerset_monad_check(t: tn.TNorm, grid: ValueGrid, size: int, rng, samples: 
 
     m(L) = sup_g L(g) (*) g over grid functions g; both unit laws and the
     associativity square are verified on sampled second-order elements.
+    Grid values are indices throughout, combined through the grid's conj table.
     """
-    pts = grid.points
-    funcs = list(iproduct(pts, repeat=size))
+    k, conj = len(grid.points), grid.conj_table
+    funcs = list(iproduct(range(k), repeat=size))
     at_point = _columns(funcs, size)  # at_point[i][j] = funcs[j][i]
 
     def unit(x_index):
-        return tuple(tn.ONE if i == x_index else tn.ZERO for i in range(size))
+        return tuple(k - 1 if i == x_index else 0 for i in range(size))
 
     def mult(big):  # big: dict func -> value
-        return _column(_compose(t, (tuple(big[g] for g in funcs),), at_point, tn.ZERO))
+        weights = [big[g] for g in funcs]
+        return tuple(max(conj[a][b] for a, b in zip(weights, row)) for row in at_point)
 
     # m . e_P = id and m . P(e) = id
     for g in (funcs if len(funcs) <= samples else rng.sample(funcs, samples)):
-        point_mass = {h: (tn.ONE if h == g else tn.ZERO) for h in funcs}
+        point_mass = {h: (k - 1 if h == g else 0) for h in funcs}
         if mult(point_mass) != g:
             return False
-        spread = {h: tn.ZERO for h in funcs}
+        spread = {h: 0 for h in funcs}
         for i in range(size):
             spread[unit(i)] = max(spread[unit(i)], g[i])
         if mult(spread) != g:
             return False
     # associativity on sampled second-order elements, pushed down one level
     for _ in range(samples):
-        big1 = {g: rng.choice(pts) for g in funcs}
-        big2 = {g: rng.choice(pts) for g in funcs}
-        r = rng.choice(pts)
-        blended = {g: max(tn.conj(t, r, big1[g]), big2[g]) for g in funcs}
+        big1 = {g: rng.randrange(k) for g in funcs}
+        big2 = {g: rng.randrange(k) for g in funcs}
+        r = rng.randrange(k)
+        blended = {g: max(conj[r][big1[g]], big2[g]) for g in funcs}
         lhs = mult(blended)
-        rhs = tuple(
-            max(tn.conj(t, r, a), b) for a, b in zip(mult(big1), mult(big2))
-        )
+        rhs = tuple(max(conj[r][a], b) for a, b in zip(mult(big1), mult(big2)))
         if lhs != rhs:
             return False
     return True

@@ -75,29 +75,45 @@ class ValueGrid:
 
     Construction raises on a point outside [0,1] or a missing 0 or 1, and
     with NotClosedError on the first pair whose (*) or -> escapes the set.
+    The closure check keeps what it evaluates: the grid is a finite quantale,
+    and conj_table[i][j] / imp_table[i][j] are the indices of
+    points[i] (*) points[j] and points[i] -> points[j].  Indices ascend with
+    the points, so sup and inf on the grid are max and min on indices.
     """
 
     points: tuple
     tnorm: tn.TNorm
-    # the points as a set, built once for membership tests
-    _pset: frozenset = field(init=False, repr=False, compare=False)
+    # point -> index, built once for membership tests and index lookups
+    _pos: dict = field(init=False, repr=False, compare=False)
+    conj_table: tuple = field(init=False, repr=False, compare=False)
+    imp_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(sorted({parse_value(p) for p in self.points}))
         object.__setattr__(self, "points", pts)
-        pset = frozenset(pts)
-        object.__setattr__(self, "_pset", pset)
-        if ZERO not in pset or ONE not in pset:
+        pos = {p: i for i, p in enumerate(pts)}
+        object.__setattr__(self, "_pos", pos)
+        if ZERO not in pos or ONE not in pos:
             raise RecatError("grid must contain 0 and 1")
+        conj_rows, imp_rows = [], []
         for x in pts:
+            conj_row, imp_row = [], []
             for y in pts:
-                if tn.conj_exact_unchecked(self.tnorm, x, y) not in pset:
+                c = pos.get(tn.conj_exact_unchecked(self.tnorm, x, y))
+                if c is None:
                     raise NotClosedError(x, y, "conj")
-                if tn.imp_exact_unchecked(self.tnorm, x, y) not in pset:
+                i = pos.get(tn.imp_exact_unchecked(self.tnorm, x, y))
+                if i is None:
                     raise NotClosedError(x, y, "imp")
+                conj_row.append(c)
+                imp_row.append(i)
+            conj_rows.append(tuple(conj_row))
+            imp_rows.append(tuple(imp_row))
+        object.__setattr__(self, "conj_table", tuple(conj_rows))
+        object.__setattr__(self, "imp_table", tuple(imp_rows))
 
     def __contains__(self, v):
-        return Fraction(v) in self._pset
+        return Fraction(v) in self._pos
 
     def __len__(self):
         return len(self.points)
@@ -106,7 +122,17 @@ class ValueGrid:
         return iter(self.points)
 
     def index(self, v) -> int:
-        return self.points.index(Fraction(v))
+        """Position of the point v; ValueError when v is not a point.
+
+        Ints, floats and Fractions hash equal to the equal point, so only
+        other inputs (strings) pay for the Fraction conversion.
+        """
+        i = self._pos.get(v)
+        if i is None:
+            i = self._pos.get(Fraction(v))
+            if i is None:
+                raise ValueError(f"{v} is not a grid point")
+        return i
 
 
 def _check_on_grid(values, grid: ValueGrid | None, what: str = ""):

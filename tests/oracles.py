@@ -5,9 +5,17 @@ or from a different characterisation, so a test can pair it with the library's
 own answer.
 """
 
+from functools import partial
+from itertools import product as iproduct
 from operator import and_
 
-from recat.poset import FinitePoset, _subsets, closure, posets_isomorphic
+import recat.tnorm as tn
+from recat.cat import EnrichedCategory, opposite
+from recat.gen import _godel_grid, _relabel_module, _trivial_module
+from recat.laws import ModuleAction, _cf_failures
+from recat.poset import FinitePoset, _subsets, boolean_lattice, chain, closure, lattice_catalog, posets_isomorphic
+from recat.presheaf import _dual, weight_closure
+from recat.values import grid_validate, unit_grid
 
 
 def enumerate_lattices(n: int):
@@ -100,3 +108,141 @@ def is_ideal_threshold_form(phi):
                         ):
                             return False, (x1, x2, r, s1, s2)
     return True, None
+
+
+# --- generators and grid law checks on scalars -----------------------------
+# The versions that evaluate every (*) and -> through tn.conj/tn.imp on
+# Fractions; the library runs them on the grid's index tables.
+
+
+def random_category(rng, n, grid):
+    t = grid.tnorm
+    pts = list(grid.points)
+    hom = [[rng.choice(pts) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        hom[i][i] = tn.ONE
+    hom = closure(hom, lambda a, b: tn.conj(t, a, b))
+    return EnrichedCategory(t, hom, (), grid)
+
+
+def random_weight(rng, X):
+    vec = tuple(rng.choice(list(X.grid.points)) for _ in range(X.n))
+    return weight_closure(X, vec)
+
+
+def random_coweight(rng, X):
+    return _dual(random_weight(rng, opposite(X)))
+
+
+def _chain_module(grid):
+    action = tuple(
+        tuple(grid.points.index(tn.conj(grid.tnorm, r, x)) for x in grid.points) for r in grid.points
+    )
+    return ModuleAction(chain(len(grid.points)), grid, action)
+
+
+def _opposite_chain_module(grid):
+    n = len(grid.points)
+    action = tuple(
+        tuple(n - 1 - grid.points.index(tn.imp(grid.tnorm, r, grid.points[n - 1 - x])) for x in range(n))
+        for r in grid.points
+    )
+    return ModuleAction(chain(n), grid, action)
+
+
+def random_module(rng, t, max_size=5):
+    kind = rng.randrange(4)
+    if kind < 2:
+        k = rng.randint(1, max_size - 1)
+        lukasiewicz = tn.is_archimedean(t) and tn.archimedean_base(t) == tn.LUKASIEWICZ
+        grid = unit_grid(k, t) if lukasiewicz else _godel_grid(rng, k, t)
+        build = _chain_module if kind == 0 else _opposite_chain_module
+        return _relabel_module(rng, build(grid))
+    grid = grid_validate([0, 1], t)
+    if kind == 2:
+        return _relabel_module(rng, _trivial_module(boolean_lattice(), grid))
+    L = rng.choice([P for P in lattice_catalog(max_size) if P.is_lattice()])
+    return _relabel_module(rng, _trivial_module(L, grid))
+
+
+def module_to_category(M):
+    L, grid = M.lattice, M.grid
+    hom = tuple(
+        tuple(max(r for r in grid.points if L.le(M.act(r, x), y)) for y in range(L.n)) for x in range(L.n)
+    )
+    return EnrichedCategory(grid.tnorm, hom, tuple(f"m{i}" for i in range(L.n)), grid)
+
+
+def module_law_failure(L, grid, action):
+    """The message of the first module law that (L, grid, action) fails, or None."""
+    t = grid.tnorm
+
+    def act(r, x):
+        return action[grid.points.index(r)][x]
+
+    if not L.is_lattice():
+        return "module carrier must be a complete lattice"
+    for x in range(L.n):
+        if act(tn.ONE, x) != x:
+            return f"unit law fails at {x}"
+    for r in grid.points:
+        for s in grid.points:
+            for x in range(L.n):
+                if act(s, act(r, x)) != act(tn.conj(t, s, r), x):
+                    return f"associativity fails at ({s}, {r}, {x})"
+    bot = L.bottom
+    for r in grid.points:
+        if act(r, bot) != bot:
+            return "action does not preserve the empty join"
+        for x in range(L.n):
+            for y in range(L.n):
+                if L.join([act(r, x), act(r, y)]) != act(r, L.join([x, y])):
+                    return f"action does not preserve joins at ({r}, {x}, {y})"
+    for x in range(L.n):
+        if act(tn.ZERO, x) != bot:
+            return "zero scalar must act as bottom"
+        for r in grid.points:
+            for s in grid.points:
+                if r <= s and not L.le(act(r, x), act(s, x)):
+                    return f"action not monotone in the scalar at ({r}, {s}, {x})"
+    return None
+
+
+def filter_axiom_report(t, grid, size, table):
+    """CF1..CF4 on grid points through tn.imp: the report of laws.filter_axiom_check."""
+    lams = list(iproduct(grid.points, repeat=size))
+    report = dict.fromkeys(("CF1", "CF2", "CF3", "CF4"))
+    pairs, shifts = iproduct(lams, lams), iproduct(lams, grid.points)
+    for axiom, witness in _cf_failures(partial(tn.imp, t), table.__getitem__, tn.ONE, size, pairs, shifts):
+        report[axiom] = report[axiom] or witness
+    report["pass"] = all(w is None for w in report.values())
+    return report
+
+
+def powerset_monad_check(t, grid, size, rng, samples=50):
+    """laws.powerset_monad_check with every value a grid point and every (*) a tn.conj call."""
+    pts = grid.points
+    funcs = list(iproduct(pts, repeat=size))
+
+    def unit(x_index):
+        return tuple(tn.ONE if i == x_index else tn.ZERO for i in range(size))
+
+    def mult(big):
+        return tuple(max(tn.conj(t, big[g], g[i]) for g in funcs) for i in range(size))
+
+    for g in (funcs if len(funcs) <= samples else rng.sample(funcs, samples)):
+        if mult({h: (tn.ONE if h == g else tn.ZERO) for h in funcs}) != g:
+            return False
+        spread = {h: tn.ZERO for h in funcs}
+        for i in range(size):
+            spread[unit(i)] = max(spread[unit(i)], g[i])
+        if mult(spread) != g:
+            return False
+    for _ in range(samples):
+        big1 = {g: rng.choice(pts) for g in funcs}
+        big2 = {g: rng.choice(pts) for g in funcs}
+        r = rng.choice(pts)
+        lhs = mult({g: max(tn.conj(t, r, big1[g]), big2[g]) for g in funcs})
+        if lhs != tuple(max(tn.conj(t, r, a), b) for a, b in zip(mult(big1), mult(big2))):
+            return False
+    return True

@@ -1,0 +1,222 @@
+"""The grid quantale: ValueGrid's conj/imp index tables and the code that runs on them.
+
+Generators, module laws, filter axioms and the powerset monad compute on grid
+indices; the oracles in `oracles.py` compute the same through tn.conj/tn.imp.
+"""
+
+import json
+import random
+from fractions import Fraction as F
+from itertools import product as iproduct
+
+import pytest
+
+import oracles
+import recat.cli as cli
+import recat.laws as laws
+import recat.tnorm as tn
+import recat.values as vals
+from recat import fixtures, gen
+from recat.errors import RecatError
+from recat.poset import antichain, boolean_lattice, chain, lattice_catalog
+
+ORDINAL = tn.ordinal_sum((0, F(1, 2), tn.LUKASIEWICZ))
+
+GRIDS = {
+    **{f"luka{k}": vals.unit_grid(k, tn.lukasiewicz) for k in range(1, 9)},
+    "godel2": vals.unit_grid(2, tn.godel),
+    "godel5": vals.unit_grid(5, tn.godel),
+    "godel_chain": vals.grid_validate([0, F(1, 7), F(2, 5), F(9, 10), 1], tn.godel),
+    "ordinal": vals.grid_validate([0, F(1, 4), F(1, 2), F(3, 4), 1], ORDINAL),
+    "upper_block": fixtures.upper_block_grid(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_tables_equal_conj_and_imp_on_every_pair(name):
+    g = GRIDS[name]
+    pts = g.points
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            assert pts[g.conj_table[i][j]] == tn.conj(g.tnorm, x, y)
+            assert pts[g.imp_table[i][j]] == tn.imp(g.tnorm, x, y)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_index_is_the_position_of_the_point(name):
+    g = GRIDS[name]
+    for i, p in enumerate(g.points):
+        assert g.index(p) == g.points.index(p) == i
+    assert g.index(1) == len(g.points) - 1 and g.index(0) == 0
+    assert g.index(1.0) == g.index(F(1)) and g.index("1/1") == g.index(1)
+
+
+def test_index_raises_value_error_off_the_grid():
+    g = vals.unit_grid(3, tn.lukasiewicz)
+    for v in (F(1, 2), F(1, 4), 0.25):
+        with pytest.raises(ValueError):
+            g.index(v)
+
+
+def test_tables_do_not_enter_equality_or_hash():
+    a = vals.unit_grid(4, tn.lukasiewicz)
+    b = vals.grid_validate([F(k, 4) for k in (4, 3, 2, 1, 0)], tn.lukasiewicz)
+    assert a == b and hash(a) == hash(b)
+    assert "conj_table" not in repr(a)
+
+
+GEN_GRIDS = ["luka1", "luka3", "luka6", "godel5", "godel_chain", "ordinal"]
+
+
+@pytest.mark.parametrize("name", GEN_GRIDS)
+@pytest.mark.parametrize("seed", range(6))
+def test_generators_equal_the_scalar_generators(name, seed):
+    g = GRIDS[name]
+    new, old = random.Random(seed), random.Random(seed)
+    for n in (0, 1, 2, 3, 4, 6):
+        X, Y = gen.random_category(new, n, g), oracles.random_category(old, n, g)
+        assert X == Y
+        for _ in range(4):
+            assert gen.random_weight(new, X).values == oracles.random_weight(old, Y).values
+            assert gen.random_coweight(new, X).values == oracles.random_coweight(old, Y).values
+    assert new.random() == old.random()
+
+
+@pytest.mark.parametrize("t", [tn.lukasiewicz, tn.godel, ORDINAL, tn.ordinal_sum((F(1, 2), 1, tn.LUKASIEWICZ))])
+@pytest.mark.parametrize("seed", range(4))
+def test_random_module_equals_the_scalar_generator(t, seed):
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(12):
+        M, N = gen.random_module(new, t), oracles.random_module(old, t)
+        assert (M.lattice, M.grid, M.action) == (N.lattice, N.grid, N.action)
+        assert laws.module_to_category(M) == oracles.module_to_category(N)
+    assert new.random() == old.random()
+
+
+def test_chain_modules_read_off_the_tables():
+    for name in ("luka3", "godel_chain", "ordinal"):
+        g = GRIDS[name]
+        pts = g.points
+        M, D = gen._chain_module(g), gen._opposite_chain_module(g)
+        top = len(pts) - 1
+        for r in pts:
+            for i, x in enumerate(pts):
+                assert pts[M.act(r, i)] == tn.conj(g.tnorm, r, x)
+                assert pts[top - D.act(r, top - i)] == tn.imp(g.tnorm, r, x)
+
+
+def _broken_actions(rng, L, g, count):
+    """Random actions, normalised random actions and one-entry edits of the chain or trivial action."""
+    k = len(g.points)
+    bot = L.bottom or 0
+    valid = g.conj_table if L == chain(k) else [[x if r == k - 1 else bot for x in range(L.n)] for r in range(k)]
+    for i in range(count):
+        if i % 3 == 0:
+            rows = [[rng.randrange(L.n) for _ in range(L.n)] for _ in range(k)]
+        elif i % 3 == 1:  # 0 acts as bottom and 1 as identity
+            middle = [[rng.randrange(L.n) for _ in range(L.n)] for _ in range(k - 2)]
+            rows = [[L.bottom] * L.n, *middle, list(range(L.n))]
+        else:
+            rows = [list(row) for row in valid]
+            rows[rng.randrange(k)][rng.randrange(L.n)] = rng.randrange(L.n)
+        yield tuple(map(tuple, rows))
+
+
+def test_module_law_failures_match_the_scalar_checks():
+    seen = set()
+    for name in ("luka1", "luka2", "luka3", "godel2", "godel_chain", "ordinal"):
+        g = GRIDS[name]
+        rng = random.Random(len(g.points))
+        catalog = [P for P in lattice_catalog(4) if P.is_lattice()]
+        lattices = [chain(len(g.points)), boolean_lattice(), antichain(2), *catalog]
+        for L in lattices:
+            for action in _broken_actions(rng, L, g, 60):
+                want = oracles.module_law_failure(L, g, action)
+                seen.add(want and want.split(" at ")[0])
+                if want is None:
+                    laws.ModuleAction(L, g, action)
+                    continue
+                with pytest.raises(RecatError) as exc:
+                    laws.ModuleAction(L, g, action)
+                assert str(exc.value) == want
+    assert seen == {
+        None,
+        "module carrier must be a complete lattice",
+        "unit law fails",
+        "associativity fails",
+        "action does not preserve the empty join",
+        "action does not preserve joins",
+        "zero scalar must act as bottom",
+        "action not monotone in the scalar",
+    }
+
+
+def _tables(rng, g, size, count):
+    """Random grid-valued tables on all grid vectors: mostly failing functionals."""
+    lams = list(iproduct(g.points, repeat=size))
+    for _ in range(count):
+        yield {lam: rng.choice(g.points) for lam in lams}
+    for lo in g.points:  # monotone, top-preserving tables fail fewer axioms
+        yield {lam: max(lo, min(lam)) for lam in lams}
+
+
+@pytest.mark.parametrize("name", ["luka2", "luka3", "godel_chain", "ordinal", "upper_block"])
+@pytest.mark.parametrize("size", [1, 2])
+def test_filter_axiom_witnesses_match_the_imp_path(name, size):
+    g = GRIDS[name]
+    rng = random.Random(size)
+    failed = set()
+    for table in _tables(rng, g, size, 12 if size == 2 else 40):
+        rep = laws.filter_axiom_check(g.tnorm, g, size, table)
+        assert rep == oracles.filter_axiom_report(g.tnorm, g, size, table)
+        failed |= {a for a in ("CF1", "CF2", "CF3", "CF4") if rep[a] is not None}
+    assert {"CF1", "CF2", "CF3"} <= failed
+
+
+def test_cotensor_witness_matches_the_imp_path():
+    g, t = fixtures.upper_block_grid(), fixtures.upper_block_sum()
+    table, r, lam, s = laws.find_cf4_cotensor_witness(t, g)
+    shifted = laws.cotensor_filter_table(t, r, table)
+    rep = laws.filter_axiom_check(t, g, 1, shifted)
+    assert rep == oracles.filter_axiom_report(t, g, 1, shifted)
+    assert rep["CF4"] == (lam, s)
+
+
+@pytest.mark.parametrize("name", ["luka1", "luka2", "luka4", "godel_chain", "ordinal"])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_powerset_monad_check_matches_the_scalar_check(name, size):
+    g = GRIDS[name]
+    new, old = random.Random(size), random.Random(size)
+    assert laws.powerset_monad_check(g.tnorm, g, size, new, samples=12)
+    assert oracles.powerset_monad_check(g.tnorm, g, size, old, samples=12)
+    assert new.random() == old.random()
+
+
+def test_module_suite_builds_its_modules_on_the_named_grid(monkeypatch, capsys):
+    grid_text = "{0,1/2,1}"
+    want = vals.grid_validate(vals.parse_grid_text(grid_text), tn.lukasiewicz)
+    built = []
+    real = gen.random_module
+
+    def recording(*args, **kwargs):
+        M = real(*args, **kwargs)
+        built.append(M)
+        return M
+
+    monkeypatch.setattr(cli, "random_module", recording)
+    for seed in range(4):
+        assert cli.main(["laws", "module", "--tnorm", "lukasiewicz", "--grid", grid_text, "--seed", str(seed)]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"]
+    assert len(built) == 80
+    for M in built:
+        assert M.grid == want
+        assert laws.category_to_module(laws.module_to_category(M)).grid == want
+
+
+def test_random_module_on_a_grid_uses_that_grid_for_every_kind():
+    g = GRIDS["ordinal"]
+    rng = random.Random(5)
+    for _ in range(40):
+        M = gen.random_module(rng, g.tnorm, grid=g)
+        assert M.grid is g
+        assert laws.modules_isomorphic(M, laws.category_to_module(laws.module_to_category(M)))
