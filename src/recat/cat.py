@@ -54,6 +54,8 @@ class EnrichedCategory:
             object.__setattr__(self, "names", tuple(f"x{i}" for i in range(n)))
         elif len(self.names) != n:
             raise RecatError("names must match the carrier size")
+        if self.grid is not None and self.grid.tnorm != self.tnorm:
+            raise RecatError(f"the grid is closed under {self.grid.tnorm}, not {self.tnorm}")
         modes = {tn.mode_of(v) for row in rows for v in row}
         if len(modes) > 1:
             raise ModeMismatchError("hom matrix mixes exact and float values")

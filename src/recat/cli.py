@@ -210,7 +210,7 @@ def _suite_kz(t, grid, rng, args):
     Xs = random_category(rng, 2, grid)
     equal = kz_equality_consistent_with_cauchy(Xs, args.bound)
     checks.append({"name": "kz_equality_vs_cauchy", "pass": equal, "witness": None})
-    monad = powerset_monad_check(t, grid, 2, rng, samples=20)
+    monad = powerset_monad_check(grid, 2, rng, samples=20)
     checks.append({"name": "powerset_monad", "pass": monad, "witness": None})
     return checks
 
@@ -226,7 +226,7 @@ def _suite_module(t, grid, rng, args):
 
     checks = [_check("module_round_trip", failures())]
     if grid is not None:
-        verdict, wit = negation_duality_check(grid, t)
+        verdict, wit = negation_duality_check(grid)
         expected = verdict == (tn.is_archimedean(t) and tn.archimedean_base(t) == tn.LUKASIEWICZ)
         checks.append({"name": "negation_involution", "pass": expected, "witness": _encode(wit)})
     return checks
@@ -239,15 +239,15 @@ def _suite_filters(t, grid, rng, args):
         for _ in range(10):
             g1 = tuple(rng.choice(pts) for _ in range(2))
             g2 = tuple(min(a, rng.choice(pts)) for a in g1)
-            if not conical_filter_check(ConicalFilter(t, grid, 2, (g1, g2)))["pass"]:
+            if not conical_filter_check(ConicalFilter(grid, 2, (g1, g2)))["pass"]:
                 yield g1, g2
 
     checks = [_check("generated_filters_cf", failures())]
-    F1 = ConicalFilter(t, grid, 2, ((pts[-1], pts[0]),))
-    F2 = ConicalFilter(t, grid, 2, ((pts[0], pts[-1]),))
-    ks = kowalsky_sum([(tn.ONE, tn.ONE)], [F1, F2], t, grid)
+    F1 = ConicalFilter(grid, 2, ((pts[-1], pts[0]),))
+    F2 = ConicalFilter(grid, 2, ((pts[0], pts[-1]),))
+    ks = kowalsky_sum([(tn.ONE, tn.ONE)], [F1, F2])
     checks.append({"name": "kowalsky_sum_cf", "pass": conical_filter_check(ks)["pass"], "witness": None})
-    wit = find_cf4_cotensor_witness(t, grid, args.bound)
+    wit = find_cf4_cotensor_witness(grid, args.bound)
     expected_closed = tn.continuous_off_diagonal(t)
     checks.append(
         {

@@ -10,17 +10,17 @@ from .presheaf import Weight
 from .values import ValueGrid, grid_validate, unit_grid
 
 
-def grid_v(t: tn.TNorm, grid: ValueGrid) -> EnrichedCategory:
-    """The grid as a category under the implication hom x -> y."""
+def grid_v(grid: ValueGrid) -> EnrichedCategory:
+    """The grid as a category under the implication hom x -> y: its imp table read back as points."""
     pts = grid.points
-    hom = tuple(tuple(tn.imp(t, x, y) for y in pts) for x in pts)
+    hom = tuple(tuple(pts[j] for j in row) for row in grid.imp_table)
     names = tuple(str(p) for p in pts)
-    return EnrichedCategory(t, hom, names, grid)
+    return EnrichedCategory(grid.tnorm, hom, names, grid)
 
 
-def grid_v_op(t: tn.TNorm, grid: ValueGrid) -> EnrichedCategory:
+def grid_v_op(grid: ValueGrid) -> EnrichedCategory:
     """The opposite hom y -> x."""
-    return opposite(grid_v(t, grid))
+    return opposite(grid_v(grid))
 
 
 def d2(t: tn.TNorm = tn.godel, grid: ValueGrid | None = None) -> EnrichedCategory:
@@ -40,7 +40,7 @@ def a2() -> EnrichedCategory:
 def g5() -> EnrichedCategory:
     """The Godel category on the five-point grid {0, 1/4, 1/2, 3/4, 1}."""
     grid = grid_validate([0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1], tn.godel)
-    return grid_v(tn.godel, grid)
+    return grid_v(grid)
 
 
 def g5_weight() -> Weight:

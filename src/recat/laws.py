@@ -2,12 +2,12 @@
 
 Covers the lax-idempotent inequality of the free-cocompletion monad, the
 module/cocomplete-category correspondence, the negation involution, conical
-filter axioms and the Kowalsky sum.  Each law has one checker for both modes:
-it compares through tn.vle/tn.veq, exact on Fractions and within TOL on
-floats, so the float checks run the exact checkers on sampled points.  The
-module, filter-axiom and powerset checks work on grid indices through the
-grid's conj/imp tables; the Kowalsky generator join is one sup-(*)
-composition in the relation kernel.
+filter axioms and the Kowalsky sum.  KZ and CF1-CF4 have one checker for both
+modes, comparing through tn.vle/tn.veq (exact on Fractions, within TOL on
+floats), so their float checks run the exact checkers on sampled points.
+The module, negation, filter-axiom and powerset checks take the ValueGrid
+alone, t-norm included, and work on grid indices through its conj/imp
+tables; the Kowalsky generator join is one sup-(*) composition in the kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .presheaf import (
     sub,
     tensor,
 )
-from .values import ValueGrid
+from .values import ValueGrid, _check_on_grid
 
 
 # --- lax idempotency ------------------------------------------------------
@@ -182,21 +182,20 @@ def modules_isomorphic(M: ModuleAction, N: ModuleAction) -> bool:
 # --- negation duality -----------------------------------------------------
 
 
-def negation_duality_check(grid, t: tn.TNorm):
-    """(verdict, witness): x -> (x -> 0) -> 0 is an involution on the points.
-
-    grid is a ValueGrid or any sequence of points of one mode; 0 is taken in
-    that mode (Fraction or float).
-    """
-    for x in grid:
-        zero = type(x)(0)
-        if not tn.veq(tn.imp(t, tn.imp(t, x, zero), zero), x):
+def negation_duality_check(grid: ValueGrid):
+    """(verdict, first failing point) of x = (x -> 0) -> 0, read off the imp table."""
+    imp = grid.imp_table
+    for i, x in enumerate(grid.points):
+        if imp[imp[i][0]][0] != i:
             return False, x
     return True, None
 
 
 def negation_duality_check_float(t: tn.TNorm, samples=64):
-    return negation_duality_check([k / samples for k in range(1, samples)], t)
+    for x in (k / samples for k in range(1, samples)):
+        if not tn.veq(tn.imp(t, tn.imp(t, x, 0.0), 0.0), x):
+            return False, x
+    return True, None
 
 
 # --- conical filters ------------------------------------------------------
@@ -216,10 +215,9 @@ class ConicalFilter:
     """A filter generated by a finite directed set of grid vectors.
 
     Evaluation is the pointwise best lower approximation degree:
-    F(lam) = max over generators xi of inf_i (xi_i -> lam_i).
+    F(lam) = max over generators xi of inf_i (xi_i -> lam_i) under grid.tnorm.
     """
 
-    tnorm: tn.TNorm
     grid: ValueGrid
     size: int
     generators: tuple
@@ -232,15 +230,16 @@ class ConicalFilter:
         for g in gens:
             if len(g) != self.size:
                 raise RecatError("generator length mismatch")
+            _check_on_grid(g, self.grid, "generator entry ")
         if not _directed(gens, _pointwise_ge):
             raise RecatError("generators are not directed")
 
     def __call__(self, lam):
-        imp = partial(tn.imp, self.tnorm)
+        imp = partial(tn.imp, self.grid.tnorm)
         return max(_sub_vec(imp, g, tuple(lam)) for g in self.generators)
 
 
-def filter_table(F, t: tn.TNorm, grid: ValueGrid, size: int) -> dict:
+def filter_table(F, grid: ValueGrid, size: int) -> dict:
     """Tabulate a filter-like functional on all grid arguments."""
     return {lam: F(lam) for lam in iproduct(grid.points, repeat=size)}
 
@@ -271,13 +270,14 @@ def _cf_failures(imp, F, one, size: int, pairs, shifts):
             yield "CF4", (lam, r)
 
 
-def filter_axiom_check(t: tn.TNorm, grid: ValueGrid, size: int, table) -> dict:
-    """CF1..CF4 on grid arguments for an arbitrary functional given as a table.
+def filter_axiom_check(grid: ValueGrid, table) -> dict:
+    """CF1..CF4 for an arbitrary functional tabulated on all grid vectors of one size.
 
     The axioms run on grid indices through the grid's imp table; the report
     holds the first witness of each failed axiom as grid points, or None.
     """
     pts, index, imp = grid.points, grid.index, grid.imp_table
+    size = len(next(iter(table)))
     scalars = range(len(pts))
     on_indices = {tuple(map(index, lam)): index(v) for lam, v in table.items()}
     lams = list(iproduct(scalars, repeat=size))
@@ -292,34 +292,36 @@ def filter_axiom_check(t: tn.TNorm, grid: ValueGrid, size: int, table) -> dict:
 
 
 def conical_filter_check(F: ConicalFilter) -> dict:
-    return filter_axiom_check(F.tnorm, F.grid, F.size, filter_table(F, F.tnorm, F.grid, F.size))
+    return filter_axiom_check(F.grid, filter_table(F, F.grid, F.size))
 
 
-def cotensor_filter_table(t: tn.TNorm, r, table) -> dict:
-    """The pointwise cotensor r -> F of a tabulated functional."""
-    return {lam: tn.imp(t, r, v) for lam, v in table.items()}
+def cotensor_filter_table(grid: ValueGrid, r, table) -> dict:
+    """The pointwise cotensor r -> F of a functional tabulated on the grid."""
+    return {lam: tn.imp(grid.tnorm, r, v) for lam, v in table.items()}
 
 
-def kowalsky_sum(meta_generators, filters, t: tn.TNorm, grid: ValueGrid) -> ConicalFilter:
+def kowalsky_sum(meta_generators, filters) -> ConicalFilter:
     """Flatten a finitely generated filter of filters into a filter.
 
     Each meta generator xi assigns a grid level to every member filter; its
     contribution is the pointwise inf of xi(F) -> F, which for generated
-    members is generated by joins of scaled member generators.  The result is
-    returned as a generated filter and re-validated on construction.
+    members is generated by joins of scaled member generators.  The result,
+    on the members' one grid and size, is a generated filter, re-validated.
     """
     if not filters:
         raise RecatError("kowalsky sum needs a nonempty filter support")
+    grid, size = filters[0].grid, filters[0].size
+    if any((F.grid, F.size) != (grid, size) for F in filters):
+        raise RecatError("kowalsky sum members must share one grid and size")
     metas = [tuple(xi) for xi in meta_generators]
     for xi in metas:
         if len(xi) != len(filters):
             raise RecatError("meta generator length mismatch")
     if not _directed(metas, _pointwise_ge):
         raise RecatError("meta generators are not directed")
-    size = filters[0].size
     # inf_F (xi(F) -> F) is generated by { join_F xi(F) (*) g_F : g_F in gens(F) }
     gens = [
-        _column(_compose(t, (xi,), _columns(combo, size), tn.ZERO))
+        _column(_compose(grid.tnorm, (xi,), _columns(combo, size), tn.ZERO))
         for xi in metas
         for combo in iproduct(*(F.generators for F in filters))
     ]
@@ -329,7 +331,7 @@ def kowalsky_sum(meta_generators, filters, t: tn.TNorm, grid: ValueGrid) -> Coni
     for g in sorted(set(gens)):
         if not any(_pointwise_ge(g, h) for h in minimal):
             minimal.append(g)
-    return ConicalFilter(t, grid, size, tuple(minimal))
+    return ConicalFilter(grid, size, tuple(minimal))
 
 
 def conical_filter_check_float(t: tn.TNorm, size: int, rng, samples: int = 200) -> bool:
@@ -352,7 +354,7 @@ def conical_filter_check_float(t: tn.TNorm, size: int, rng, samples: int = 200) 
     return True
 
 
-def find_cf4_cotensor_witness(t: tn.TNorm, grid: ValueGrid, bound: int = 10**6):
+def find_cf4_cotensor_witness(grid: ValueGrid, bound: int = 10**6):
     """Search one-point filter tables whose cotensor escapes the filter class.
 
     Returns (table, r, lam, s) such that the table passes CF1..CF4 but the
@@ -368,11 +370,10 @@ def find_cf4_cotensor_witness(t: tn.TNorm, grid: ValueGrid, bound: int = 10**6):
         if values[-1] != tn.ONE:
             continue
         table = dict(zip(((p,) for p in pts), values))
-        if not filter_axiom_check(t, grid, 1, table)["pass"]:
+        if not filter_axiom_check(grid, table)["pass"]:
             continue
         for r in pts:
-            shifted = cotensor_filter_table(t, r, table)
-            rep = filter_axiom_check(t, grid, 1, shifted)
+            rep = filter_axiom_check(grid, cotensor_filter_table(grid, r, table))
             if rep["CF4"] is not None:
                 lam, s = rep["CF4"]
                 return table, r, lam, s
@@ -382,7 +383,7 @@ def find_cf4_cotensor_witness(t: tn.TNorm, grid: ValueGrid, bound: int = 10**6):
 # --- free-algebra monad on plain sets --------------------------------------
 
 
-def powerset_monad_check(t: tn.TNorm, grid: ValueGrid, size: int, rng, samples: int = 50) -> bool:
+def powerset_monad_check(grid: ValueGrid, size: int, rng, samples: int = 50) -> bool:
     """Unit and multiplication laws of the grid-valued powerset monad.
 
     m(L) = sup_g L(g) (*) g over grid functions g; both unit laws and the

@@ -208,6 +208,15 @@ def module_law_failure(L, grid, action):
     return None
 
 
+def negation_duality_check(grid, t):
+    """laws.negation_duality_check through tn.imp: x -> (x -> 0) -> 0 on each point in turn."""
+    for x in grid:
+        zero = type(x)(0)
+        if not tn.veq(tn.imp(t, tn.imp(t, x, zero), zero), x):
+            return False, x
+    return True, None
+
+
 def filter_axiom_report(t, grid, size, table):
     """CF1..CF4 on grid points through tn.imp: the report of laws.filter_axiom_check."""
     lams = list(iproduct(grid.points, repeat=size))

@@ -112,7 +112,7 @@ class TestWayBelow:
             assert balls.is_continuous_enriched(Q)
 
     def test_grid_v_all_compact(self):
-        V = fixtures.grid_v(tn.lukasiewicz, luka_grid(3))
+        V = fixtures.grid_v(luka_grid(3))
         assert all(balls.is_compact(V, a) for a in range(V.n))
 
 
@@ -156,16 +156,16 @@ class TestBallWayBelow:
 
 class TestEnrichedCD:
     def test_grid_v_lukasiewicz(self):
-        V = fixtures.grid_v(tn.lukasiewicz, luka_grid(3))
+        V = fixtures.grid_v(luka_grid(3))
         assert balls.is_completely_distributive_enriched(V) == (True, None)
 
     def test_grid_v_op_lukasiewicz(self):
-        Vop = fixtures.grid_v_op(tn.lukasiewicz, luka_grid(3))
+        Vop = fixtures.grid_v_op(luka_grid(3))
         assert balls.is_completely_distributive_enriched(Vop) == (True, None)
 
     def test_godel_op_counterexample(self):
         g = vals.grid_validate([0, F(1, 2), 1], tn.godel)
-        Gop = fixtures.grid_v_op(tn.godel, g)
+        Gop = fixtures.grid_v_op(g)
         ok, witness = balls.is_completely_distributive_enriched(Gop)
         assert not ok and witness is not None
 
@@ -184,8 +184,8 @@ class TestContinuousLatticeFormula:
         from recat.cat import underlying_order
 
         for V in (
-            fixtures.grid_v(tn.lukasiewicz, luka_grid(3)),
-            fixtures.grid_v(tn.godel, vals.grid_validate([0, F(1, 2), 1], tn.godel)),
+            fixtures.grid_v(luka_grid(3)),
+            fixtures.grid_v(vals.grid_validate([0, F(1, 2), 1], tn.godel)),
         ):
             P = underlying_order(V)
             for phi in ps.enumerate_weights(V):

@@ -8,7 +8,7 @@ import recat.cat as cat
 import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures, gen
-from recat.errors import NotAFunctorError
+from recat.errors import NotAFunctorError, RecatError
 
 
 def luka_grid(n):
@@ -34,6 +34,14 @@ class TestValidate:
         assert not rep.ok and rep.reason == "transitivity"
         y, z, x = rep.witness
         assert tn.conj(tn.lukasiewicz, X.hom[y][z], X.hom[x][y]) > X.hom[x][z]
+
+    def test_grid_closed_under_another_tnorm_rejected(self):
+        # gen.random_weight would close on the Lukasiewicz table and check
+        # the result under Godel
+        hom = ((F(1), F(1, 4)), (F(0), F(1)))
+        with pytest.raises(RecatError, match="closed under lukasiewicz, not godel"):
+            cat.EnrichedCategory(tn.godel, hom, ("a", "b"), luka_grid(4))
+        assert cat.validate(cat.EnrichedCategory(tn.godel, hom, ("a", "b"), vals.unit_grid(4, tn.godel))).ok
 
     def test_float_mode_tolerance(self):
         X = cat.EnrichedCategory(tn.product, ((1.0, 0.5), (0.25, 1.0 - 1e-15)))

@@ -151,7 +151,7 @@ class TestFlat:
 
     def test_representable_on_godel_grid_v(self):
         g = vals.grid_validate([0, F(1, 2), 1], tn.godel)
-        V = fixtures.grid_v(tn.godel, g)
+        V = fixtures.grid_v(g)
         ok, _, _ = cl.is_flat(ps.yoneda(V, 1))
         assert ok
 

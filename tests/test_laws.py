@@ -61,14 +61,14 @@ class TestModules:
 
     def test_grid_v_round_trip(self):
         g = luka_grid(3)
-        V = fixtures.grid_v(tn.lukasiewicz, g)
+        V = fixtures.grid_v(g)
         M = laws.category_to_module(V)
         A = laws.module_to_category(M)
         assert A.hom == V.hom
 
     def test_category_action_is_residuated(self):
         g = luka_grid(3)
-        V = fixtures.grid_v(tn.lukasiewicz, g)
+        V = fixtures.grid_v(g)
         M = laws.category_to_module(V)
         for ri, r in enumerate(g.points):
             for i, x in enumerate(g.points):
@@ -102,12 +102,12 @@ class TestModules:
 class TestNegation:
     def test_lukasiewicz_all_unit_grids(self):
         for n in range(2, 9):
-            ok, wit = laws.negation_duality_check(vals.unit_grid(n, tn.lukasiewicz), tn.lukasiewicz)
+            ok, wit = laws.negation_duality_check(vals.unit_grid(n, tn.lukasiewicz))
             assert ok and wit is None
 
     def test_godel_interior_witness(self):
         g = vals.grid_validate([0, F(1, 2), 1], tn.godel)
-        ok, wit = laws.negation_duality_check(g, tn.godel)
+        ok, wit = laws.negation_duality_check(g)
         assert not ok and wit == F(1, 2)
 
     def test_product_float_witness(self):
@@ -119,7 +119,7 @@ class TestConicalFilters:
     def test_principal_filter_passes(self):
         g = luka_grid(3)
         lam0 = (F(2, 3), F(1, 3))
-        Fp = laws.ConicalFilter(tn.lukasiewicz, g, 2, (lam0,))
+        Fp = laws.ConicalFilter(g, 2, (lam0,))
         rep = laws.conical_filter_check(Fp)
         assert rep["pass"]
 
@@ -133,28 +133,40 @@ class TestConicalFilters:
             for _ in range(10):
                 g1 = tuple(rng.choice(pts) for _ in range(2))
                 g2 = tuple(min(v, rng.choice(pts)) for v in g1)
-                Fg = laws.ConicalFilter(t, g, 2, (g1, g2))
+                Fg = laws.ConicalFilter(g, 2, (g1, g2))
                 assert laws.conical_filter_check(Fg)["pass"]
 
     def test_join_functional_fails_only_cf3(self):
         # F(lam) = max(lam) keeps CF1, CF2 and CF4 but not binary meets
         g = luka_grid(2)
-        rep = laws.filter_axiom_check(tn.lukasiewicz, g, 2, laws.filter_table(max, tn.lukasiewicz, g, 2))
+        rep = laws.filter_axiom_check(g, laws.filter_table(max, g, 2))
         cf3 = ((F(0), F(1, 2)), (F(1, 2), F(0)))
         assert rep == {"CF1": None, "CF2": None, "CF3": cf3, "CF4": None, "pass": False}
 
     def test_undirected_generators_rejected(self):
         g = luka_grid(3)
         with pytest.raises(RecatError):
-            laws.ConicalFilter(tn.lukasiewicz, g, 2, ((F(1), F(0)), (F(0), F(1))))
+            laws.ConicalFilter(g, 2, ((F(1), F(0)), (F(0), F(1))))
+
+    def test_off_grid_generator_entry_rejected(self):
+        # rejected here, not later inside the check as a bare ValueError
+        with pytest.raises(RecatError, match="generator entry 1/5 is not a grid point"):
+            laws.ConicalFilter(luka_grid(3), 1, ((F(1, 5),),))
+
+    def test_kowalsky_rejects_members_on_another_grid_or_size(self):
+        # a member on the 1/2 grid would put the point 1/2 into a sum on the 1/3 grid
+        F1 = laws.ConicalFilter(luka_grid(3), 1, ((F(0),),))
+        other_grid = laws.ConicalFilter(luka_grid(2), 1, ((F(1, 2),),))
+        other_size = laws.ConicalFilter(luka_grid(3), 2, ((F(0), F(0)),))
+        for F2 in (other_grid, other_size):
+            with pytest.raises(RecatError, match="share one grid and size"):
+                laws.kowalsky_sum([(F(1), F(1))], [F1, F2])
 
     def test_kowalsky_principal_identity(self):
         g = luka_grid(3)
-        F1 = laws.ConicalFilter(tn.lukasiewicz, g, 2, ((F(1), F(1, 3)),))
-        k = laws.kowalsky_sum([(tn.ONE,)], [F1], tn.lukasiewicz, g)
-        assert laws.filter_table(k, tn.lukasiewicz, g, 2) == laws.filter_table(
-            F1, tn.lukasiewicz, g, 2
-        )
+        F1 = laws.ConicalFilter(g, 2, ((F(1), F(1, 3)),))
+        k = laws.kowalsky_sum([(tn.ONE,)], [F1])
+        assert laws.filter_table(k, g, 2) == laws.filter_table(F1, g, 2)
 
     def test_kowalsky_matches_pointwise_formula(self):
         # the generated result evaluates the closed form
@@ -163,10 +175,10 @@ class TestConicalFilters:
 
         g = luka_grid(3)
         t = tn.lukasiewicz
-        F1 = laws.ConicalFilter(t, g, 2, ((F(1), F(0)),))
-        F2 = laws.ConicalFilter(t, g, 2, ((F(1, 3), F(1, 3)),))
+        F1 = laws.ConicalFilter(g, 2, ((F(1), F(0)),))
+        F2 = laws.ConicalFilter(g, 2, ((F(1, 3), F(1, 3)),))
         metas = [(F(1), F(2, 3)), (F(1, 3), F(1)), (F(1, 3), F(2, 3))]
-        k = laws.kowalsky_sum(metas, [F1, F2], t, g)
+        k = laws.kowalsky_sum(metas, [F1, F2])
         for lam in iproduct(g.points, repeat=2):
             direct = max(
                 min(tn.imp(t, xi[0], F1(lam)), tn.imp(t, xi[1], F2(lam))) for xi in metas
@@ -175,45 +187,42 @@ class TestConicalFilters:
 
     def test_kowalsky_rejects_undirected_meta(self):
         g = luka_grid(3)
-        t = tn.lukasiewicz
-        F1 = laws.ConicalFilter(t, g, 2, ((F(1), F(0)),))
-        F2 = laws.ConicalFilter(t, g, 2, ((F(1, 3), F(1, 3)),))
+        F1 = laws.ConicalFilter(g, 2, ((F(1), F(0)),))
+        F2 = laws.ConicalFilter(g, 2, ((F(1, 3), F(1, 3)),))
         with pytest.raises(RecatError):
-            laws.kowalsky_sum([(F(1), F(2, 3)), (F(1, 3), F(1))], [F1, F2], t, g)
+            laws.kowalsky_sum([(F(1), F(2, 3)), (F(1, 3), F(1))], [F1, F2])
 
     def test_kowalsky_output_passes_axioms(self):
         g = luka_grid(3)
-        t = tn.lukasiewicz
-        F1 = laws.ConicalFilter(t, g, 2, ((F(1), F(0)),))
-        F2 = laws.ConicalFilter(t, g, 2, ((F(0), F(1)),))
-        k = laws.kowalsky_sum([(F(2, 3), F(1))], [F1, F2], t, g)
+        F1 = laws.ConicalFilter(g, 2, ((F(1), F(0)),))
+        F2 = laws.ConicalFilter(g, 2, ((F(0), F(1)),))
+        k = laws.kowalsky_sum([(F(2, 3), F(1))], [F1, F2])
         assert laws.conical_filter_check(k)["pass"]
 
 
 class TestCotensorWitness:
     def test_interior_block_escapes(self):
-        t = fixtures.upper_block_sum()
         g = fixtures.upper_block_grid()
-        wit = laws.find_cf4_cotensor_witness(t, g)
+        wit = laws.find_cf4_cotensor_witness(g)
         assert wit is not None
         table, r, lam, s = wit
-        assert laws.filter_axiom_check(t, g, 1, table)["pass"]
-        shifted = laws.cotensor_filter_table(t, r, table)
-        rep = laws.filter_axiom_check(t, g, 1, shifted)
+        assert laws.filter_axiom_check(g, table)["pass"]
+        shifted = laws.cotensor_filter_table(g, r, table)
+        rep = laws.filter_axiom_check(g, shifted)
         assert rep["CF4"] is not None
         # the other three axioms survive the cotensor
         assert rep["CF1"] is None and rep["CF2"] is None and rep["CF3"] is None
 
     def test_witness_is_the_first_in_lexicographic_table_order(self):
         g = fixtures.upper_block_grid()
-        table, r, lam, s = laws.find_cf4_cotensor_witness(fixtures.upper_block_sum(), g)
+        table, r, lam, s = laws.find_cf4_cotensor_witness(g)
         assert [table[(p,)] for p in g.points] == [F(0), F(1, 2), F(1, 2), F(5, 8), F(3, 4), F(7, 8), F(1)]
         assert (r, lam, s) == (F(5, 8), (F(1, 4),), F(1, 2))
 
     def test_base_tnorms_closed(self):
-        assert laws.find_cf4_cotensor_witness(tn.lukasiewicz, luka_grid(4)) is None
+        assert laws.find_cf4_cotensor_witness(luka_grid(4)) is None
         g = vals.grid_validate([0, F(1, 4), F(1, 2), F(3, 4), 1], tn.godel)
-        assert laws.find_cf4_cotensor_witness(tn.godel, g) is None
+        assert laws.find_cf4_cotensor_witness(g) is None
 
     def test_zero_start_block_closed(self):
         # a Lukasiewicz block starting at 0 keeps the implication continuous
@@ -221,7 +230,7 @@ class TestCotensorWitness:
         t = tn.ordinal_sum((0, F(1, 2), tn.LUKASIEWICZ))
         g = vals.grid_validate([0, F(1, 4), F(1, 2), F(3, 4), 1], t)
         assert tn.continuous_off_diagonal(t)
-        assert laws.find_cf4_cotensor_witness(t, g) is None
+        assert laws.find_cf4_cotensor_witness(g) is None
 
 
 class TestFloatFilters:
@@ -237,6 +246,6 @@ class TestFloatFilters:
 class TestPowersetMonad:
     def test_laws_hold(self):
         rng = random.Random(6)
-        assert laws.powerset_monad_check(tn.lukasiewicz, luka_grid(2), 2, rng, samples=15)
+        assert laws.powerset_monad_check(luka_grid(2), 2, rng, samples=15)
         g = vals.grid_validate([0, F(1, 2), 1], tn.godel)
-        assert laws.powerset_monad_check(tn.godel, g, 2, rng, samples=15)
+        assert laws.powerset_monad_check(g, 2, rng, samples=15)

@@ -109,7 +109,7 @@ class TestColim:
 
     def test_grid_v_colim_is_value_at_one(self):
         g = luka_grid(3)
-        V = fixtures.grid_v(tn.lukasiewicz, g)
+        V = fixtures.grid_v(g)
         for phi in ps.enumerate_weights(V):
             c = ps.colim(phi)
             assert c is not None
@@ -135,7 +135,7 @@ class TestColim:
 
     def test_lim_dualizes(self):
         g = luka_grid(3)
-        V = fixtures.grid_v(tn.lukasiewicz, g)
+        V = fixtures.grid_v(g)
         for psi in ps.enumerate_coweights(V):
             c = ps.lim(psi)
             assert c is not None
@@ -167,7 +167,7 @@ class TestWeightedColim:
 
     def test_functor_into_grid_v_is_pairing(self):
         g = luka_grid(3)
-        V = fixtures.grid_v(tn.lukasiewicz, g)
+        V = fixtures.grid_v(g)
         rng = random.Random(5)
         for _ in range(10):
             K = gen.random_category(rng, 2, g)
@@ -180,7 +180,7 @@ class TestWeightedColim:
 
     def test_join_of_tensors_on_cocomplete(self):
         g = luka_grid(3)
-        V = fixtures.grid_v(tn.lukasiewicz, g)
+        V = fixtures.grid_v(g)
         rng = random.Random(6)
         from recat.cat import underlying_order
 
@@ -204,7 +204,7 @@ class TestTensors:
 
     def test_grid_v_formulas(self):
         g = luka_grid(3)
-        V = fixtures.grid_v(tn.lukasiewicz, g)
+        V = fixtures.grid_v(g)
         for r in g.points:
             for i, x in enumerate(g.points):
                 assert g.points[ps.tensor(V, r, i)] == tn.conj(tn.lukasiewicz, r, x)
@@ -216,7 +216,7 @@ class TestTensors:
 
     def test_cocompleteness_verdicts(self):
         g = luka_grid(3)
-        assert ps.is_cocomplete_over_grid(fixtures.grid_v(tn.lukasiewicz, g))
+        assert ps.is_cocomplete_over_grid(fixtures.grid_v(g))
         assert not ps.is_cocomplete_over_grid(fixtures.d2(tn.lukasiewicz, g))
         assert not ps.is_cocomplete_over_grid(fixtures.a2())
 

@@ -166,7 +166,7 @@ def test_kowalsky_generator_join(seed):
     rng = random.Random(seed)
     t, grid = tn.lukasiewicz, vals.unit_grid(6, tn.lukasiewicz)
     size, count = rng.randint(1, 3), rng.randint(1, 3)
-    filters = [laws.ConicalFilter(t, grid, size, directed(rng, grid.points, size)) for _ in range(count)]
+    filters = [laws.ConicalFilter(grid, size, directed(rng, grid.points, size)) for _ in range(count)]
     metas = directed(rng, grid.points, count)
     joins = {
         tuple(max(tn.conj(t, xi[k], combo[k][i]) for k in range(count)) for i in range(size))
@@ -174,7 +174,7 @@ def test_kowalsky_generator_join(seed):
         for combo in iproduct(*(F.generators for F in filters))
     }
     minimal = [g for g in joins if not any(h != g and all(a >= b for a, b in zip(g, h)) for h in joins)]
-    assert laws.kowalsky_sum(metas, filters, t, grid).generators == tuple(sorted(minimal))
+    assert laws.kowalsky_sum(metas, filters).generators == tuple(sorted(minimal))
 
 
 @pytest.mark.parametrize("n", range(1, 4))
