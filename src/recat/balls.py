@@ -60,7 +60,7 @@ def directed_join(X: EnrichedCategory, balls):
 
 def way_below_distributor(X: EnrichedCategory, bound: int = 10**6) -> Rel:
     """w(y, x) = inf over grid ideals with colimits of (X(x, colim) -> ideal(y))."""
-    if X.mode != "exact" or X.grid is None:
+    if X.grid is None:
         raise RecatError("the way-below distributor enumerates grid ideals; exact mode required")
     ideals = []
     for phi in enumerate_weights(X, bound):

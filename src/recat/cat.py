@@ -59,6 +59,7 @@ class EnrichedCategory:
         modes = {tn.mode_of(v) for row in rows for v in row}
         if len(modes) > 1:
             raise ModeMismatchError("hom matrix mixes exact and float values")
+        vals._check_on_grid((v for row in rows for v in row), self.grid, "hom value ")
 
     @property
     def n(self) -> int:
@@ -104,14 +105,11 @@ class EnrichedCategory:
         names = tuple(vals._json_array(data.get("names"), "names", optional=True))
         if not all(isinstance(a, str) for a in names) or len(set(names)) < len(names):
             raise RecatError(f"names must be distinct strings, got {list(names)}")
-        X = EnrichedCategory(t, hom, names, grid)
-        vals._check_on_grid((v for row in X.hom for v in row), grid, "hom value ")
-        return X
+        return EnrichedCategory(t, hom, names, grid)
 
 
-def terminal(t: tn.TNorm, grid=None, mode="exact") -> EnrichedCategory:
-    one = tn.ONE if mode == "exact" else 1.0
-    return EnrichedCategory(t, ((one,),), ("*",), grid)
+def terminal(t: tn.TNorm, grid=None) -> EnrichedCategory:
+    return EnrichedCategory(t, ((tn.ONE,),), ("*",), grid)
 
 
 @dataclass
@@ -159,10 +157,8 @@ def hom_rel(X: EnrichedCategory) -> Rel:
     return Rel(X.n, X.n, X.hom)
 
 
-def identity_rel(n: int, mode="exact") -> Rel:
-    one = tn.ONE if mode == "exact" else 1.0
-    zero = tn.ZERO if mode == "exact" else 0.0
-    return Rel(n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+def identity_rel(n: int) -> Rel:
+    return Rel(n, n, tuple(tuple(tn.ONE if i == j else tn.ZERO for j in range(n)) for i in range(n)))
 
 
 # The relation kernel: the sup-(*) and inf-(->) loops under compose, the

@@ -105,7 +105,7 @@ def is_conically_flat(phi: Weight):
 
 def _coweight_family(X: EnrichedCategory, bound: int, rng):
     """Exhaustive grid coweights when affordable, otherwise a generated family."""
-    if X.mode == "exact" and X.grid is not None and len(X.grid.points) ** X.n <= bound:
+    if X.grid is not None and len(X.grid.points) ** X.n <= bound:
         return enumerate_coweights(X, bound), True
     fam = []
     seen = set()
@@ -228,7 +228,7 @@ def cauchy_completion(X: EnrichedCategory, bound: int = 10**6):
     Weights are separated, so isomorphism classes are literal equality of
     value vectors; the embedding sends x to the class of its Yoneda weight.
     """
-    if X.mode != "exact" or X.grid is None:
+    if X.grid is None:
         raise RecatError("cauchy completion enumerates grid weights; exact mode required")
     cauchys = [phi for phi in enumerate_weights(X, bound) if is_cauchy(phi) is not None]
     hom = tuple(tuple(sub(p1, p2) for p2 in cauchys) for p1 in cauchys)

@@ -123,6 +123,8 @@ def cmd_balls(args) -> int:
     X = _valid_category(args.category)
     grid = X.grid
     if args.grid:
+        if X.mode != "exact":
+            raise _ParseFailure("a grid holds exact values; the category's hom is float")
         grid = _grid_option(args.grid, X.tnorm)
     print(ball_poset_dot(X, grid))
     return EXIT_OK

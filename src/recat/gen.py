@@ -10,7 +10,7 @@ import random
 
 from . import tnorm as tn
 from .cat import EnrichedCategory, EnrichedFunctor, opposite
-from .errors import NotAFunctorError
+from .errors import NotAFunctorError, RecatError
 from .laws import ModuleAction
 from .poset import FinitePoset, chain, closure, lattice_catalog
 from .presheaf import Coweight, Weight, _dual
@@ -125,8 +125,10 @@ def random_module(
     """A random grid module: a chain module or a trivial one on a catalog lattice.
 
     Without a grid, a chain module acts by a grid of at most max_size points
-    and the trivial modules by {0, 1}; with one, every module acts by it.
+    and the trivial modules by {0, 1}; with one, closed under t, every module acts by it.
     """
+    if grid is not None and grid.tnorm != t:
+        raise RecatError(f"the grid is closed under {grid.tnorm}, not {t}")
     kind = rng.randrange(4)
     if kind < 2:
         if grid is None:

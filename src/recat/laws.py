@@ -157,7 +157,7 @@ def module_to_category(M: ModuleAction) -> EnrichedCategory:
 
 def category_to_module(A: EnrichedCategory) -> ModuleAction:
     """Tensors of a separated grid-cocomplete category, packaged as an action."""
-    if A.grid is None or A.mode != "exact":
+    if A.grid is None:
         raise RecatError("module extraction needs exact mode with a grid")
     if not is_separated(A):
         raise RecatError("module extraction needs a separated carrier")

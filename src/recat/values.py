@@ -136,11 +136,13 @@ class ValueGrid:
 
 
 def _check_on_grid(values, grid: ValueGrid | None, what: str = ""):
-    """Raise on the first exact value that is not a grid point; floats and no grid pass."""
+    """Raise on the first value that is not an exact grid point (an int or a Fraction); no grid passes."""
     if grid is not None:
         for v in values:
-            if isinstance(v, Fraction) and v not in grid:
-                raise RecatError(f"{what}{format_value(v)} is not a grid point")
+            exact = type(v) in (Fraction, int)
+            if not exact or v not in grid._pos:
+                why = "" if exact else "; a grid holds exact values"
+                raise RecatError(f"{what}{v if exact else repr(v)} is not a grid point{why}")
 
 
 def grid_validate(points, t: tn.TNorm) -> ValueGrid:

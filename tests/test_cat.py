@@ -43,6 +43,14 @@ class TestValidate:
             cat.EnrichedCategory(tn.godel, hom, ("a", "b"), luka_grid(4))
         assert cat.validate(cat.EnrichedCategory(tn.godel, hom, ("a", "b"), vals.unit_grid(4, tn.godel))).ok
 
+    def test_float_hom_beside_a_grid_rejected(self):
+        with pytest.raises(RecatError, match="hom value 1.0 is not a grid point; a grid holds exact values"):
+            cat.EnrichedCategory(tn.lukasiewicz, ((1.0, 0.5), (0.0, 1.0)), (), luka_grid(2))
+
+    def test_exact_hom_value_off_its_grid_rejected(self):
+        with pytest.raises(RecatError, match="hom value 1/3 is not a grid point"):
+            cat.EnrichedCategory(tn.lukasiewicz, ((F(1), F(1, 3)), (F(0), F(1))), (), luka_grid(2))
+
     def test_float_mode_tolerance(self):
         X = cat.EnrichedCategory(tn.product, ((1.0, 0.5), (0.25, 1.0 - 1e-15)))
         assert cat.validate(X).ok

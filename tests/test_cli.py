@@ -250,6 +250,22 @@ class TestMalformedInput:
         code, out = run(capsys, "classify", str(a2), str(w))
         assert code == 2 and "not a grid point" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("command", ["check", "classify", "complete", "balls"])
+    def test_float_hom_beside_a_grid_exits_2(self, tmp_path, capsys, command):
+        # a grid holds exact values; such a file used to get answers that
+        # depended on the command and the weight
+        c, w = tmp_path / "c.json", tmp_path / "w.json"
+        c.write_text(json.dumps({"tnorm": "lukasiewicz", "grid": ["0", "1/2", "1"], "hom": [[1.0, 0.5], [0.0, 1.0]]}))
+        w.write_text(json.dumps({"values": [1.0, 0.0]}))
+        code, out = run(capsys, command, str(c), *([str(w)] if command == "classify" else []))
+        assert code == 2 and "error" in json.loads(out)
+
+    def test_grid_option_on_a_float_category_exits_2(self, tmp_path, capsys):
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps({"tnorm": "lukasiewicz", "hom": [[1.0, 0.5], [0.0, 1.0]]}))
+        code, out = run(capsys, "balls", str(c), "--grid", "{0,1/2,1}")
+        assert code == 2 and "error" in json.loads(out)
+
     @pytest.mark.parametrize(
         "category, values",
         [

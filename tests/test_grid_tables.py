@@ -235,3 +235,9 @@ def test_random_module_on_a_grid_uses_that_grid_for_every_kind():
         M = gen.random_module(rng, g.tnorm, grid=g)
         assert M.grid is g
         assert laws.modules_isomorphic(M, laws.category_to_module(laws.module_to_category(M)))
+
+
+def test_random_module_rejects_a_grid_closed_under_another_tnorm():
+    # the grid used to win silently: this returned a Lukasiewicz module
+    with pytest.raises(RecatError, match="closed under lukasiewicz, not godel"):
+        gen.random_module(random.Random(0), tn.godel, grid=vals.unit_grid(3, tn.lukasiewicz))

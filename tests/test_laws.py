@@ -152,6 +152,10 @@ class TestConicalFilters:
         # rejected here, not later inside the check as a bare ValueError
         with pytest.raises(RecatError, match="generator entry 1/5 is not a grid point"):
             laws.ConicalFilter(luka_grid(3), 1, ((F(1, 5),),))
+        # a grid holds exact values: 0.5 and "1/2" name a point but are none
+        for entry in (0.5, "1/2"):
+            with pytest.raises(RecatError, match=f"generator entry {entry!r} is not a grid point"):
+                laws.ConicalFilter(luka_grid(2), 1, ((entry,),))
 
     def test_kowalsky_rejects_members_on_another_grid_or_size(self):
         # a member on the 1/2 grid would put the point 1/2 into a sum on the 1/3 grid
