@@ -2,8 +2,11 @@
 
 A formal ball is a pair (element, radius) ordered by r <= s (*) X(x, y).
 Radius candidates for join searches extend the grid by the finitely many
-critical products arising from the inputs.  The way-below distributor and its
-finite-carrier collapse X \\ X are inf-(->) residuals in the relation kernel.
+critical products arising from the inputs.  The way-below distributor is a
+closed form: on a finite carrier every ideal is representable, so its inf over
+ideals runs over the Yoneda weights and it is X \\ X (an inf-(->) residual in
+the relation kernel), which equals X.  Compactness, continuity, interpolation
+and ball way-below are read off it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from . import tnorm as tn
 from .cat import EnrichedCategory, Rel, _columns, _residual_left, compose, hom_rel, rel_eq, residual_right
 from .errors import RecatError
 from .poset import _directed, _least
-from .presheaf import Weight, colim, enumerate_weights, is_cocomplete_over_grid, yoneda
+from .presheaf import Weight, _grid_space, colim, enumerate_weights, is_cocomplete_over_grid, yoneda
 from .classify import is_ideal
 
 
@@ -59,24 +62,14 @@ def directed_join(X: EnrichedCategory, balls):
 
 
 def way_below_distributor(X: EnrichedCategory, bound: int = 10**6) -> Rel:
-    """w(y, x) = inf over grid ideals with colimits of (X(x, colim) -> ideal(y))."""
-    if X.grid is None:
-        raise RecatError("the way-below distributor enumerates grid ideals; exact mode required")
-    ideals = []
-    for phi in enumerate_weights(X, bound):
-        if is_ideal(phi)[0]:
-            c = colim(phi)
-            if c is not None:
-                ideals.append((phi, c))
-    if not ideals:
+    """w(y, x) = inf over grid ideals phi with a colimit c of (X(x, c) -> phi(y)).
+
+    Every ideal on a finite carrier is representable, so w is X \\ X, which is X.
+    """
+    _grid_space(X, bound, "the way-below distributor")
+    if X.n == 0:
         raise RecatError("no ideals with colimits; carrier is empty")
-    return Rel(X.n, X.n, _columns(_below(X, ideals), X.n))
-
-
-def _below(X: EnrichedCategory, pairs):
-    """m[x][y] = inf over (phi, c) in pairs of X(x, c) -> phi(y); row x is the below-weight at x."""
-    at_colims = tuple(tuple(row[c] for _, c in pairs) for row in X.hom)
-    return _residual_left(X.tnorm, _columns(tuple(phi.values for phi, _ in pairs), X.n), at_colims, X.one)
+    return way_below_via_representables(X)
 
 
 def way_below_via_representables(X: EnrichedCategory) -> Rel:
@@ -141,13 +134,13 @@ def is_completely_distributive_enriched(X: EnrichedCategory):
     if not is_cocomplete_over_grid(X):
         raise RecatError("enriched complete distributivity needs a grid-cocomplete carrier")
     weights = enumerate_weights(X)
-    pairs = []
-    for phi in weights:
-        c = colim(phi)
-        if c is None:
-            raise RecatError("grid-cocomplete carrier is missing a colimit")
-        pairs.append((phi, c))
-    for x, vec in enumerate(_below(X, pairs)):
+    colims = [colim(phi) for phi in weights]
+    if None in colims:
+        raise RecatError("grid-cocomplete carrier is missing a colimit")
+    # below[x][y] = inf over phi of X(x, colim phi) -> phi(y): row x is the below-weight at x
+    at_colims = tuple(tuple(row[c] for c in colims) for row in X.hom)
+    below = _residual_left(X.tnorm, _columns(tuple(phi.values for phi in weights), X.n), at_colims, X.one)
+    for x, vec in enumerate(below):
         c = colim(Weight(X, vec))
         if c is None or not (X.leq1(X.hom[c][x]) and X.leq1(X.hom[x][c])):
             return False, x

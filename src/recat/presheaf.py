@@ -228,12 +228,18 @@ def f_inv_coweight(f: EnrichedFunctor, mu: Coweight) -> Coweight:
 # --- enumeration ----------------------------------------------------------
 
 
-def _lawful(X: EnrichedCategory, bound: int, what: str):
-    """Every grid vector that the weight law accepts, lexicographically; `what` names it in errors."""
+def _grid_space(X: EnrichedCategory, bound: int, task: str = "weight enumeration", what: str = "weight"):
+    """Raise unless X has a grid with len(grid) ** n <= bound: the precondition of a grid
+    vector search and of the closed forms that stand for one; `task` and `what` name them in errors."""
     if X.grid is None:
-        raise RecatError(f"{what} enumeration needs a grid")
+        raise RecatError(f"{task} needs a grid")
     if len(X.grid.points) ** X.n > bound:
         raise BoundExceededError(f"{what} space exceeds bound")
+
+
+def _lawful(X: EnrichedCategory, bound: int, what: str):
+    """Every grid vector that the weight law accepts, lexicographically; `what` names it in errors."""
+    _grid_space(X, bound, f"{what} enumeration", what)
     out = []
     for vec in iproduct(X.grid.points, repeat=X.n):
         try:

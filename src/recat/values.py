@@ -112,9 +112,6 @@ class ValueGrid:
         object.__setattr__(self, "conj_table", tuple(conj_rows))
         object.__setattr__(self, "imp_table", tuple(imp_rows))
 
-    def __contains__(self, v):
-        return Fraction(v) in self._pos
-
     def __len__(self):
         return len(self.points)
 

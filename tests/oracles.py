@@ -10,11 +10,13 @@ from itertools import product as iproduct
 from operator import and_
 
 import recat.tnorm as tn
-from recat.cat import EnrichedCategory, opposite
+from recat.cat import EnrichedCategory, Rel, _columns, _residual_left, is_separated, opposite
+from recat.classify import is_cauchy, is_ideal, is_representable
+from recat.errors import RecatError
 from recat.gen import _godel_grid, _relabel_module, _trivial_module
 from recat.laws import ModuleAction, _cf_failures
 from recat.poset import FinitePoset, _subsets, boolean_lattice, chain, closure, lattice_catalog, posets_isomorphic
-from recat.presheaf import _dual, weight_closure
+from recat.presheaf import _dual, colim, enumerate_weights, sub, weight_closure, yoneda
 from recat.values import grid_validate, unit_grid
 
 
@@ -255,3 +257,67 @@ def powerset_monad_check(t, grid, size, rng, samples=50):
         if lhs != tuple(max(tn.conj(t, r, a), b) for a, b in zip(mult(big1), mult(big2))):
             return False
     return True
+
+
+# --- completions and the way-below distributor by grid-weight search ------
+# The library computes these as closed forms (every sup on a finite carrier is
+# a max, so Cauchy and ideal weights are representable); these search all
+# |grid|^n weights as the definitions read.
+
+
+def cauchy_completion(X: EnrichedCategory, bound: int = 10**6):
+    """(completion, embedding): distinct Cauchy grid weights under sub.
+
+    Weights are separated, so isomorphism classes are literal equality of
+    value vectors; the embedding sends x to the class of its Yoneda weight.
+    """
+    if X.grid is None:
+        raise RecatError("cauchy completion enumerates grid weights; exact mode required")
+    cauchys = [phi for phi in enumerate_weights(X, bound) if is_cauchy(phi) is not None]
+    hom = tuple(tuple(sub(p1, p2) for p2 in cauchys) for p1 in cauchys)
+    names = tuple(f"c{i}" for i in range(len(cauchys)))
+    completion = EnrichedCategory(X.tnorm, hom, names, X.grid)
+    index = {phi.values: i for i, phi in enumerate(cauchys)}
+    embedding = tuple(index[yoneda(X, x).values] for x in range(X.n))
+    return completion, embedding
+
+
+def is_smyth_complete(X: EnrichedCategory) -> bool:
+    """Separated and every enumerated grid ideal representable."""
+    if not is_separated(X):
+        return False
+    for phi in enumerate_weights(X):
+        if is_ideal(phi)[0] and is_representable(phi) is None:
+            return False
+    return True
+
+
+def is_smyth_completable(X: EnrichedCategory) -> bool:
+    """Every enumerated grid ideal is a Cauchy weight (separated carrier)."""
+    if not is_separated(X):
+        raise RecatError("smyth completability is postulated for separated carriers")
+    for phi in enumerate_weights(X):
+        if is_ideal(phi)[0] and is_cauchy(phi) is None:
+            return False
+    return True
+
+
+def way_below_distributor(X: EnrichedCategory, bound: int = 10**6) -> Rel:
+    """w(y, x) = inf over grid ideals with colimits of (X(x, colim) -> ideal(y))."""
+    if X.grid is None:
+        raise RecatError("the way-below distributor enumerates grid ideals; exact mode required")
+    ideals = []
+    for phi in enumerate_weights(X, bound):
+        if is_ideal(phi)[0]:
+            c = colim(phi)
+            if c is not None:
+                ideals.append((phi, c))
+    if not ideals:
+        raise RecatError("no ideals with colimits; carrier is empty")
+    return Rel(X.n, X.n, _columns(_below(X, ideals), X.n))
+
+
+def _below(X: EnrichedCategory, pairs):
+    """m[x][y] = inf over (phi, c) in pairs of X(x, c) -> phi(y); row x is the below-weight at x."""
+    at_colims = tuple(tuple(row[c] for _, c in pairs) for row in X.hom)
+    return _residual_left(X.tnorm, _columns(tuple(phi.values for phi, _ in pairs), X.n), at_colims, X.one)
