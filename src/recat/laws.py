@@ -7,12 +7,13 @@ modes, comparing through tn.vle/tn.veq (exact on Fractions, within TOL on
 floats), so their float checks run the exact checkers on sampled points.
 The module, negation, filter-axiom and powerset checks take the ValueGrid
 alone, t-norm included, and work on grid indices through its conj/imp
-tables; the Kowalsky generator join is one sup-(*) composition in the kernel.
+tables, as do filter evaluation and the filter cotensor; the Kowalsky
+generator join is one sup-(*) composition in the kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb
@@ -221,22 +222,28 @@ class ConicalFilter:
     grid: ValueGrid
     size: int
     generators: tuple
+    # the generators as grid indices, kept from the construction check
+    _indices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(tuple(v for v in g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise RecatError("a conical filter needs at least one generator")
+        indices = []
         for g in gens:
             if len(g) != self.size:
                 raise RecatError("generator length mismatch")
-            _check_on_grid(g, self.grid, "generator entry ")
+            indices.append(tuple(_check_on_grid(g, self.grid, "generator entry ")))
+        object.__setattr__(self, "_indices", tuple(indices))
         if not _directed(gens, _pointwise_ge):
             raise RecatError("generators are not directed")
 
     def __call__(self, lam):
-        imp = partial(tn.imp, self.grid.tnorm)
-        return max(_sub_vec(imp, g, tuple(lam)) for g in self.generators)
+        """F(lam) on grid indices through the imp table; lam must lie on the grid."""
+        grid = self.grid
+        imp, at = grid.imp_table, _check_on_grid(lam, grid, "argument entry ")
+        return grid.points[max(min(imp[a][b] for a, b in zip(g, at)) for g in self._indices)]
 
 
 def filter_table(F, grid: ValueGrid, size: int) -> dict:
@@ -296,8 +303,11 @@ def conical_filter_check(F: ConicalFilter) -> dict:
 
 
 def cotensor_filter_table(grid: ValueGrid, r, table) -> dict:
-    """The pointwise cotensor r -> F of a functional tabulated on the grid."""
-    return {lam: tn.imp(grid.tnorm, r, v) for lam, v in table.items()}
+    """The pointwise cotensor r -> F of a functional tabulated on the grid, read off the
+    imp table's row at r; r and the values must be exact grid points."""
+    row = grid.imp_table[_check_on_grid((r,), grid, "cotensor scalar ")[0]]
+    at = _check_on_grid(table.values(), grid, "table value ")
+    return {lam: grid.points[row[i]] for lam, i in zip(table, at)}
 
 
 def kowalsky_sum(meta_generators, filters) -> ConicalFilter:

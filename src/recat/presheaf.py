@@ -5,6 +5,11 @@ formula is one relation-kernel call on it, the hom, and the graph or cograph of
 a functor, exact on grid points and tolerance-compared in float mode.  A
 coweight on X (1 -+-> X) is a weight on X^op, so each coweight operation is its
 weight counterpart on `opposite(X)`, read back through `_dual`.
+
+On a category with a grid, the weight law is checked on grid indices through
+the grid's conj table, and `tensor` reads r -> - off its imp table; a weight
+value off the grid (an off-grid rational, a float, a bool or a string) is
+rejected on construction.  Without a grid the law is a scalar loop over tn.conj.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from itertools import product as iproduct
 from . import tnorm as tn
 from .cat import EnrichedCategory, EnrichedFunctor, Rel, _compose, _residual_left, opposite, underlying_order
 from .errors import AxiomError, BoundExceededError, CarrierMismatchError, RecatError
+from .values import _check_on_grid
 
 
 @dataclass(frozen=True)
@@ -29,9 +35,20 @@ class Weight:
         X = self.base
         if len(self.values) != X.n:
             raise CarrierMismatchError("weight length differs from carrier")
-        for x1 in range(X.n):
-            for x2 in range(X.n):
-                if not tn.vle(X.conj(self.values[x2], X.hom[x1][x2]), self.values[x1]):
+        grid = X.grid
+        if grid is None:
+            for x1 in range(X.n):
+                for x2 in range(X.n):
+                    if not tn.vle(X.conj(self.values[x2], X.hom[x1][x2]), self.values[x1]):
+                        raise AxiomError("not a weight", witness=(x1, x2))
+            return
+        # on a grid the law is read off the conj table, on indices; indices ascend with the points
+        i = _check_on_grid(self.values, grid)
+        pos, conj = grid._pos, grid.conj_table
+        for x1, row in enumerate(X.hom):
+            top = i[x1]
+            for x2, h in enumerate(row):
+                if conj[i[x2]][pos[h]] > top:
                     raise AxiomError("not a weight", witness=(x1, x2))
 
     def __call__(self, x: int):
@@ -65,7 +82,8 @@ class Coweight:
 
 
 def _same_base(a, b):
-    if a.base is not b.base and a.base.hom != b.base.hom:
+    A, B = a.base, b.base
+    if A is not B and (A.hom != B.hom or A.tnorm != B.tnorm):
         raise CarrierMismatchError("weights live on different bases")
 
 
@@ -164,8 +182,13 @@ def weighted_colim(phi: Weight, f: EnrichedFunctor):
 
 
 def tensor(X: EnrichedCategory, r, x: int):
-    """Element c with X(c, y) = r -> X(x, y) for all y, or None."""
-    return _representing(X.hom, tuple(X.imp(r, X.hom[x][y]) for y in range(X.n)))
+    """Element c with X(c, y) = r -> X(x, y) for all y, or None; on a grid, r -> - is a row
+    of the imp table."""
+    grid = X.grid
+    if grid is None:
+        return _representing(X.hom, tuple(X.imp(r, h) for h in X.hom[x]))
+    row, pos = grid.imp_table[_check_on_grid((r,), grid, "tensor scalar ")[0]], grid._pos
+    return _representing(X.hom, tuple(grid.points[row[pos[h]]] for h in X.hom[x]))
 
 
 def cotensor(X: EnrichedCategory, r, y: int):

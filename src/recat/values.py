@@ -133,13 +133,20 @@ class ValueGrid:
 
 
 def _check_on_grid(values, grid: ValueGrid | None, what: str = ""):
-    """Raise on the first value that is not an exact grid point (an int or a Fraction); no grid passes."""
-    if grid is not None:
-        for v in values:
-            exact = type(v) in (Fraction, int)
-            if not exact or v not in grid._pos:
-                why = "" if exact else "; a grid holds exact values"
-                raise RecatError(f"{what}{v if exact else repr(v)} is not a grid point{why}")
+    """The grid index of each value, as a list; raise on the first value that is not an
+    exact grid point (an int or a Fraction).  With no grid every value passes and the
+    result is None."""
+    if grid is None:
+        return None
+    pos, out = grid._pos, []
+    for v in values:
+        exact = type(v) in (Fraction, int)
+        i = pos.get(v) if exact else None
+        if i is None:
+            why = "" if exact else "; a grid holds exact values"
+            raise RecatError(f"{what}{v if exact else repr(v)} is not a grid point{why}")
+        out.append(i)
+    return out
 
 
 def grid_validate(points, t: tn.TNorm) -> ValueGrid:

@@ -210,6 +210,39 @@ def module_law_failure(L, grid, action):
     return None
 
 
+def weight_law_witness(X, values):
+    """The first (x1, x2), x1-major, with values[x2] (*) X(x1, x2) > values[x1], or None.
+
+    The Weight law check as a scalar loop through tn.conj, as it runs on a
+    category without a grid; the library reads a gridded category's law off
+    its grid's conj table.
+    """
+    for x1 in range(X.n):
+        for x2 in range(X.n):
+            if not tn.vle(tn.conj(X.tnorm, values[x2], X.hom[x1][x2]), values[x1]):
+                return (x1, x2)
+    return None
+
+
+def coweight_law_witness(X, values):
+    """The first failure of the coweight law, as Coweight reports it: the weight
+    law on X^op, its witness read back as (y1, y2)."""
+    w = weight_law_witness(opposite(X), values)
+    return None if w is None else w[::-1]
+
+
+def tensor(X, r, x):
+    """presheaf.tensor through tn.imp: the least c with X(c, -) = r -> X(x, -), or None."""
+    want = tuple(tn.imp(X.tnorm, r, h) for h in X.hom[x])
+    return next((c for c in range(X.n) if all(tn.veq(a, b) for a, b in zip(X.hom[c], want))), None)
+
+
+def conical_filter_value(F, lam):
+    """laws.ConicalFilter's F(lam) through tn.imp: max over generators g of inf_i (g_i -> lam_i)."""
+    t = F.grid.tnorm
+    return max(min(tn.imp(t, a, b) for a, b in zip(g, lam)) for g in F.generators)
+
+
 def negation_duality_check(grid, t):
     """laws.negation_duality_check through tn.imp: x -> (x -> 0) -> 0 on each point in turn."""
     for x in grid:
