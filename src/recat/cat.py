@@ -246,6 +246,8 @@ class EnrichedFunctor:
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", tuple(self.mapping))
+        if self.src.tnorm != self.tgt.tnorm:
+            raise CarrierMismatchError("a functor's source and target must share one t-norm")
         if len(self.mapping) != self.src.n:
             raise RecatError("mapping must cover the source carrier")
         for x in range(self.src.n):

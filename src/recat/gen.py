@@ -7,6 +7,7 @@ reproducible from a single seed.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from . import tnorm as tn
 from .cat import EnrichedCategory, EnrichedFunctor, opposite
@@ -143,8 +144,14 @@ def random_module(
         from .poset import boolean_lattice
 
         return _relabel_module(rng, _trivial_module(boolean_lattice(), grid))
-    L = rng.choice([P for P in lattice_catalog(max_size) if P.is_lattice()])
+    L = rng.choice(_catalog_lattices(max_size))
     return _relabel_module(rng, _trivial_module(L, grid))
+
+
+@lru_cache(maxsize=None)
+def _catalog_lattices(max_size: int) -> tuple:
+    """The catalog's lattices of at most max_size elements, in catalog order, built once."""
+    return tuple(P for P in lattice_catalog(max_size) if P.is_lattice())
 
 
 def _godel_grid(rng: random.Random, k: int, t: tn.TNorm) -> ValueGrid:

@@ -5,6 +5,7 @@ module/cocomplete-category correspondence, the negation involution, conical
 filter axioms and the Kowalsky sum.  KZ and CF1-CF4 have one checker for both
 modes, comparing through tn.vle/tn.veq (exact on Fractions, within TOL on
 floats), so their float checks run the exact checkers on sampled points.
+The KZ check evaluates a repeated sampled weight, and a repeated pair, once.
 The module, negation, filter-axiom and powerset checks take the ValueGrid
 alone, t-norm included, and work on grid indices through its conj/imp
 tables, as do filter evaluation and the filter cotensor; the Kowalsky
@@ -61,21 +62,48 @@ def _kz_pair(phi: Weight, gamma: Weight, gamma_ub: Coweight):
     return pairing(phi, gamma_ub), sub(gamma, phi)
 
 
+def _distinct(weights):
+    """(first occurrences, (values, group index) of each weight in order), grouping
+    the weights on (base object, values)."""
+    firsts, tagged, group = [], [], {}
+    for w in weights:
+        key = (id(w.base), w.values)
+        if key not in group:
+            group[key] = len(firsts)
+            firsts.append(w)
+        tagged.append((w.values, group[key]))
+    return firsts, tagged
+
+
 def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
-    """Inequality report over the sampled weight pairs."""
-    tests = [(gamma, isbell_ub(gamma)) for gamma in test_weights]
-    violations = []
-    equalities = 0
-    total = 0
-    for phi in weights:
+    """Inequality report over the sampled weight pairs.
+
+    Each distinct test weight gets one Isbell bound and each distinct
+    (phi, gamma) pair one evaluation; `total` and `equalities` count the
+    pairs with multiplicity, and `violations` lists every violating pair in
+    the order of the two lists, repeats included.
+    """
+    phis, phi_tagged = _distinct(weights)
+    gammas, gamma_tagged = _distinct(test_weights)
+    tests = [(gamma, isbell_ub(gamma)) for gamma in gammas]
+    # per distinct pair: None for a violation, else whether the two sides are equal
+    verdicts = []
+    for phi in phis:
+        row = []
         for gamma, gamma_ub in tests:
             lhs, rhs = _kz_pair(phi, gamma, gamma_ub)
-            total += 1
-            if not tn.vle(lhs, rhs):
-                violations.append((phi.values, gamma.values))
-            elif tn.veq(lhs, rhs):
+            row.append(tn.veq(lhs, rhs) if tn.vle(lhs, rhs) else None)
+        verdicts.append(row)
+    violations = []
+    equalities = 0
+    for phi_values, i in phi_tagged:
+        row = verdicts[i]
+        for gamma_values, j in gamma_tagged:
+            if row[j] is None:
+                violations.append((phi_values, gamma_values))
+            elif row[j]:
                 equalities += 1
-    return {"total": total, "equalities": equalities, "violations": violations}
+    return {"total": len(phi_tagged) * len(gamma_tagged), "equalities": equalities, "violations": violations}
 
 
 def kz_equality_consistent_with_cauchy(X: EnrichedCategory, bound: int = 10**6) -> bool:
@@ -282,11 +310,13 @@ def filter_axiom_check(grid: ValueGrid, table) -> dict:
 
     The axioms run on grid indices through the grid's imp table; the report
     holds the first witness of each failed axiom as grid points, or None.
+    Table keys and values must be exact grid points.
     """
-    pts, index, imp = grid.points, grid.index, grid.imp_table
+    pts, imp = grid.points, grid.imp_table
     size = len(next(iter(table)))
     scalars = range(len(pts))
-    on_indices = {tuple(map(index, lam)): index(v) for lam, v in table.items()}
+    values = _check_on_grid(table.values(), grid, "table value ")
+    on_indices = {tuple(_check_on_grid(lam, grid, "table key entry ")): v for lam, v in zip(table, values)}
     lams = list(iproduct(scalars, repeat=size))
     pairs, shifts = iproduct(lams, lams), iproduct(lams, scalars)
     report = dict.fromkeys(("CF1", "CF2", "CF3", "CF4"))

@@ -9,6 +9,7 @@ from functools import partial
 from itertools import product as iproduct
 from operator import and_
 
+import recat.laws as laws
 import recat.tnorm as tn
 from recat.cat import EnrichedCategory, Rel, _columns, _residual_left, is_separated, opposite
 from recat.classify import is_cauchy, is_ideal, is_representable
@@ -354,3 +355,25 @@ def _below(X: EnrichedCategory, pairs):
     """m[x][y] = inf over (phi, c) in pairs of X(x, c) -> phi(y); row x is the below-weight at x."""
     at_colims = tuple(tuple(row[c] for _, c in pairs) for row in X.hom)
     return _residual_left(X.tnorm, _columns(tuple(phi.values for phi, _ in pairs), X.n), at_colims, X.one)
+
+
+# --- the KZ report pair by pair ---------------------------------------------
+# The library evaluates each distinct (phi, gamma) pair once; this loop
+# evaluates every pair in order, repeats included.
+
+
+def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
+    """Inequality report over the sampled weight pairs."""
+    tests = [(gamma, laws.isbell_ub(gamma)) for gamma in test_weights]
+    violations = []
+    equalities = 0
+    total = 0
+    for phi in weights:
+        for gamma, gamma_ub in tests:
+            lhs, rhs = laws._kz_pair(phi, gamma, gamma_ub)
+            total += 1
+            if not tn.vle(lhs, rhs):
+                violations.append((phi.values, gamma.values))
+            elif tn.veq(lhs, rhs):
+                equalities += 1
+    return {"total": total, "equalities": equalities, "violations": violations}

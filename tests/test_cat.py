@@ -296,3 +296,17 @@ class TestValueNormalization:
         v = 0.25
         X = cat.EnrichedCategory(tn.product, ((1.0, v), (0.0, 1.0)))
         assert X.hom[0][1] is v and X.mode == "float"
+
+
+def test_functor_between_categories_under_different_tnorms_raises():
+    # the same hom under Lukasiewicz and Godel; (0, 1) keeps it, so only the t-norms differ
+    from recat.errors import CarrierMismatchError
+
+    hom = ((F(1), F(1, 2)), (F(0), F(1)))
+    X = cat.EnrichedCategory(tn.lukasiewicz, hom, (), luka_grid(2))
+    Y = cat.EnrichedCategory(tn.godel, hom, (), vals.unit_grid(2, tn.godel))
+    with pytest.raises(CarrierMismatchError):
+        cat.EnrichedFunctor(X, Y, (0, 1))
+    with pytest.raises(CarrierMismatchError):
+        cat.EnrichedFunctor(Y, X, (0, 1))
+    assert cat.EnrichedFunctor(X, X, (0, 1)).mapping == (0, 1)

@@ -1,0 +1,186 @@
+"""Law suites evaluate each distinct draw once, with unchanged reports.
+
+`laws.kz_check` groups its weights by (base object, values) and evaluates
+each distinct (phi, gamma) pair once; here it is compared with the pair-by-pair
+loop in `tests/oracles.py` on weight lists with repeats, with violations
+forced on chosen pairs.  The `recat laws` suites skip repeated draws; a stdout
+digest pins their reports, and a counted run pins the saving.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import recat.cat as cat
+import recat.cli as cli
+import recat.gen as gen
+import recat.laws as laws
+import recat.presheaf as ps
+import recat.tnorm as tn
+import recat.values as vals
+from recat import fixtures
+from recat.errors import CarrierMismatchError
+
+import oracles
+
+GRIDS = {
+    "luka3": vals.unit_grid(3, tn.lukasiewicz),
+    "godel2": vals.unit_grid(2, tn.godel),
+    "godel4": vals.unit_grid(4, tn.godel),
+    "upper_block": vals.grid_validate([0, F(1, 2), F(3, 4), 1], fixtures.upper_block_sum()),
+}
+
+
+def draws(rng, X, pool, count):
+    """`count` weights drawn with replacement from `pool` random weights of X, some of
+    them fresh Weight objects with a drawn weight's values."""
+    weights = [gen.random_weight(rng, X) for _ in range(pool)]
+    out = []
+    for _ in range(count):
+        w = rng.choice(weights)
+        out.append(ps.Weight(X, w.values) if rng.random() < 0.3 else w)
+    return out
+
+
+def force_violations(monkeypatch, rng, pairs, share):
+    """Make `laws._kz_pair` report (1, 0) on the least of the given value pairs and on a
+    random share of the others."""
+    chosen = {p for i, p in enumerate(sorted(pairs)) if i == 0 or rng.random() < share}
+    real = laws._kz_pair
+
+    def patched(phi, gamma, gamma_ub):
+        if (phi.values, gamma.values) in chosen:
+            return tn.ONE, tn.ZERO
+        return real(phi, gamma, gamma_ub)
+
+    monkeypatch.setattr(laws, "_kz_pair", patched)
+    return chosen
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+@pytest.mark.parametrize("n", range(5))
+def test_kz_check_matches_the_pair_by_pair_loop(name, n):
+    rng = random.Random(n)
+    for _ in range(4):
+        X = gen.random_category(rng, n, GRIDS[name])
+        ws = draws(rng, X, 3, rng.randint(0, 9))
+        tests = draws(rng, X, 3, rng.randint(0, 9))
+        # an equal base under another object is its own group, with the same verdicts
+        twin = cat.EnrichedCategory(X.tnorm, X.hom, X.names, X.grid)
+        tests += [ps.Weight(twin, w.values) for w in tests[:2]]
+        rep = laws.kz_check(X, ws, tests)
+        assert rep == oracles.kz_check(X, ws, tests)
+        assert rep["total"] == len(ws) * len(tests)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+@pytest.mark.parametrize("n", range(5))
+def test_forced_violations_keep_their_multiplicity_and_order(monkeypatch, name, n):
+    rng = random.Random(100 + n)
+    X = gen.random_category(rng, n, GRIDS[name])
+    ws = draws(rng, X, 4, 10)
+    chosen = force_violations(monkeypatch, rng, {(a.values, b.values) for a in ws for b in ws}, 0.4)
+    rep = laws.kz_check(X, ws, ws)
+    assert rep == oracles.kz_check(X, ws, ws)
+    expected = [(a.values, b.values) for a in ws for b in ws if (a.values, b.values) in chosen]
+    assert rep["violations"] == expected and expected
+
+
+def test_each_distinct_pair_is_evaluated_once(monkeypatch):
+    rng = random.Random(3)
+    X = gen.random_category(rng, 3, GRIDS["luka3"])
+    ws = draws(rng, X, 3, 12)
+    calls = []
+    real = laws._kz_pair
+
+    def counted(phi, gamma, gamma_ub):
+        calls.append((phi.values, gamma.values))
+        return real(phi, gamma, gamma_ub)
+
+    monkeypatch.setattr(laws, "_kz_pair", counted)
+    laws.kz_check(X, ws, ws)
+    assert len(calls) == len(set(calls)) == len({w.values for w in ws}) ** 2
+
+
+@pytest.mark.parametrize("side", ["weights", "test_weights"])
+def test_a_weight_on_another_base_raises(side):
+    rng = random.Random(9)
+    X = gen.random_category(rng, 2, GRIDS["godel2"])
+    Y = cat.EnrichedCategory(X.tnorm, ((tn.ONE, tn.ZERO), (tn.ZERO, tn.ONE)), (), X.grid)
+    ws = draws(rng, X, 2, 5)
+    # the discrete Y takes every vector; equal values must not hide the other base
+    stray = ws[:2] + [ps.Weight(Y, ws[0].values)] + ws[2:]
+    args = (stray, ws) if side == "weights" else (ws, stray)
+    for check in (laws.kz_check, oracles.kz_check):
+        with pytest.raises(CarrierMismatchError):
+            check(X, *args)
+
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+LAW_SETUPS = (
+    ("--tnorm", "lukasiewicz", "--grid", "{0,1/3,2/3,1}"),
+    ("--tnorm", "lukasiewicz"),
+    ("--tnorm", "godel"),
+    ("--tnorm", "godel", "--grid", "{0,1/4,1/2,3/4,1}"),
+    ("--tnorm", "ordinal[(1/2,1,lukasiewicz)]", "--grid", "{0,1/2,3/4,1}"),
+)
+
+
+def test_suite_stdout_and_exit_codes_are_pinned():
+    # the digest was taken before the suites skipped repeated draws
+    h = hashlib.sha256()
+    for suite in ("kz", "kan", "filters", "module"):
+        for setup in LAW_SETUPS:
+            for seed in range(6):
+                argv = ["laws", suite, *setup, "--seed", str(seed)]
+                code, out = run(argv)
+                h.update(json.dumps([argv, code, out]).encode())
+    assert h.hexdigest() == "9d2c0607d6e7f864f1848a3970a37e224675f495fd82833db02827a5e5f3c1f8"
+
+
+def test_laws_kz_makes_fewer_scalar_calls(monkeypatch):
+    # evaluating every drawn pair made 6,598 tn.conj and tn.imp calls here
+    calls = [0]
+
+    def counted(f):
+        def wrapper(*args):
+            calls[0] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(tn, "conj", counted(tn.conj))
+    monkeypatch.setattr(tn, "imp", counted(tn.imp))
+    code, out = run(["laws", "kz", "--tnorm", "godel", "--seed", "0"])
+    assert code == 0 and json.loads(out)["pass"]
+    assert 0 < calls[0] < 6598
+
+
+def test_random_module_builds_its_lattice_catalog_once_per_size(monkeypatch):
+    built = []
+    real = gen.lattice_catalog
+
+    def recording(max_n=5):
+        built.append(max_n)
+        return real(max_n)
+
+    monkeypatch.setattr(gen, "lattice_catalog", recording)
+    gen._catalog_lattices.cache_clear()
+    rng = random.Random(0)
+    for _ in range(60):
+        for size in (4, 5):
+            gen.random_module(rng, tn.lukasiewicz, max_size=size)
+    gen._catalog_lattices.cache_clear()
+    assert sorted(built) == [4, 5]
+    assert gen._catalog_lattices(5) == tuple(P for P in real(5) if P.is_lattice())

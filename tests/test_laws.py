@@ -253,3 +253,15 @@ class TestPowersetMonad:
         assert laws.powerset_monad_check(luka_grid(2), 2, rng, samples=15)
         g = vals.grid_validate([0, F(1, 2), 1], tn.godel)
         assert laws.powerset_monad_check(g, 2, rng, samples=15)
+
+
+def test_filter_axiom_check_rejects_float_tables():
+    # a float hashes like the equal point, but a grid holds exact values
+    g = luka_grid(2)
+    floats = {(0.0,): 0.0, (0.5,): 1.0, (1.0,): 1.0}
+    with pytest.raises(RecatError, match="a grid holds exact values"):
+        laws.filter_axiom_check(g, floats)
+    with pytest.raises(RecatError, match="a grid holds exact values"):
+        laws.filter_axiom_check(g, {(F(0),): 0.0, (F(1, 2),): F(1), (F(1),): F(1)})
+    exact = {(F(0),): F(0), (F(1, 2),): F(1), (F(1),): F(1)}
+    assert laws.filter_axiom_check(g, exact)["CF1"] == ((F(1, 2),), (F(0),))
