@@ -2,21 +2,20 @@
 
 A formal ball is a pair (element, radius) ordered by r <= s (*) X(x, y).
 Radius candidates for join searches extend the grid by the finitely many
-critical products arising from the inputs.  The way-below distributor is a
-closed form: on a finite carrier every ideal is representable, so its inf over
-ideals runs over the Yoneda weights and it is X \\ X (an inf-(->) residual in
-the relation kernel), which equals X.  Compactness, continuity, interpolation
-and ball way-below are read off it.
+critical products arising from the inputs.  On a finite carrier every ideal
+is representable, so the way-below distributor is X \\ X, which is the hom:
+compactness, continuity and interpolation hold on every non-empty carrier and
+ball way-below reads the hom.  Each keeps the ideal search's precondition; the
+search and the verdicts read off X \\ X are oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, Rel, _columns, _residual_left, compose, hom_rel, rel_eq, residual_right
+from .cat import EnrichedCategory, Rel, _columns, _residual_left, hom_rel, residual_right
 from .errors import RecatError
 from .poset import _directed, _least
-from .presheaf import Weight, _grid_space, colim, enumerate_weights, is_cocomplete_over_grid, yoneda
-from .classify import is_ideal
+from .presheaf import Weight, _grid_space, colim, enumerate_weights, is_cocomplete_over_grid
 
 
 def ball_leq(X: EnrichedCategory, b1, b2) -> bool:
@@ -65,11 +64,12 @@ def way_below_distributor(X: EnrichedCategory, bound: int = 10**6) -> Rel:
     """w(y, x) = inf over grid ideals phi with a colimit c of (X(x, c) -> phi(y)).
 
     Every ideal on a finite carrier is representable, so w is X \\ X, which is X.
+    It raises where the ideal search did: no grid, |grid|^n > bound, no element.
     """
     _grid_space(X, bound, "the way-below distributor")
     if X.n == 0:
         raise RecatError("no ideals with colimits; carrier is empty")
-    return way_below_via_representables(X)
+    return hom_rel(X)
 
 
 def way_below_via_representables(X: EnrichedCategory) -> Rel:
@@ -81,29 +81,23 @@ def way_below_via_representables(X: EnrichedCategory) -> Rel:
 
 
 def is_compact(X: EnrichedCategory, a: int) -> bool:
-    """a is compact iff the way-below column at a is the Yoneda weight of a."""
-    w = way_below_distributor(X)
-    ya = yoneda(X, a)
-    return all(tn.veq(w(y, a), ya(y)) for y in range(X.n))
+    """a is compact iff the way-below column at a is the Yoneda weight of a: true,
+    since w = X."""
+    way_below_distributor(X)
+    if not 0 <= a < X.n:
+        raise RecatError(f"element {a} is not in the carrier")
+    return True
 
 
 def is_continuous_enriched(X: EnrichedCategory) -> bool:
-    """Every way-below column is an ideal with its anchor as colimit."""
-    w = way_below_distributor(X)
-    for x in range(X.n):
-        phi = Weight(X, tuple(w(y, x) for y in range(X.n)))
-        if not is_ideal(phi)[0]:
-            return False
-        c = colim(phi)
-        if c is None:
-            return False
-        if not (X.leq1(X.hom[c][x]) and X.leq1(X.hom[x][c])):
-            return False
+    """Every way-below column is an ideal with its anchor as colimit: true, since
+    w = X and each column is a Yoneda weight."""
+    way_below_distributor(X)
     return True
 
 
 def ball_way_below(X: EnrichedCategory, b1, b2) -> bool:
-    """(x, r) way below (y, s) via the strict inequality r < s (*) w(x, y).
+    """(x, r) way below (y, s) via the strict inequality r < s (*) w(x, y), w = X.
 
     The characterization is exact for Archimedean t-norms; elsewhere it is a
     heuristic, see ball_way_below_is_exact.
@@ -111,8 +105,8 @@ def ball_way_below(X: EnrichedCategory, b1, b2) -> bool:
     (x, r), (y, s) = b1, b2
     if not (r > 0 and s > 0):
         raise RecatError("ball way-below is stated for positive radii")
-    w = way_below_distributor(X)
-    return r < X.conj(s, w(x, y))
+    way_below_distributor(X)
+    return r < X.conj(s, X.hom[x][y])
 
 
 def ball_way_below_is_exact(t: tn.TNorm) -> bool:
@@ -120,9 +114,9 @@ def ball_way_below_is_exact(t: tn.TNorm) -> bool:
 
 
 def interpolation_check(X: EnrichedCategory) -> bool:
-    """w o w = w as an exact matrix identity."""
-    w = way_below_distributor(X)
-    return rel_eq(compose(X.tnorm, w, w), w)
+    """w o w = w: true, since w = X is reflexive and transitive."""
+    way_below_distributor(X)
+    return True
 
 
 def is_completely_distributive_enriched(X: EnrichedCategory):

@@ -5,7 +5,8 @@ module/cocomplete-category correspondence, the negation involution, conical
 filter axioms and the Kowalsky sum.  KZ and CF1-CF4 have one checker for both
 modes, comparing through tn.vle/tn.veq (exact on Fractions, within TOL on
 floats), so their float checks run the exact checkers on sampled points.
-The KZ check evaluates a repeated sampled weight, and a repeated pair, once.
+The KZ check takes weights on X alone and evaluates a repeated sampled
+weight, and a repeated pair, once.
 The module, negation, filter-axiom and powerset checks take the ValueGrid
 alone, t-norm included, and work on grid indices through its conj/imp
 tables, as do filter evaluation and the filter cotensor; the Kowalsky
@@ -29,6 +30,7 @@ from .presheaf import (
     Coweight,
     Weight,
     _column,
+    _same_base,
     enumerate_weights,
     is_cocomplete_over_grid,
     isbell_ub,
@@ -62,48 +64,36 @@ def _kz_pair(phi: Weight, gamma: Weight, gamma_ub: Coweight):
     return pairing(phi, gamma_ub), sub(gamma, phi)
 
 
-def _distinct(weights):
-    """(first occurrences, (values, group index) of each weight in order), grouping
-    the weights on (base object, values)."""
-    firsts, tagged, group = [], [], {}
-    for w in weights:
-        key = (id(w.base), w.values)
-        if key not in group:
-            group[key] = len(firsts)
-            firsts.append(w)
-        tagged.append((w.values, group[key]))
-    return firsts, tagged
-
-
 def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
-    """Inequality report over the sampled weight pairs.
+    """Inequality report over the sampled weight pairs, all on X.
 
     Each distinct test weight gets one Isbell bound and each distinct
     (phi, gamma) pair one evaluation; `total` and `equalities` count the
     pairs with multiplicity, and `violations` lists every violating pair in
     the order of the two lists, repeats included.
     """
-    phis, phi_tagged = _distinct(weights)
-    gammas, gamma_tagged = _distinct(test_weights)
-    tests = [(gamma, isbell_ub(gamma)) for gamma in gammas]
-    # per distinct pair: None for a violation, else whether the two sides are equal
-    verdicts = []
-    for phi in phis:
-        row = []
-        for gamma, gamma_ub in tests:
-            lhs, rhs = _kz_pair(phi, gamma, gamma_ub)
-            row.append(tn.veq(lhs, rhs) if tn.vle(lhs, rhs) else None)
-        verdicts.append(row)
+    weights, test_weights = list(weights), list(test_weights)
+    for w in weights + test_weights:
+        _same_base(w.base, X)
+    ids = {}  # values -> int, so each vector is hashed once and a pair key is two ints
+    phis = [(phi, ids.setdefault(phi.values, len(ids))) for phi in weights]
+    gammas = [(gamma, ids.setdefault(gamma.values, len(ids))) for gamma in test_weights]
+    ubs, verdicts = {}, {}  # Isbell bound per gamma; per pair None for a violation, else lhs == rhs
     violations = []
     equalities = 0
-    for phi_values, i in phi_tagged:
-        row = verdicts[i]
-        for gamma_values, j in gamma_tagged:
-            if row[j] is None:
-                violations.append((phi_values, gamma_values))
-            elif row[j]:
+    for phi, i in phis:
+        for gamma, j in gammas:
+            if (i, j) not in verdicts:
+                if j not in ubs:
+                    ubs[j] = isbell_ub(gamma)
+                lhs, rhs = _kz_pair(phi, gamma, ubs[j])
+                verdicts[i, j] = tn.veq(lhs, rhs) if tn.vle(lhs, rhs) else None
+            verdict = verdicts[i, j]
+            if verdict is None:
+                violations.append((phi.values, gamma.values))
+            elif verdict:
                 equalities += 1
-    return {"total": len(phi_tagged) * len(gamma_tagged), "equalities": equalities, "violations": violations}
+    return {"total": len(weights) * len(test_weights), "equalities": equalities, "violations": violations}
 
 
 def kz_equality_consistent_with_cauchy(X: EnrichedCategory, bound: int = 10**6) -> bool:
@@ -135,7 +125,7 @@ class ModuleAction:
         validate_module(self)
 
     def act(self, r, x: int) -> int:
-        return self.action[self.grid.index(r)][x]
+        return self.action[_check_on_grid((r,), self.grid)[0]][x]
 
 
 def validate_module(M: ModuleAction):

@@ -3,13 +3,16 @@
 Orders are reflexive transitive boolean matrices; antisymmetry is tracked but
 not required except where lattice operations need canonical meets and joins.
 `_least` and `_directed` take the order as a function `le`, so `balls` and
-`laws` run the same searches on formal balls and on vectors.
+`laws` run the same searches on formal balls and on vectors.  The below
+relations are closed forms, with no subset search: way-below is the order, and
+totally-below is one join per element above y.  The subset searches they
+replaced are oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from operator import and_, eq
 
 from .errors import AxiomError, RecatError
@@ -207,33 +210,26 @@ def left_adjoint_of(g, Q: FinitePoset, P: FinitePoset):
     return f
 
 
-def _subsets(n):
-    elems = list(range(n))
-    for r in range(n + 1):
-        yield from (list(c) for c in combinations(elems, r))
+def way_below(L: FinitePoset, x: int, y: int) -> bool:
+    """x is way below y: every directed subset whose join dominates y has a member above x.
 
-
-def _below_members(L: FinitePoset, x: int, y: int, family) -> bool:
-    """Every subset in `family` whose join dominates y has a member above x."""
-    for A in family:
-        j = L.join(A)
-        if j is not None and L.le(y, j) and not any(L.le(x, a) for a in A):
-            return False
-    return True
+    A finite directed set holds an upper bound of itself, hence its join, so
+    way-below is the order (Gierz et al., *Continuous Lattices and Domains*,
+    2003).  `tests/oracles.py` searches the directed subsets.
+    """
+    return L.le(x, y)
 
 
 def totally_below(L: FinitePoset, x: int, y: int) -> bool:
-    """True iff every subset whose join dominates y contains a member above x."""
-    return _below_members(L, x, y, _subsets(L.n))
+    """x is totally below y: every subset whose join dominates y has a member above x.
 
-
-def is_directed_subset(L: FinitePoset, A) -> bool:
-    return bool(A) and _directed(A, L.le)
-
-
-def way_below(L: FinitePoset, x: int, y: int) -> bool:
-    """Totally-below restricted to directed subsets (brute force)."""
-    return _below_members(L, x, y, (A for A in _subsets(L.n) if is_directed_subset(L, A)))
+    A subset with no member above x lies in U = {a : x not <= a}, and if it has
+    join z then so has U restricted to the down-set of z, which contains it and
+    lies below z.  So x is totally below y iff no z >= y is the join of the
+    members of U below z: O(n) joins where the subset search takes 2^n.
+    """
+    outside = [a for a in range(L.n) if not L.le(x, a)]
+    return not any(L.le(y, z) and L.join([a for a in outside if L.le(a, z)]) == z for z in range(L.n))
 
 
 def _joins_what_is_below(L: FinitePoset, below) -> bool:
@@ -247,8 +243,9 @@ def is_completely_distributive(L: FinitePoset) -> bool:
 
 
 def is_continuous_lattice(L: FinitePoset) -> bool:
-    """Every element is the join of the elements way below it (finitely always true)."""
-    return _joins_what_is_below(L, lambda z, x: way_below(L, z, x))
+    """Every element is the join of the elements way below it, the elements below it
+    (always true when the order is antisymmetric)."""
+    return _joins_what_is_below(L, L.le)
 
 
 def coprimes(L: FinitePoset, include_vacuous_bottom: bool = True):

@@ -81,9 +81,9 @@ class Coweight:
         return Rel(1, self.base.n, (tuple(self.values),))
 
 
-def _same_base(a, b):
-    A, B = a.base, b.base
-    if A is not B and (A.hom != B.hom or A.tnorm != B.tnorm):
+def _same_base(A: EnrichedCategory, B: EnrichedCategory):
+    # a float hom compares equal to the exact hom of the same values
+    if A is not B and (A.hom != B.hom or A.tnorm != B.tnorm or A.mode != B.mode):
         raise CarrierMismatchError("weights live on different bases")
 
 
@@ -116,7 +116,7 @@ def _at(f: EnrichedFunctor, vectors) -> tuple:
 
 def sub(phi1: Weight, phi2: Weight):
     """Hom of the weight category: inf_x (phi1(x) -> phi2(x))."""
-    _same_base(phi1, phi2)
+    _same_base(phi1.base, phi2.base)
     X = phi1.base
     return _residual_left(X.tnorm, (phi2.values,), (phi1.values,), X.one)[0][0]
 
@@ -128,7 +128,7 @@ def cosub(psi1: Coweight, psi2: Coweight):
 
 def pairing(phi: Weight, psi: Coweight):
     """sup_x phi(x) (*) psi(x), the degree that phi and psi meet."""
-    _same_base(phi, psi)
+    _same_base(phi.base, psi.base)
     X = phi.base
     return _compose(X.tnorm, (phi.values,), (psi.values,), X.zero)[0][0]
 

@@ -6,19 +6,35 @@ own answer.
 """
 
 from functools import partial
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from operator import and_
 
+import recat.balls as balls
 import recat.laws as laws
 import recat.tnorm as tn
-from recat.cat import EnrichedCategory, Rel, _columns, _residual_left, is_separated, opposite
+from recat.cat import EnrichedCategory, Rel, _columns, _residual_left, compose, is_separated, opposite, rel_eq
 from recat.classify import is_cauchy, is_ideal, is_representable
 from recat.errors import RecatError
 from recat.gen import _godel_grid, _relabel_module, _trivial_module
 from recat.laws import ModuleAction, _cf_failures
-from recat.poset import FinitePoset, _subsets, boolean_lattice, chain, closure, lattice_catalog, posets_isomorphic
-from recat.presheaf import _dual, colim, enumerate_weights, sub, weight_closure, yoneda
+from recat.poset import (
+    FinitePoset,
+    _directed,
+    _joins_what_is_below,
+    boolean_lattice,
+    chain,
+    closure,
+    lattice_catalog,
+    posets_isomorphic,
+)
+from recat.presheaf import Weight, _dual, _grid_space, colim, enumerate_weights, sub, weight_closure, yoneda
 from recat.values import grid_validate, unit_grid
+
+
+def _subsets(n):
+    elems = list(range(n))
+    for r in range(n + 1):
+        yield from (list(c) for c in combinations(elems, r))
 
 
 def enumerate_lattices(n: int):
@@ -79,6 +95,45 @@ def cd_law_identity_check(L: FinitePoset) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+# --- the below relations by subset search ---------------------------------
+# The library decides them in closed form: a finite directed set holds its own
+# join, and a subset avoiding the up-set of x may be grown to everything in
+# that complement below its join.
+
+
+def _below_members(L: FinitePoset, x: int, y: int, family) -> bool:
+    """Every subset in `family` whose join dominates y has a member above x."""
+    for A in family:
+        j = L.join(A)
+        if j is not None and L.le(y, j) and not any(L.le(x, a) for a in A):
+            return False
+    return True
+
+
+def totally_below(L: FinitePoset, x: int, y: int) -> bool:
+    """True iff every subset whose join dominates y contains a member above x."""
+    return _below_members(L, x, y, _subsets(L.n))
+
+
+def is_directed_subset(L: FinitePoset, A) -> bool:
+    return bool(A) and _directed(A, L.le)
+
+
+def way_below(L: FinitePoset, x: int, y: int) -> bool:
+    """Totally-below restricted to directed subsets."""
+    return _below_members(L, x, y, (A for A in _subsets(L.n) if is_directed_subset(L, A)))
+
+
+def is_completely_distributive(L: FinitePoset) -> bool:
+    """Every element is the join of the elements totally below it."""
+    return _joins_what_is_below(L, lambda z, x: totally_below(L, z, x))
+
+
+def is_continuous_lattice(L: FinitePoset) -> bool:
+    """Every element is the join of the elements way below it."""
+    return _joins_what_is_below(L, lambda z, x: way_below(L, z, x))
 
 
 def is_ideal_threshold_form(phi):
@@ -296,7 +351,8 @@ def powerset_monad_check(t, grid, size, rng, samples=50):
 # --- completions and the way-below distributor by grid-weight search ------
 # The library computes these as closed forms (every sup on a finite carrier is
 # a max, so Cauchy and ideal weights are representable); these search all
-# |grid|^n weights as the definitions read.
+# |grid|^n weights as the definitions read.  The ball verdicts are read off
+# the residual X \\ X entry by entry, where the library knows them to hold.
 
 
 def cauchy_completion(X: EnrichedCategory, bound: int = 10**6):
@@ -349,6 +405,51 @@ def way_below_distributor(X: EnrichedCategory, bound: int = 10**6) -> Rel:
     if not ideals:
         raise RecatError("no ideals with colimits; carrier is empty")
     return Rel(X.n, X.n, _columns(_below(X, ideals), X.n))
+
+
+def way_below_residual(X: EnrichedCategory, bound: int = 10**6) -> Rel:
+    """The way-below distributor as X \\ X, under the ideal search's precondition."""
+    _grid_space(X, bound, "the way-below distributor")
+    if X.n == 0:
+        raise RecatError("no ideals with colimits; carrier is empty")
+    return balls.way_below_via_representables(X)
+
+
+def is_compact(X: EnrichedCategory, a: int) -> bool:
+    """a is compact iff the way-below column at a is the Yoneda weight of a."""
+    w = way_below_residual(X)
+    ya = yoneda(X, a)
+    return all(tn.veq(w(y, a), ya(y)) for y in range(X.n))
+
+
+def is_continuous_enriched(X: EnrichedCategory) -> bool:
+    """Every way-below column is an ideal with its anchor as colimit."""
+    w = way_below_residual(X)
+    for x in range(X.n):
+        phi = Weight(X, tuple(w(y, x) for y in range(X.n)))
+        if not is_ideal(phi)[0]:
+            return False
+        c = colim(phi)
+        if c is None:
+            return False
+        if not (X.leq1(X.hom[c][x]) and X.leq1(X.hom[x][c])):
+            return False
+    return True
+
+
+def ball_way_below(X: EnrichedCategory, b1, b2) -> bool:
+    """(x, r) way below (y, s) via the strict inequality r < s (*) w(x, y)."""
+    (x, r), (y, s) = b1, b2
+    if not (r > 0 and s > 0):
+        raise RecatError("ball way-below is stated for positive radii")
+    w = way_below_residual(X)
+    return r < X.conj(s, w(x, y))
+
+
+def interpolation_check(X: EnrichedCategory) -> bool:
+    """w o w = w as an exact matrix identity."""
+    w = way_below_residual(X)
+    return rel_eq(compose(X.tnorm, w, w), w)
 
 
 def _below(X: EnrichedCategory, pairs):

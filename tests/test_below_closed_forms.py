@@ -1,0 +1,171 @@
+"""The below relations and the formal-ball verdicts in closed form, against searches.
+
+`recat.poset` decides way-below as the order and totally-below with one join per
+element above y; `recat.balls` returns the hom as the way-below distributor and
+knows compactness, continuity and interpolation to hold.  Each is compared here
+with the code it replaced, kept in `tests/oracles.py`: the subset searches on
+random preorders (n <= 8) and on every lattice with at most 5 elements and its
+opposite, and the grid-ideal search and the verdicts read off X \\ X on random
+categories, value for value and on every error path.
+"""
+
+import random
+from fractions import Fraction as F
+from operator import and_
+
+import pytest
+
+import oracles
+import recat.balls as balls
+import recat.cat as cat
+import recat.poset as ps
+import recat.tnorm as tn
+import recat.values as vals
+from recat import fixtures, gen
+from recat.errors import RecatError
+
+GRIDS = {
+    "luka_1_4": lambda: vals.unit_grid(4, tn.lukasiewicz),
+    "godel_1_3": lambda: vals.grid_validate([0, F(1, 3), F(2, 3), 1], tn.godel),
+    "ordinal_upper": lambda: vals.grid_validate(
+        [0, F(1, 2), F(3, 4), 1], tn.ordinal_sum((F(1, 2), 1, tn.LUKASIEWICZ))
+    ),
+    "ordinal_lower": lambda: vals.grid_validate(
+        [0, F(1, 4), F(1, 2), 1], tn.ordinal_sum((0, F(1, 2), tn.LUKASIEWICZ))
+    ),
+}
+RELATIONS = ("way_below", "totally_below")
+VERDICTS = ("is_completely_distributive", "is_continuous_lattice")
+
+
+def random_preorder(rng, n):
+    """The transitive closure of a random reflexive relation of random density."""
+    density = 2 * rng.random() / n
+    leq = [[i == j or rng.random() < density for j in range(n)] for i in range(n)]
+    return ps.FinitePoset(n, ps.closure(leq, and_))
+
+
+def below_report(module, L):
+    """Each below relation as a matrix, and each lattice verdict, computed by `module`."""
+    out = {rel: [[getattr(module, rel)(L, x, y) for y in range(L.n)] for x in range(L.n)] for rel in RELATIONS}
+    out.update({verdict: getattr(module, verdict)(L) for verdict in VERDICTS})
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_below_relations_on_random_preorders(n):
+    rng = random.Random(n)
+    seen = set()
+    for _ in range(4 if n == 8 else 8):
+        L = random_preorder(rng, n)
+        report = below_report(ps, L)
+        assert report == below_report(oracles, L)
+        seen.add((L.antisymmetric, report["is_completely_distributive"], report["is_continuous_lattice"]))
+    if n >= 3:
+        # preorders that are not partial orders, and both verdicts of complete distributivity
+        assert {a for a, _, _ in seen} == {False, True}
+        assert {cd for _, cd, _ in seen} == {False, True}
+
+
+def test_below_relations_on_small_lattices_and_their_opposites():
+    lattices = ps.lattice_catalog(5)
+    assert [L.n for L in lattices] == [1, 2, 3, 4, 4, 5, 5, 5, 5, 5]
+    for L in lattices:
+        for P in (L, L.opposite()):
+            assert below_report(ps, P) == below_report(oracles, P)
+    assert not ps.is_completely_distributive(ps.m3())
+
+
+def _outcome(f, *args, **kwargs):
+    """('ok', value) or ('raised', exception type, message)."""
+    try:
+        return "ok", f(*args, **kwargs)
+    except RecatError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def ball_report(module, X, distributor):
+    """The way-below rows and every ball verdict of X, computed by `module`."""
+    radii = [r for r in X.grid.points if r > 0]
+    pairs = [((x, r), (y, s)) for x in range(X.n) for r in radii for y in range(X.n) for s in radii]
+    return {
+        "rows": distributor(X).rows,
+        "compact": [module.is_compact(X, a) for a in range(X.n)],
+        "continuous": module.is_continuous_enriched(X),
+        "interpolation": module.interpolation_check(X),
+        "ball_way_below": [module.ball_way_below(X, b1, b2) for b1, b2 in pairs],
+    }
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_ball_verdicts_on_random_categories(grid_name, n):
+    grid = GRIDS[grid_name]()
+    for seed in range(2):
+        X = gen.random_category(random.Random(100 * n + seed), n, grid)
+        got = ball_report(balls, X, balls.way_below_distributor)
+        assert got == ball_report(oracles, X, oracles.way_below_residual)
+        assert got["rows"] == oracles.way_below_distributor(X).rows == X.hom
+        assert any(got["ball_way_below"]) and not all(got["ball_way_below"])
+
+
+def _discrete(n, grid):
+    hom = tuple(tuple(F(int(a == b)) for b in range(n)) for a in range(n))
+    return cat.EnrichedCategory(grid.tnorm, hom, (), grid)
+
+
+ERROR_INPUTS = {  # name: (category, the message every below verdict raises)
+    "gridless_exact": (
+        lambda: cat.EnrichedCategory.from_json({"tnorm": "lukasiewicz", "hom": [["1", "1/2"], ["0", "1"]]}),
+        "the way-below distributor needs a grid",
+    ),
+    "float": (
+        lambda: cat.EnrichedCategory(tn.lukasiewicz, ((1.0, 0.5), (0.0, 1.0))),
+        "the way-below distributor needs a grid",
+    ),
+    "empty": (
+        lambda: gen.random_category(random.Random(0), 0, GRIDS["luka_1_4"]()),
+        "no ideals with colimits; carrier is empty",
+    ),
+    # 5 ** 9 > 10 ** 6 grid vectors
+    "over_bound": (lambda: _discrete(9, GRIDS["luka_1_4"]()), "weight space exceeds bound"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_INPUTS))
+def test_error_paths(name):
+    build, message = ERROR_INPUTS[name]
+    X = build()
+    calls = (
+        ("is_compact", (X, 0)),
+        ("is_continuous_enriched", (X,)),
+        ("interpolation_check", (X,)),
+        ("ball_way_below", (X, (0, F(1, 2)), (0, F(1)))),
+    )
+    for fname, args in calls:
+        got = _outcome(getattr(balls, fname), *args)
+        assert got == _outcome(getattr(oracles, fname), *args)
+        assert got[0] == "raised" and got[2] == message
+    got = _outcome(balls.way_below_distributor, X)
+    assert got == _outcome(oracles.way_below_residual, X)
+    assert got[2] == message
+
+
+def test_bound_and_zero_radius_errors():
+    X = fixtures.g5()
+    got = _outcome(balls.way_below_distributor, X, bound=10)
+    assert got == _outcome(oracles.way_below_residual, X, bound=10)
+    assert got[2] == "weight space exceeds bound"
+    A2 = fixtures.a2()
+    for b1, b2 in (((0, F(0)), (1, F(1))), ((0, F(1)), (1, F(0)))):
+        got = _outcome(balls.ball_way_below, A2, b1, b2)
+        assert got == _outcome(oracles.ball_way_below, A2, b1, b2)
+        assert got == ("raised", RecatError, "ball way-below is stated for positive radii")
+
+
+@pytest.mark.parametrize("a", [-1, 2, 3])
+def test_is_compact_rejects_an_element_outside_the_carrier(a):
+    A2 = fixtures.a2()
+    with pytest.raises(RecatError, match="not in the carrier"):
+        balls.is_compact(A2, a)
+    assert balls.is_compact(A2, 0) and balls.is_compact(A2, 1)

@@ -1,6 +1,6 @@
 """Law suites evaluate each distinct draw once, with unchanged reports.
 
-`laws.kz_check` groups its weights by (base object, values) and evaluates
+`laws.kz_check` takes weights on X alone, groups them by values and evaluates
 each distinct (phi, gamma) pair once; here it is compared with the pair-by-pair
 loop in `tests/oracles.py` on weight lists with repeats, with violations
 forced on chosen pairs.  The `recat laws` suites skip repeated draws; a stdout

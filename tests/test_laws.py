@@ -9,7 +9,7 @@ import recat.presheaf as ps
 import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures, gen
-from recat.errors import RecatError
+from recat.errors import CarrierMismatchError, RecatError
 
 
 def luka_grid(n):
@@ -265,3 +265,41 @@ def test_filter_axiom_check_rejects_float_tables():
         laws.filter_axiom_check(g, {(F(0),): 0.0, (F(1, 2),): F(1), (F(1),): F(1)})
     exact = {(F(0),): F(0), (F(1, 2),): F(1), (F(1),): F(1)}
     assert laws.filter_axiom_check(g, exact)["CF1"] == ((F(1, 2),), (F(0),))
+
+
+def test_kz_check_rejects_weights_on_another_category():
+    # the weights live on the discrete two-point category, not on X
+    g = vals.unit_grid(2, tn.godel)
+    X = cat.EnrichedCategory(tn.godel, ((F(1), F(1)), (F(1, 2), F(1))), (), g)
+    D = cat.EnrichedCategory(tn.godel, ((F(1), F(0)), (F(0), F(1))), (), g)
+    ws = [ps.Weight(D, (F(1), F(0))), ps.Weight(D, (F(1, 2), F(1)))]
+    for weights, tests in ((ws, ws), ([], ws), (ws, [])):
+        with pytest.raises(CarrierMismatchError):
+            laws.kz_check(X, weights, tests)
+    # a weight on an equal category under another object is on X
+    twin = cat.EnrichedCategory(X.tnorm, X.hom, X.names, g)
+    phi = ps.Weight(twin, (F(1), F(1)))
+    assert laws.kz_check(X, [phi], [phi]) == laws.kz_check(twin, [phi], [phi])
+
+
+@pytest.mark.parametrize("scalar", [0.5, "1/2", 1.0, True])
+def test_module_action_rejects_scalars_off_the_exact_grid(scalar):
+    M = gen._chain_module(vals.unit_grid(2, tn.godel))
+    with pytest.raises(RecatError, match="is not a grid point"):
+        M.act(scalar, 1)
+
+
+def test_module_action_takes_fractions_and_ints():
+    M = gen._chain_module(vals.unit_grid(2, tn.godel))
+    assert [M.act(r, 1) for r in (0, F(1, 2), 1, F(1))] == [0, 1, 1, 1]
+
+
+def test_kz_check_keeps_an_equal_valued_float_category_apart():
+    # the float hom equals the exact one value for value, but its weights are floats
+    X = cat.EnrichedCategory.from_json({"tnorm": "lukasiewicz", "hom": [["1", "1/2"], ["0", "1"]]})
+    Y = cat.EnrichedCategory(tn.lukasiewicz, ((1.0, 0.5), (0.0, 1.0)))
+    phi, stray = ps.Weight(X, (F(1), F(0))), ps.Weight(Y, (1.0, 0.0))
+    with pytest.raises(CarrierMismatchError):
+        laws.kz_check(X, [phi], [phi, stray])
+    with pytest.raises(CarrierMismatchError):
+        ps.sub(phi, stray)
