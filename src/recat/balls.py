@@ -1,26 +1,33 @@
 """Formal balls, directed joins, the way-below distributor, compactness.
 
-A formal ball is a pair (element, radius) ordered by r <= s (*) X(x, y).
-Radius candidates for join searches extend the grid by the finitely many
-critical products arising from the inputs.  On a finite carrier every ideal
-is representable, so the way-below distributor is X \\ X, which is the hom:
-compactness, continuity and interpolation hold on every non-empty carrier and
-ball way-below reads the hom.  Each keeps the ideal search's precondition; the
-search and the verdicts read off X \\ X are oracles in `tests/oracles.py`.
+A formal ball is a pair (element, radius) ordered by r <= s (*) X(x, y); join
+searches add to the grid the critical products of the inputs.  On a finite
+carrier every ideal is representable, so the way-below distributor is X \\ X,
+the hom: compactness, continuity and interpolation hold on every non-empty
+carrier and ball way-below reads the hom.  The below-weight of complete
+distributivity is a min over the n * k weights X(y, -) -> s, with no bound.
+The searches these replace are oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, Rel, _columns, _residual_left, hom_rel, residual_right
+from .cat import EnrichedCategory, Rel, hom_rel, residual_right
 from .errors import RecatError
 from .poset import _directed, _least
-from .presheaf import Weight, _grid_space, colim, enumerate_weights, is_cocomplete_over_grid
+from .presheaf import Weight, _grid_space, colim, is_cocomplete_over_grid
+
+
+def _in_carrier(X: EnrichedCategory, *elements):
+    for a in elements:
+        if not 0 <= a < X.n:
+            raise RecatError(f"element {a} is not in the carrier")
 
 
 def ball_leq(X: EnrichedCategory, b1, b2) -> bool:
     """(x, r) below (y, s) iff r <= s (*) X(x, y)."""
     (x, r), (y, s) = b1, b2
+    _in_carrier(X, x, y)
     return tn.vle(r, X.conj(s, X.hom[x][y]))
 
 
@@ -84,8 +91,7 @@ def is_compact(X: EnrichedCategory, a: int) -> bool:
     """a is compact iff the way-below column at a is the Yoneda weight of a: true,
     since w = X."""
     way_below_distributor(X)
-    if not 0 <= a < X.n:
-        raise RecatError(f"element {a} is not in the carrier")
+    _in_carrier(X, a)
     return True
 
 
@@ -106,6 +112,7 @@ def ball_way_below(X: EnrichedCategory, b1, b2) -> bool:
     if not (r > 0 and s > 0):
         raise RecatError("ball way-below is stated for positive radii")
     way_below_distributor(X)
+    _in_carrier(X, x, y)
     return r < X.conj(s, X.hom[x][y])
 
 
@@ -122,18 +129,18 @@ def interpolation_check(X: EnrichedCategory) -> bool:
 def is_completely_distributive_enriched(X: EnrichedCategory):
     """(verdict, witness): every x is the colimit of its below-weight.
 
-    The below-weight at x is the pointwise inf over all grid weights phi of
-    X(x, colim phi) -> phi; requires a grid-cocomplete carrier.
+    The below-weight at x is the inf over grid weights phi of X(x, colim phi) -> phi;
+    at y, phi = X(y, -) -> s is the largest weight with phi(y) = s, so a min over s
+    suffices.  Requires a grid-cocomplete carrier.
     """
     if not is_cocomplete_over_grid(X):
         raise RecatError("enriched complete distributivity needs a grid-cocomplete carrier")
-    weights = enumerate_weights(X)
-    colims = [colim(phi) for phi in weights]
-    if None in colims:
+    pts = X.grid.points
+    colims = [[colim(Weight(X, tuple(X.imp(h, s) for h in row))) for s in pts] for row in X.hom]
+    if any(None in cs for cs in colims):
         raise RecatError("grid-cocomplete carrier is missing a colimit")
-    # below[x][y] = inf over phi of X(x, colim phi) -> phi(y): row x is the below-weight at x
-    at_colims = tuple(tuple(row[c] for c in colims) for row in X.hom)
-    below = _residual_left(X.tnorm, _columns(tuple(phi.values for phi in weights), X.n), at_colims, X.one)
+    # below[x][y] = min over s of X(x, colim (X(y, -) -> s)) -> s: row x is the below-weight at x
+    below = [[min(X.imp(row[c], s) for c, s in zip(cs, pts)) for cs in colims] for row in X.hom]
     for x, vec in enumerate(below):
         c = colim(Weight(X, vec))
         if c is None or not (X.leq1(X.hom[c][x]) and X.leq1(X.hom[x][c])):

@@ -134,6 +134,8 @@ def validate_module(M: ModuleAction):
     act, conj, k = M.action, M.grid.conj_table, len(M.grid.points)
     if not L.is_lattice():
         raise RecatError("module carrier must be a complete lattice")
+    if len(act) != k or any(len(row) != L.n or not set(row) <= set(range(L.n)) for row in act):
+        raise RecatError(f"a module action needs {k} rows of {L.n} lattice elements each")
     for x in range(L.n):
         if act[k - 1][x] != x:
             raise RecatError(f"unit law fails at {x}")
@@ -177,7 +179,7 @@ def module_to_category(M: ModuleAction) -> EnrichedCategory:
 def category_to_module(A: EnrichedCategory) -> ModuleAction:
     """Tensors of a separated grid-cocomplete category, packaged as an action."""
     if A.grid is None:
-        raise RecatError("module extraction needs exact mode with a grid")
+        raise RecatError("module extraction needs a grid")
     if not is_separated(A):
         raise RecatError("module extraction needs a separated carrier")
     if not is_cocomplete_over_grid(A):

@@ -203,7 +203,7 @@ def is_cocomplete_over_grid(X: EnrichedCategory) -> bool:
     the upper bounds of A + {a} are those of {join A, a}.
     """
     if X.grid is None:
-        raise RecatError("grid cocompleteness is decided in exact mode with a grid")
+        raise RecatError("grid cocompleteness needs a grid")
     P = underlying_order(X)
     if P.bottom is None or any(P.join([a, b]) is None for a in range(X.n) for b in range(X.n)):
         return False

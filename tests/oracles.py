@@ -27,7 +27,17 @@ from recat.poset import (
     lattice_catalog,
     posets_isomorphic,
 )
-from recat.presheaf import Weight, _dual, _grid_space, colim, enumerate_weights, sub, weight_closure, yoneda
+from recat.presheaf import (
+    Weight,
+    _dual,
+    _grid_space,
+    colim,
+    enumerate_weights,
+    is_cocomplete_over_grid,
+    sub,
+    weight_closure,
+    yoneda,
+)
 from recat.values import grid_validate, unit_grid
 
 
@@ -450,6 +460,28 @@ def interpolation_check(X: EnrichedCategory) -> bool:
     """w o w = w as an exact matrix identity."""
     w = way_below_residual(X)
     return rel_eq(compose(X.tnorm, w, w), w)
+
+
+def is_completely_distributive_enriched(X: EnrichedCategory):
+    """(verdict, witness): every x is the colimit of its below-weight.
+
+    The below-weight at x is the pointwise inf over all grid weights phi of
+    X(x, colim phi) -> phi; requires a grid-cocomplete carrier.
+    """
+    if not is_cocomplete_over_grid(X):
+        raise RecatError("enriched complete distributivity needs a grid-cocomplete carrier")
+    weights = enumerate_weights(X)
+    colims = [colim(phi) for phi in weights]
+    if None in colims:
+        raise RecatError("grid-cocomplete carrier is missing a colimit")
+    # below[x][y] = inf over phi of X(x, colim phi) -> phi(y): row x is the below-weight at x
+    at_colims = tuple(tuple(row[c] for c in colims) for row in X.hom)
+    below = _residual_left(X.tnorm, _columns(tuple(phi.values for phi in weights), X.n), at_colims, X.one)
+    for x, vec in enumerate(below):
+        c = colim(Weight(X, vec))
+        if c is None or not (X.leq1(X.hom[c][x]) and X.leq1(X.hom[x][c])):
+            return False, x
+    return True, None
 
 
 def _below(X: EnrichedCategory, pairs):

@@ -227,3 +227,16 @@ class TestTruncatedFixtures:
         X = fixtures.exmp3_truncated(4)
         assert cat.validate(X).ok
         assert balls.directed_join(X, [(0, F(1, 3)), (0, F(1))]) is not None
+
+
+def test_ball_centres_outside_the_carrier_are_rejected():
+    A2, third = fixtures.a2(), F(1, 3)
+    cases = (
+        (balls.ball_way_below, ((-1, third), (0, F(1))), -1),
+        (balls.ball_way_below, ((0, third), (-2, F(1))), -2),
+        (balls.directed_join, ([(-1, third)],), -1),
+        (balls.ball_leq, ((2, third), (0, F(1))), 2),
+    )
+    for f, args, a in cases:
+        with pytest.raises(RecatError, match=f"^element {a} is not in the carrier$"):
+            f(A2, *args)

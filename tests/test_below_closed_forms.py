@@ -6,7 +6,10 @@ knows compactness, continuity and interpolation to hold.  Each is compared here
 with the code it replaced, kept in `tests/oracles.py`: the subset searches on
 random preorders (n <= 8) and on every lattice with at most 5 elements and its
 opposite, and the grid-ideal search and the verdicts read off X \\ X on random
-categories, value for value and on every error path.
+categories, value for value and on every error path.  The below-weight of
+enriched complete distributivity, a min over the n * k weights X(y, -) -> s, is
+compared with the search over every grid weight on the categories of grids and
+of random modules where that search stays small.
 """
 
 import random
@@ -18,11 +21,12 @@ import pytest
 import oracles
 import recat.balls as balls
 import recat.cat as cat
+import recat.laws as laws
 import recat.poset as ps
 import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures, gen
-from recat.errors import RecatError
+from recat.errors import BoundExceededError, RecatError
 
 GRIDS = {
     "luka_1_4": lambda: vals.unit_grid(4, tn.lukasiewicz),
@@ -169,3 +173,76 @@ def test_is_compact_rejects_an_element_outside_the_carrier(a):
     with pytest.raises(RecatError, match="not in the carrier"):
         balls.is_compact(A2, a)
     assert balls.is_compact(A2, 0) and balls.is_compact(A2, 1)
+
+
+CD_GRIDS = {
+    **{f"luka_1_{k}": (lambda k=k: vals.unit_grid(k, tn.lukasiewicz)) for k in range(1, 7)},
+    "godel_1_2": lambda: vals.grid_validate([0, F(1, 2), 1], tn.godel),
+    "godel_1_3": GRIDS["godel_1_3"],
+    "godel_5": lambda: fixtures.g5().grid,
+    "upper_block": fixtures.upper_block_grid,
+    "ordinal_upper": GRIDS["ordinal_upper"],
+    "ordinal_lower": GRIDS["ordinal_lower"],
+    "ordinal_two_blocks": lambda: vals.grid_validate(
+        [0, F(1, 4), F(1, 2), F(3, 4), 1],
+        tn.ordinal_sum((0, F(1, 2), tn.LUKASIEWICZ), (F(1, 2), 1, tn.LUKASIEWICZ)),
+    ),
+}
+CD_SEARCH_BOUND = 5000  # the oracle enumerates |grid| ** n grid vectors
+
+
+def _cd_agrees(X):
+    """The verdict and witness, after checking them against the weight search; None past its bound."""
+    if len(X.grid.points) ** X.n > CD_SEARCH_BOUND:
+        return None
+    got = balls.is_completely_distributive_enriched(X)
+    assert got == oracles.is_completely_distributive_enriched(X)
+    return got
+
+
+def test_complete_distributivity_on_grid_categories():
+    checked = {}
+    for name, build in CD_GRIDS.items():
+        grid = build()
+        for op, X in ((False, fixtures.grid_v(grid)), (True, fixtures.grid_v_op(grid))):
+            got = _cd_agrees(X)
+            if got is not None:
+                checked[name, op] = got[0]
+    # the Lukasiewicz 1/5 and 1/6 grids and the upper block grid are past the search bound
+    assert len(checked) == 2 * (len(CD_GRIDS) - 3)
+    # each grid category is completely distributive; its opposite only on the Lukasiewicz grids
+    assert all(ok == (not op or name.startswith("luka")) for (name, op), ok in checked.items())
+
+
+@pytest.mark.parametrize("t", [tn.lukasiewicz, tn.godel], ids=["lukasiewicz", "godel"])
+def test_complete_distributivity_on_module_categories(t):
+    rng = random.Random(15)
+    verdicts = [_cd_agrees(laws.module_to_category(gen.random_module(rng, t))) for _ in range(60)]
+    assert None not in verdicts
+    assert {ok for ok, _ in verdicts} == {False, True}
+
+
+def test_complete_distributivity_past_the_search_bound():
+    eight, seventeen = (vals.unit_grid(k, tn.lukasiewicz) for k in (7, 16))
+    for X in (fixtures.grid_v(eight), fixtures.grid_v_op(eight), fixtures.grid_v(seventeen)):
+        # the weight search refuses |grid| ** n > 10 ** 6; the min over n * k weights answers
+        with pytest.raises(BoundExceededError, match="weight space exceeds bound"):
+            oracles.is_completely_distributive_enriched(X)
+        assert balls.is_completely_distributive_enriched(X) == (True, None)
+
+
+CD_ERROR_INPUTS = {  # name: (category, the message both versions raise)
+    "gridless_exact": (ERROR_INPUTS["gridless_exact"][0], "grid cocompleteness needs a grid"),
+    "float": (ERROR_INPUTS["float"][0], "grid cocompleteness needs a grid"),
+    "not_cocomplete": (fixtures.a2, "enriched complete distributivity needs a grid-cocomplete carrier"),
+    "empty": (ERROR_INPUTS["empty"][0], "enriched complete distributivity needs a grid-cocomplete carrier"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CD_ERROR_INPUTS))
+def test_complete_distributivity_error_paths(name):
+    build, message = CD_ERROR_INPUTS[name]
+    X = build()
+    got = _outcome(balls.is_completely_distributive_enriched, X)
+    assert got == _outcome(oracles.is_completely_distributive_enriched, X)
+    assert got == ("raised", RecatError, message)

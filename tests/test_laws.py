@@ -303,3 +303,24 @@ def test_kz_check_keeps_an_equal_valued_float_category_apart():
         laws.kz_check(X, [phi], [phi, stray])
     with pytest.raises(CarrierMismatchError):
         ps.sub(phi, stray)
+
+
+@pytest.mark.parametrize("action", [((0, 0), (0, 1)), ((0, 0), (0, 1), (0,)), ((0, 0), (0, 1), (0, 2))])
+def test_module_action_rejects_an_action_of_the_wrong_shape(action):
+    from recat.poset import chain
+
+    with pytest.raises(RecatError, match="^a module action needs 3 rows of 2 lattice elements each$"):
+        laws.ModuleAction(chain(2), luka_grid(2), action)
+
+
+def test_grid_messages_name_the_missing_grid():
+    from recat.balls import is_completely_distributive_enriched
+
+    X = cat.EnrichedCategory.from_json({"tnorm": "lukasiewicz", "hom": [["1", "1/2"], ["0", "1"]]})
+    for f, message in (
+        (ps.is_cocomplete_over_grid, "grid cocompleteness needs a grid"),
+        (laws.category_to_module, "module extraction needs a grid"),
+        (is_completely_distributive_enriched, "grid cocompleteness needs a grid"),
+    ):
+        with pytest.raises(RecatError, match=f"^{message}$"):
+            f(X)
