@@ -1,7 +1,8 @@
 """Formal balls, directed joins, the way-below distributor, compactness.
 
 A formal ball is a pair (element, radius) ordered by r <= s (*) X(x, y); join
-searches add to the grid the critical products of the inputs.  On a finite
+searches add to the grid the critical products of the inputs.  The public ball
+functions check each ball's centre and radius once, on entry.  On a finite
 carrier every ideal is representable, so the way-below distributor is X \\ X,
 the hom: compactness, continuity and interpolation hold on every non-empty
 carrier and ball way-below reads the hom.  The below-weight of complete
@@ -11,11 +12,14 @@ The searches these replace are oracles in `tests/oracles.py`.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import tnorm as tn
 from .cat import EnrichedCategory, Rel, hom_rel, residual_right
 from .errors import RecatError
 from .poset import _directed, _least
 from .presheaf import Weight, _grid_space, colim, is_cocomplete_over_grid
+from .values import _check_on_grid
 
 
 def _in_carrier(X: EnrichedCategory, *elements):
@@ -24,15 +28,37 @@ def _in_carrier(X: EnrichedCategory, *elements):
             raise RecatError(f"element {a} is not in the carrier")
 
 
-def ball_leq(X: EnrichedCategory, b1, b2) -> bool:
-    """(x, r) below (y, s) iff r <= s (*) X(x, y)."""
+def _check_balls(X: EnrichedCategory, *balls):
+    """Raise RecatError unless every ball is (element of X, radius), each checked once.
+
+    A radius is an exact value other than a bool, a point of X's grid if it
+    has one and in [0, 1] if not; on a float hom it is a float in [0, 1].
+    """
+    _in_carrier(X, *(x for x, _ in balls))
+    radii = [r for _, r in balls]
+    if X.grid is not None:
+        _check_on_grid(radii, X.grid, "radius ")
+        return
+    kinds, what = ((Fraction, int), "an exact") if X.mode == "exact" else ((float,), "a float")
+    for r in radii:
+        if type(r) not in kinds or not 0 <= r <= 1:
+            raise RecatError(f"radius {r!r} is not {what} value in [0,1]")
+
+
+def _leq(X: EnrichedCategory, b1, b2) -> bool:
     (x, r), (y, s) = b1, b2
-    _in_carrier(X, x, y)
     return tn.vle(r, X.conj(s, X.hom[x][y]))
 
 
+def ball_leq(X: EnrichedCategory, b1, b2) -> bool:
+    """(x, r) below (y, s) iff r <= s (*) X(x, y)."""
+    _check_balls(X, b1, b2)
+    return _leq(X, b1, b2)
+
+
 def ball_equiv(X: EnrichedCategory, b1, b2) -> bool:
-    return ball_leq(X, b1, b2) and ball_leq(X, b2, b1)
+    _check_balls(X, b1, b2)
+    return _leq(X, b1, b2) and _leq(X, b2, b1)
 
 
 def radius_candidates(X: EnrichedCategory, balls):
@@ -54,7 +80,8 @@ def radius_candidates(X: EnrichedCategory, balls):
 def directed_check(X: EnrichedCategory, balls) -> bool:
     """Every pair of the set has an upper bound within the set."""
     balls = list(balls)
-    return bool(balls) and _directed(balls, lambda a, b: ball_leq(X, a, b))
+    _check_balls(X, *balls)
+    return bool(balls) and _directed(balls, lambda a, b: _leq(X, a, b))
 
 
 def directed_join(X: EnrichedCategory, balls):
@@ -62,9 +89,10 @@ def directed_join(X: EnrichedCategory, balls):
     if X.mode != "exact":
         raise RecatError("directed joins are computed in exact mode")
     balls = list(balls)
+    _check_balls(X, *balls)
     candidates = [(z, t) for z in range(X.n) for t in radius_candidates(X, balls)]
-    ubs = [c for c in candidates if all(ball_leq(X, b, c) for b in balls)]
-    return _least(ubs, lambda c, d: ball_leq(X, c, d))
+    ubs = [c for c in candidates if all(_leq(X, b, c) for b in balls)]
+    return _least(ubs, lambda c, d: _leq(X, c, d))
 
 
 def way_below_distributor(X: EnrichedCategory, bound: int = 10**6) -> Rel:
@@ -109,10 +137,10 @@ def ball_way_below(X: EnrichedCategory, b1, b2) -> bool:
     heuristic, see ball_way_below_is_exact.
     """
     (x, r), (y, s) = b1, b2
+    way_below_distributor(X)
+    _check_balls(X, b1, b2)
     if not (r > 0 and s > 0):
         raise RecatError("ball way-below is stated for positive radii")
-    way_below_distributor(X)
-    _in_carrier(X, x, y)
     return r < X.conj(s, X.hom[x][y])
 
 
@@ -161,7 +189,7 @@ def ball_poset_dot(X: EnrichedCategory, grid=None) -> str:
         (a, b)
         for a in nodes
         for b in nodes
-        if a != b and ball_leq(X, a, b) and not ball_leq(X, b, a)
+        if a != b and _leq(X, a, b) and not _leq(X, b, a)
     }
     covers = []
     for a, b in sorted(strictly, key=lambda p: (label[p[0]], label[p[1]])):

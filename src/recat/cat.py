@@ -3,8 +3,10 @@
 A category is a carrier with a hom matrix satisfying reflexivity and
 (*)-transitivity.  Relations compose by sup-(*) products and carry two inf-(->)
 residuals; the relation kernel has two loops, `_compose` and `_residual_left`,
-and the right residual is the left one transposed.  Weights in `presheaf` are
-one-column matrices (one kernel call per formula); coweights are their duals.
+and the right residual is the left one transposed; `_compose_on` and
+`_residual_left_on` are the same two loops on grid indices.  Weights in
+`presheaf` are one-column matrices (one kernel call per formula); coweights
+are their duals.
 """
 
 from __future__ import annotations
@@ -188,6 +190,22 @@ def _residual_left(t, tt_cols, r_cols, one):
     imp = tn.imp
     return tuple(
         tuple(min((imp(t, a, b) for a, b in zip(rcol, col)), default=one) for col in tt_cols)
+        for rcol in r_cols
+    )
+
+
+def _compose_on(conj, s_cols, r_rows, zero):
+    """_compose on grid indices: conj is a grid's conj_table and zero its bottom index."""
+    return tuple(
+        tuple(max((conj[a][b] for a, b in zip(col, row)), default=zero) for col in s_cols)
+        for row in r_rows
+    )
+
+
+def _residual_left_on(imp, tt_cols, r_cols, one):
+    """_residual_left on grid indices: imp is a grid's imp_table and one its top index."""
+    return tuple(
+        tuple(min((imp[a][b] for a, b in zip(rcol, col)), default=one) for col in tt_cols)
         for rcol in r_cols
     )
 

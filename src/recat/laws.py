@@ -6,7 +6,10 @@ filter axioms and the Kowalsky sum.  KZ and CF1-CF4 have one checker for both
 modes, comparing through tn.vle/tn.veq (exact on Fractions, within TOL on
 floats), so their float checks run the exact checkers on sampled points.
 The KZ check takes weights on X alone and evaluates a repeated sampled
-weight, and a repeated pair, once.
+weight, and a repeated pair, once.  When X has a grid, the KZ check and the
+KZ equality-versus-Cauchy check index X's hom and each distinct weight once
+and run the Isbell bounds and every pair on the grid's conj/imp tables
+(`cat._compose_on`/`_residual_left_on`); without one they use the kernel.
 The module, negation, filter-axiom and powerset checks take the ValueGrid
 alone, t-norm included, and work on grid indices through its conj/imp
 tables, as do filter evaluation and the filter cotensor; the Kowalsky
@@ -20,14 +23,14 @@ from functools import partial
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb
 from operator import eq
+from typing import NamedTuple
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, _columns, _compose, is_separated, underlying_order
+from .cat import EnrichedCategory, _columns, _compose, _compose_on, _residual_left_on, is_separated, underlying_order
 from .classify import is_cauchy
 from .errors import BoundExceededError, RecatError
 from .poset import FinitePoset, _directed, _relabelings
 from .presheaf import (
-    Coweight,
     Weight,
     _column,
     _same_base,
@@ -59,25 +62,76 @@ def kz_defect(phi: Weight, gamma: Weight):
     return _kz_pair(phi, gamma, isbell_ub(gamma))
 
 
-def _kz_pair(phi: Weight, gamma: Weight, gamma_ub: Coweight):
-    """kz_defect(phi, gamma) given gamma's upper-bound coweight."""
-    return pairing(phi, gamma_ub), sub(gamma, phi)
+class _OnGrid(NamedTuple):
+    """A weight's values with their indices on a grid: how _kz_pair reads it there."""
+
+    values: tuple
+    at: tuple
+    grid: ValueGrid
+
+
+def _kz_pair(phi, gamma, gamma_ub):
+    """kz_defect(phi, gamma) given gamma's upper-bound coweight.
+
+    On a grid phi and gamma come as _OnGrid and gamma_ub as the bound's grid
+    indices: lhs is a max over the conj table, rhs a min over the imp table,
+    and both come back as grid points.
+    """
+    if type(phi) is not _OnGrid:
+        return pairing(phi, gamma_ub), sub(gamma, phi)
+    grid = phi.grid
+    lhs = _compose_on(grid.conj_table, (phi.at,), (gamma_ub,), 0)[0][0]
+    rhs = _residual_left_on(grid.imp_table, (phi.at,), (gamma.at,), len(grid.points) - 1)[0][0]
+    return grid.points[lhs], grid.points[rhs]
+
+
+def _kz_operands(X: EnrichedCategory, weights):
+    """(read, bound): what _kz_pair takes for a weight and for a test weight's Isbell bound.
+
+    When X has a grid that every weight was checked on, a weight is read as
+    _OnGrid and its bound inf_x (gamma(x) -> X(x, -)) is a min over the imp
+    table, with X's hom indexed once; otherwise they are the Weight itself and
+    its isbell_ub coweight.  A weight on an equal-hom base without X's grid
+    may hold values off it, so it keeps the whole check on the kernel.
+    """
+    grid = X.grid
+    if grid is None or any(w.base is not X and w.base.grid != grid for w in weights):
+        return (lambda w: w), isbell_ub
+    pos, top = grid._pos, len(grid.points) - 1
+    cols = _columns(tuple(tuple(pos[h] for h in row) for row in X.hom), X.n)  # cols[y][x]: X(x, y)
+
+    def read(w):
+        return _OnGrid(w.values, tuple(pos[v] for v in w.values), grid)
+
+    def bound(gamma):
+        return _residual_left_on(grid.imp_table, cols, (gamma.at,), top)[0]
+
+    return read, bound
 
 
 def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
     """Inequality report over the sampled weight pairs, all on X.
 
     Each distinct test weight gets one Isbell bound and each distinct
-    (phi, gamma) pair one evaluation; `total` and `equalities` count the
-    pairs with multiplicity, and `violations` lists every violating pair in
-    the order of the two lists, repeats included.
+    (phi, gamma) pair one evaluation, on grid indices when X has a grid;
+    `total` and `equalities` count the pairs with multiplicity, and
+    `violations` lists every violating pair in the order of the two lists,
+    repeats included.
     """
     weights, test_weights = list(weights), list(test_weights)
     for w in weights + test_weights:
         _same_base(w.base, X)
-    ids = {}  # values -> int, so each vector is hashed once and a pair key is two ints
-    phis = [(phi, ids.setdefault(phi.values, len(ids))) for phi in weights]
-    gammas = [(gamma, ids.setdefault(gamma.values, len(ids))) for gamma in test_weights]
+    read, bound = _kz_operands(X, weights + test_weights)
+    ids, reads = {}, []  # values -> int, so each vector is hashed and read once and a pair key is two ints
+
+    def intern(w):
+        i = ids.setdefault(w.values, len(ids))
+        if i == len(reads):
+            reads.append(read(w))
+        return i
+
+    phis = [(phi, intern(phi)) for phi in weights]
+    gammas = [(gamma, intern(gamma)) for gamma in test_weights]
     ubs, verdicts = {}, {}  # Isbell bound per gamma; per pair None for a violation, else lhs == rhs
     violations = []
     equalities = 0
@@ -85,8 +139,8 @@ def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
         for gamma, j in gammas:
             if (i, j) not in verdicts:
                 if j not in ubs:
-                    ubs[j] = isbell_ub(gamma)
-                lhs, rhs = _kz_pair(phi, gamma, ubs[j])
+                    ubs[j] = bound(reads[j])
+                lhs, rhs = _kz_pair(reads[i], reads[j], ubs[j])
                 verdicts[i, j] = tn.veq(lhs, rhs) if tn.vle(lhs, rhs) else None
             verdict = verdicts[i, j]
             if verdict is None:
@@ -97,14 +151,19 @@ def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
 
 
 def kz_equality_consistent_with_cauchy(X: EnrichedCategory, bound: int = 10**6) -> bool:
-    """Equality against every grid test weight holds exactly for Cauchy weights."""
+    """Equality against every grid test weight holds exactly for Cauchy weights.
+
+    The pairs run on grid indices (enumeration needs a grid); is_cauchy takes the weights.
+    """
     weights = enumerate_weights(X, bound)
-    tests = [(gamma, isbell_ub(gamma)) for gamma in weights]
-    for phi in weights:
+    read, ub = _kz_operands(X, weights)
+    reads = [read(w) for w in weights]
+    tests = [(gamma, ub(gamma)) for gamma in reads]
+    for phi, w in zip(reads, weights):
         everywhere_equal = all(
             tn.veq(*_kz_pair(phi, gamma, gamma_ub)) for gamma, gamma_ub in tests
         )
-        if everywhere_equal != (is_cauchy(phi) is not None):
+        if everywhere_equal != (is_cauchy(w) is not None):
             return False
     return True
 

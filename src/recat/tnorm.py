@@ -281,27 +281,35 @@ def archimedean_base(t: TNorm):
 
 
 def generator_eval(t: TNorm, x):
-    """Additive generator value in [-inf, 0]; product uses ln, Lukasiewicz x - 1."""
+    """Additive generator value in [-inf, 0]; product uses ln, Lukasiewicz x - 1.
+
+    A plain float skips the mode lookup; any other value that is no scalar
+    (a string, None, a list) raises ModeMismatchError there.
+    """
     base = archimedean_base(t)
+    exact = type(x) is not float and mode_of(x) == "exact"
     _check_range(x)
     if base == LUKASIEWICZ:
-        return x - (ONE if mode_of(x) == "exact" else 1.0)
-    if mode_of(x) == "exact":
+        return x - (ONE if exact else 1.0)
+    if exact:
         raise ExactModeError("the product generator ln(x) leaves the rationals")
     return math.log(x) if x > 0.0 else NEG_INF
 
 
 def pseudo_inverse(t: TNorm, u):
-    """Left adjoint of the generator: inverts on [t(0), 0], collapses below to 0."""
+    """Left adjoint of the generator: inverts on [t(0), 0], collapses below to 0.
+
+    A plain float skips the mode lookup, as in generator_eval.
+    """
     base = archimedean_base(t)
-    if isinstance(u, Fraction) or isinstance(u, int):
+    if type(u) is not float and mode_of(u) == "exact":
         if base == PRODUCT:
             raise ExactModeError("the product generator has no exact inverse")
         if u > 0:
             raise RecatError("pseudo_inverse expects u <= 0")
         v = Fraction(u) + ONE
         return v if v > ZERO else ZERO
-    if u > 0.0:
+    if not u <= 0.0:  # NaN too
         raise RecatError("pseudo_inverse expects u <= 0")
     if base == LUKASIEWICZ:
         return max(0.0, u + 1.0)

@@ -318,6 +318,21 @@ def negation_duality_check(grid, t):
     return True, None
 
 
+def grid_tnorm_laws(t, grid):
+    """(laws, divisibility) of `recat laws tnorm` on grid points through tn.conj/tn.imp."""
+    pts = grid.points
+    ok = all(
+        tn.conj(t, x, y) == tn.conj(t, y, x)
+        and tn.conj(t, tn.conj(t, x, y), z) == tn.conj(t, x, tn.conj(t, y, z))
+        and tn.conj(t, x, tn.ONE) == x
+        and (tn.conj(t, x, y) <= z) == (y <= tn.imp(t, x, z))
+        for x in pts
+        for y in pts
+        for z in pts
+    )
+    return ok, all(tn.conj(t, x, tn.imp(t, x, y)) == min(x, y) for x in pts for y in pts)
+
+
 def filter_axiom_report(t, grid, size, table):
     """CF1..CF4 on grid points through tn.imp: the report of laws.filter_axiom_check."""
     lams = list(iproduct(grid.points, repeat=size))

@@ -240,3 +240,46 @@ def test_ball_centres_outside_the_carrier_are_rejected():
     for f, args, a in cases:
         with pytest.raises(RecatError, match=f"^element {a} is not in the carrier$"):
             f(A2, *args)
+
+
+BAD_RADII = (F(-1), F(3), 0.5, "abc", None, [1], True)
+EXACT_BASES = {
+    "grid": fixtures.a2,
+    "gridless": lambda: cat.EnrichedCategory(tn.lukasiewicz, fixtures.a2().hom),
+}
+
+
+@pytest.mark.parametrize("base", sorted(EXACT_BASES))
+@pytest.mark.parametrize("bad", BAD_RADII, ids=repr)
+def test_every_radius_is_checked(base, bad):
+    """Either radius of ball_leq, ball_way_below and directed_join raises RecatError when
+    it is not an exact value in [0, 1] (on the grid, when there is one); the first radius
+    used to go unchecked, so -1, 3 and 0.5 got verdicts and a string a bare TypeError."""
+    X, one = EXACT_BASES[base](), F(1)
+    calls = [(balls.ball_leq, ((0, bad), (1, one))), (balls.ball_leq, ((0, one), (1, bad)))]
+    calls += [(balls.directed_join, ([(0, one), (1, bad)],)), (balls.directed_check, ([(0, bad)],))]
+    if X.grid is not None:  # ball way-below needs a grid
+        calls += [(balls.ball_way_below, ((0, bad), (1, one))), (balls.ball_way_below, ((0, one), (1, bad)))]
+    for f, args in calls:
+        with pytest.raises(RecatError, match="^radius "):
+            f(X, *args)
+
+
+def test_float_radii_on_a_float_hom():
+    X = cat.EnrichedCategory(tn.product, ((1.0, 0.5), (0.0, 1.0)))
+    assert balls.ball_leq(X, (0, 0.25), (1, 0.5)) and not balls.ball_leq(X, (0, 0.5), (1, 0.5))
+    for bad in (F(1, 2), 1, 1.5, -0.0 - 1e-9, float("nan"), "0.5", True):
+        with pytest.raises(RecatError, match="^radius "):
+            balls.ball_leq(X, (0, bad), (1, 0.5))
+        with pytest.raises(RecatError, match="^radius "):
+            balls.ball_leq(X, (0, 0.5), (1, bad))
+
+
+def test_valid_radii_keep_their_verdicts():
+    A2 = fixtures.a2()
+    pts = A2.grid.points
+    for r in pts:
+        for s in pts:
+            want = r <= tn.conj(A2.tnorm, s, A2.hom[0][1])
+            assert balls.ball_leq(A2, (0, r), (1, s)) == want
+            assert balls.ball_leq(A2, (0, int(r) if r.denominator == 1 else r), (1, s)) == want

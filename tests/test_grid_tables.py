@@ -1,10 +1,14 @@
 """The grid quantale: ValueGrid's conj/imp index tables and the code that runs on them.
 
-Generators, module laws, negation duality, filter axioms, the powerset monad
-and the category V compute on grid indices; the oracles in `oracles.py`
-compute the same through tn.conj/tn.imp.
+Generators, module laws, negation duality, filter axioms, the powerset monad,
+the exact `recat laws tnorm` checks and the category V compute on grid
+indices; the oracles in `oracles.py` compute the same through tn.conj/tn.imp.
 """
 
+import contextlib
+import dataclasses
+import hashlib
+import io
 import json
 import random
 from fractions import Fraction as F
@@ -241,3 +245,43 @@ def test_random_module_rejects_a_grid_closed_under_another_tnorm():
     # the grid used to win silently: this returned a Lukasiewicz module
     with pytest.raises(RecatError, match="closed under lukasiewicz, not godel"):
         gen.random_module(random.Random(0), tn.godel, grid=vals.unit_grid(3, tn.lukasiewicz))
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_tnorm_suite_grid_laws_match_the_scalar_loop(name):
+    g = GRIDS[name]
+    assert cli._grid_tnorm_laws(g) == oracles.grid_tnorm_laws(g.tnorm, g) == (True, True)
+    # a table with one entry moved off its value fails the index check
+    k = len(g.points)
+    if k > 2:
+        conj = [list(row) for row in g.conj_table]
+        conj[1][k - 1] = 0
+        broken = dataclasses.replace(g)
+        object.__setattr__(broken, "conj_table", tuple(map(tuple, conj)))
+        assert cli._grid_tnorm_laws(broken)[0] is False
+
+
+TNORM_SETUPS = (
+    ("--tnorm", "lukasiewicz", "--grid", "{0,1/3,2/3,1}"),
+    ("--tnorm", "lukasiewicz"),
+    ("--tnorm", "godel"),
+    ("--tnorm", "godel", "--grid", "{0,1/4,1/2,3/4,1}"),
+    ("--tnorm", "ordinal[(1/2,1,lukasiewicz)]", "--grid", "{0,1/2,3/4,1}"),
+    ("--tnorm", "ordinal[(0,1/2,lukasiewicz),(1/2,1,lukasiewicz)]", "--grid", "{0,1/4,1/2,3/4,1}"),
+    ("--tnorm", "product", "--mode", "float"),
+    ("--tnorm", "ordinal[(0,1/2,product)]", "--mode", "float"),
+    ("--tnorm", "ordinal[(1/2,1,product)]", "--mode", "float"),
+)
+
+
+def test_tnorm_suite_stdout_and_exit_codes_are_pinned():
+    # the digest was taken while the exact grid checks still ran through tn.conj/tn.imp
+    h = hashlib.sha256()
+    for setup in TNORM_SETUPS:
+        for seed in range(6):
+            argv = ["laws", "tnorm", *setup, "--seed", str(seed)]
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(argv)
+            h.update(json.dumps([argv, code, buf.getvalue()]).encode())
+    assert h.hexdigest() == "17bb7dbf5c397decaec5e4b80cd8643a53653e2c4f48eb8e742c96ce238be906"

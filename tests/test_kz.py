@@ -2,13 +2,15 @@
 
 `laws.kz_defect` reads sub(gamma, yoneda(X, x)) as isbell_ub(gamma)(x), and
 `kz_check` and `kz_equality_consistent_with_cauchy` take one Isbell bound
-per test weight.  These seeded cases recompute every pair from n Yoneda
-weights, on exact Lukasiewicz 1/6 and Godel categories and on float product
-categories, and require equal values; a counted case pins the number of
-scalar operations.
+per test weight, on grid indices when X has a grid.  These seeded cases
+recompute every pair from n Yoneda weights through tn.conj/tn.imp, on exact
+Lukasiewicz 1/6, Godel and ordinal-sum grid categories, on exact Lukasiewicz
+categories without a grid and on float product categories, and require equal
+values; counted cases pin the number of scalar operations.
 """
 
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -23,7 +25,9 @@ from recat.errors import AxiomError
 from recat.poset import closure
 
 SIZES = range(1, 6)
-MODES = ("lukasiewicz", "godel", "product")
+MODES = ("lukasiewicz", "godel", "product", "ordinal", "gridless")
+# an ordinal sum with the interior idempotent 1/2: Godel below it, Lukasiewicz above
+ORDINAL_GRID = vals.grid_validate([0, F(1, 2), F(3, 4), 1], tn.parse_tnorm("ordinal[(1/2,1,lukasiewicz)]"))
 
 
 def category(rng, n, mode):
@@ -31,17 +35,29 @@ def category(rng, n, mode):
         return gen.random_category(rng, n, vals.unit_grid(6, tn.lukasiewicz))
     if mode == "godel":
         return gen.random_category(rng, n, vals.unit_grid(5, tn.godel))
+    if mode == "ordinal":
+        return gen.random_category(rng, n, ORDINAL_GRID)
+    if mode == "gridless":  # exact, with weights drawn off the 1/6 grid below
+        return without_grid(gen.random_category(rng, n, vals.unit_grid(6, tn.lukasiewicz)))
     hom = [[1.0 if i == j else round(rng.random(), 3) for j in range(n)] for i in range(n)]
     return cat.EnrichedCategory(tn.product, closure(hom, lambda a, b: tn.conj(tn.product, a, b)))
 
 
 def weights(rng, X, count):
     """`count` weights: closures of random vectors, plus every Yoneda weight."""
-    if X.mode == "exact":
+    if X.grid is not None:
         vecs = [tuple(rng.choice(X.grid.points) for _ in range(X.n)) for _ in range(count)]
+    elif X.mode == "exact":
+        vecs = [tuple(F(rng.randint(0, 35), 35) for _ in range(X.n)) for _ in range(count)]
     else:
         vecs = [tuple(round(rng.random(), 3) for _ in range(X.n)) for _ in range(count)]
     return [ps.weight_closure(X, v) for v in vecs] + [ps.yoneda(X, a) for a in range(X.n)]
+
+
+def without_grid(X):
+    """The same hom and t-norm with no grid: the kernel path, and a base that takes
+    weights off X's grid."""
+    return cat.EnrichedCategory(X.tnorm, X.hom, X.names)
 
 
 def yoneda_defect(phi, gamma):
@@ -77,7 +93,7 @@ def test_kz_defect_and_check_equal_the_yoneda_form(mode, n):
     assert laws.kz_check(X, ws, tests) == yoneda_report(ws, tests)
 
 
-@pytest.mark.parametrize("mode", ("lukasiewicz", "godel"))
+@pytest.mark.parametrize("mode", ("lukasiewicz", "godel", "ordinal"))
 @pytest.mark.parametrize("n", (1, 2))
 def test_equality_vs_cauchy_equals_the_yoneda_form(mode, n):
     rng = random.Random(200 * n + MODES.index(mode))
@@ -90,12 +106,27 @@ def test_equality_vs_cauchy_equals_the_yoneda_form(mode, n):
     assert laws.kz_equality_consistent_with_cauchy(X) == expected
 
 
-def test_kz_check_scalar_operation_count(monkeypatch):
-    """One Isbell bound per test weight: at most W * 2n^2 + W^2 * 2n scalar calls."""
-    n, W = 4, 8
-    rng = random.Random(7)
-    X = category(rng, n, "lukasiewicz")
-    ws = [gen.random_weight(rng, X) for _ in range(W)]
+@pytest.mark.parametrize("mode", ("lukasiewicz", "godel", "ordinal"))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_weights_on_a_twin_base_without_the_grid(mode, n):
+    """Weights on an equal-hom base without X's grid pass the base check, and their
+    values may lie off the grid: kz_check runs them on the kernel, with the same report."""
+    rng = random.Random(300 * n + MODES.index(mode))
+    X = category(rng, n, mode)
+    twin = without_grid(X)
+    ws = weights(rng, X, 4)
+    strays = weights(rng, twin, 3) + [ps.Weight(twin, w.values) for w in ws[:2]]
+    for tests in (strays, ws + strays):
+        assert laws.kz_check(X, ws, tests) == yoneda_report(ws, tests)
+        assert laws.kz_check(X, tests, ws) == yoneda_report(tests, ws)
+    for phi in strays:
+        for gamma in ws:
+            assert laws.kz_defect(phi, gamma) == yoneda_defect(phi, gamma)
+            assert laws.kz_defect(gamma, phi) == yoneda_defect(gamma, phi)
+
+
+def counting(monkeypatch):
+    """A one-entry list that counts every tn.conj and tn.imp call from here on."""
     calls = [0]
 
     def counted(f):
@@ -107,9 +138,34 @@ def test_kz_check_scalar_operation_count(monkeypatch):
 
     monkeypatch.setattr(tn, "conj", counted(tn.conj))
     monkeypatch.setattr(tn, "imp", counted(tn.imp))
+    return calls
+
+
+def test_kz_check_scalar_operation_count(monkeypatch):
+    """On the kernel (the same hom without its grid), one Isbell bound per test weight:
+    at most W * 2n^2 + W^2 * 2n scalar calls.  On the grid, none: the check reads the
+    conj/imp tables and gives the same report."""
+    n, W = 4, 8
+    rng = random.Random(7)
+    X = category(rng, n, "lukasiewicz")
+    ws = [gen.random_weight(rng, X) for _ in range(W)]
+    bare = without_grid(X)
+    bare_ws = [ps.Weight(bare, w.values) for w in ws]
+    calls = counting(monkeypatch)
     rep = laws.kz_check(X, ws, ws)
+    assert calls[0] == 0
     assert rep["total"] == W * W and rep["violations"] == []
+    assert laws.kz_check(bare, bare_ws, bare_ws) == rep
     assert 0 < calls[0] <= W * 2 * n * n + W * W * 2 * n
+
+
+def test_equality_vs_cauchy_reads_the_tables_for_the_pairs(monkeypatch):
+    """kz_equality_consistent_with_cauchy makes no scalar call outside is_cauchy."""
+    X = category(random.Random(11), 2, "lukasiewicz")
+    calls = counting(monkeypatch)
+    monkeypatch.setattr(laws, "is_cauchy", lambda phi: None)
+    laws.kz_equality_consistent_with_cauchy(X)
+    assert calls[0] == 0
 
 
 def test_empty_carrier():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import recat.tnorm as tn
 import recat.values as vals
-from recat.errors import ExactModeError, ModeMismatchError, NotArchimedeanError
+from recat.errors import ExactModeError, ModeMismatchError, NotArchimedeanError, RecatError
 
 
 def luka_grid(n):
@@ -124,6 +124,36 @@ class TestGenerator:
     def test_non_archimedean_rejected(self):
         with pytest.raises(NotArchimedeanError):
             tn.generator_eval(tn.godel, 0.5)
+
+    @pytest.mark.parametrize("bad", ["abc", "1/2", None, [1], (0.5,), {}], ids=repr)
+    def test_a_value_that_is_no_scalar_raises_recat_error(self, bad):
+        # these raised a bare TypeError from the range check or the u > 0 test
+        for t in (tn.product, tn.lukasiewicz, tn.ordinal_sum((0, 1, tn.LUKASIEWICZ))):
+            with pytest.raises(RecatError):
+                tn.generator_eval(t, bad)
+            with pytest.raises(RecatError):
+                tn.pseudo_inverse(t, bad)
+
+    def test_floats_and_exact_values_keep_their_results(self):
+        import math
+
+        assert tn.generator_eval(tn.lukasiewicz, 0.25) == -0.75
+        assert tn.generator_eval(tn.lukasiewicz, 1) == F(0)
+        assert tn.pseudo_inverse(tn.lukasiewicz, -0.25) == 0.75
+        assert tn.pseudo_inverse(tn.lukasiewicz, -1) == F(0)
+        assert tn.pseudo_inverse(tn.product, tn.NEG_INF) == 0.0
+        assert tn.pseudo_inverse(tn.product, -1.0) == math.exp(-1.0)
+        for bad in (1.5, -0.5, float("nan")):
+            with pytest.raises(RecatError):
+                tn.generator_eval(tn.product, bad)
+        for t in (tn.product, tn.lukasiewicz):
+            for bad in (0.5, float("nan")):  # NaN gave nan under product and 0.0 under Lukasiewicz
+                with pytest.raises(RecatError, match="expects u <= 0"):
+                    tn.pseudo_inverse(t, bad)
+        with pytest.raises(ExactModeError):
+            tn.generator_eval(tn.product, F(1, 2))
+        with pytest.raises(ExactModeError):
+            tn.pseudo_inverse(tn.product, F(-1, 2))
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=300)
