@@ -12,37 +12,18 @@ The searches these replace are oracles in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import tnorm as tn
 from .cat import EnrichedCategory, Rel, hom_rel, residual_right
 from .errors import RecatError
 from .poset import _directed, _least
 from .presheaf import Weight, _grid_space, colim, is_cocomplete_over_grid
-from .values import _check_on_grid
-
-
-def _in_carrier(X: EnrichedCategory, *elements):
-    for a in elements:
-        if not 0 <= a < X.n:
-            raise RecatError(f"element {a} is not in the carrier")
+from .values import _check_scalars, _in_carrier
 
 
 def _check_balls(X: EnrichedCategory, *balls):
-    """Raise RecatError unless every ball is (element of X, radius), each checked once.
-
-    A radius is an exact value other than a bool, a point of X's grid if it
-    has one and in [0, 1] if not; on a float hom it is a float in [0, 1].
-    """
+    """Raise RecatError unless every ball is (element of X, scalar of X's mode and grid)."""
     _in_carrier(X, *(x for x, _ in balls))
-    radii = [r for _, r in balls]
-    if X.grid is not None:
-        _check_on_grid(radii, X.grid, "radius ")
-        return
-    kinds, what = ((Fraction, int), "an exact") if X.mode == "exact" else ((float,), "a float")
-    for r in radii:
-        if type(r) not in kinds or not 0 <= r <= 1:
-            raise RecatError(f"radius {r!r} is not {what} value in [0,1]")
+    _check_scalars((r for _, r in balls), X.grid, "radius ", X.mode)
 
 
 def _leq(X: EnrichedCategory, b1, b2) -> bool:

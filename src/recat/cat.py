@@ -12,7 +12,6 @@ are their duals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
 from . import tnorm as tn
@@ -20,22 +19,10 @@ from . import values as vals
 from .errors import (
     BoundExceededError,
     CarrierMismatchError,
-    ModeMismatchError,
     NotAFunctorError,
     RecatError,
 )
 from .poset import FinitePoset, _relabelings
-
-
-def _normalize(v):
-    # Fractions and floats are kept as the caller's objects, not copied
-    if type(v) is Fraction or isinstance(v, float):
-        return v
-    if isinstance(v, (Fraction, int)):
-        return Fraction(v)
-    if isinstance(v, str):
-        return vals.parse_value(v)
-    raise ModeMismatchError(f"unsupported hom value {v!r}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +34,7 @@ class EnrichedCategory:
     _op = None  # opposite(self) once built; a plain attribute, not a dataclass field
 
     def __post_init__(self):
-        rows = tuple(tuple(_normalize(v) for v in row) for row in self.hom)
+        rows = tuple(tuple(vals._normalize(v) for v in row) for row in self.hom)
         object.__setattr__(self, "hom", rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
@@ -58,10 +45,7 @@ class EnrichedCategory:
             raise RecatError("names must match the carrier size")
         if self.grid is not None and self.grid.tnorm != self.tnorm:
             raise RecatError(f"the grid is closed under {self.grid.tnorm}, not {self.tnorm}")
-        modes = {tn.mode_of(v) for row in rows for v in row}
-        if len(modes) > 1:
-            raise ModeMismatchError("hom matrix mixes exact and float values")
-        vals._check_on_grid((v for row in rows for v in row), self.grid, "hom value ")
+        vals._check_scalars((v for row in rows for v in row), self.grid, "hom value ")
 
     @property
     def n(self) -> int:
@@ -143,10 +127,11 @@ class Rel:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(_normalize(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(vals._normalize(v) for v in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) != self.src or any(len(r) != self.tgt for r in rows):
             raise RecatError("relation shape mismatch")
+        vals._check_scalars((v for row in rows for v in row), what="relation value ")
 
     def __call__(self, x, y):
         return self.rows[x][y]
@@ -268,6 +253,7 @@ class EnrichedFunctor:
             raise CarrierMismatchError("a functor's source and target must share one t-norm")
         if len(self.mapping) != self.src.n:
             raise RecatError("mapping must cover the source carrier")
+        vals._in_carrier(self.tgt, *self.mapping)
         for x in range(self.src.n):
             for y in range(self.src.n):
                 if not tn.vle(self.src.hom[x][y], self.tgt.hom[self.mapping[x]][self.mapping[y]]):

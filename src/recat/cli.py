@@ -33,7 +33,7 @@ from .laws import (
     powerset_monad_check,
 )
 from .presheaf import Weight, f_exists, f_inv, sub as psub
-from .values import _check_on_grid, _encode, _json_array, grid_validate, parse_grid_text, parse_value, unit_grid
+from .values import _check_scalars, _encode, _json_array, _normalize, grid_validate, parse_grid_text, unit_grid
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -72,10 +72,8 @@ def load_category(path) -> EnrichedCategory:
 def load_weight(path, X: EnrichedCategory) -> Weight:
     data = _load_json(path)
     try:
-        values = [v if isinstance(v, float) else parse_value(v) for v in _json_array(data["values"], "values")]
-        if any(tn.mode_of(v) != X.mode for v in values):
-            raise RecatError(f"weight values must be {X.mode}, as the category's hom is")
-        _check_on_grid(values, X.grid)
+        values = [_normalize(v) for v in _json_array(data["values"], "values")]
+        _check_scalars(values, X.grid, "weight value ", X.mode)
     except (RecatError, KeyError, TypeError) as exc:
         raise _ParseFailure(f"bad weight file {path}: {exc}") from exc
     if len(values) != X.n:

@@ -41,7 +41,7 @@ from .presheaf import (
     sub,
     tensor,
 )
-from .values import ValueGrid, _check_on_grid
+from .values import ValueGrid, _check_scalars
 
 
 # --- lax idempotency ------------------------------------------------------
@@ -184,7 +184,7 @@ class ModuleAction:
         validate_module(self)
 
     def act(self, r, x: int) -> int:
-        return self.action[_check_on_grid((r,), self.grid)[0]][x]
+        return self.action[_check_scalars((r,), self.grid)[0]][x]
 
 
 def validate_module(M: ModuleAction):
@@ -313,7 +313,7 @@ class ConicalFilter:
         for g in gens:
             if len(g) != self.size:
                 raise RecatError("generator length mismatch")
-            indices.append(tuple(_check_on_grid(g, self.grid, "generator entry ")))
+            indices.append(tuple(_check_scalars(g, self.grid, "generator entry ")))
         object.__setattr__(self, "_indices", tuple(indices))
         if not _directed(gens, _pointwise_ge):
             raise RecatError("generators are not directed")
@@ -321,7 +321,7 @@ class ConicalFilter:
     def __call__(self, lam):
         """F(lam) on grid indices through the imp table; lam must lie on the grid."""
         grid = self.grid
-        imp, at = grid.imp_table, _check_on_grid(lam, grid, "argument entry ")
+        imp, at = grid.imp_table, _check_scalars(lam, grid, "argument entry ")
         return grid.points[max(min(imp[a][b] for a, b in zip(g, at)) for g in self._indices)]
 
 
@@ -366,8 +366,8 @@ def filter_axiom_check(grid: ValueGrid, table) -> dict:
     pts, imp = grid.points, grid.imp_table
     size = len(next(iter(table)))
     scalars = range(len(pts))
-    values = _check_on_grid(table.values(), grid, "table value ")
-    on_indices = {tuple(_check_on_grid(lam, grid, "table key entry ")): v for lam, v in zip(table, values)}
+    values = _check_scalars(table.values(), grid, "table value ")
+    on_indices = {tuple(_check_scalars(lam, grid, "table key entry ")): v for lam, v in zip(table, values)}
     lams = list(iproduct(scalars, repeat=size))
     pairs, shifts = iproduct(lams, lams), iproduct(lams, scalars)
     report = dict.fromkeys(("CF1", "CF2", "CF3", "CF4"))
@@ -386,8 +386,8 @@ def conical_filter_check(F: ConicalFilter) -> dict:
 def cotensor_filter_table(grid: ValueGrid, r, table) -> dict:
     """The pointwise cotensor r -> F of a functional tabulated on the grid, read off the
     imp table's row at r; r and the values must be exact grid points."""
-    row = grid.imp_table[_check_on_grid((r,), grid, "cotensor scalar ")[0]]
-    at = _check_on_grid(table.values(), grid, "table value ")
+    row = grid.imp_table[_check_scalars((r,), grid, "cotensor scalar ")[0]]
+    at = _check_scalars(table.values(), grid, "table value ")
     return {lam: grid.points[row[i]] for lam, i in zip(table, at)}
 
 

@@ -6,10 +6,10 @@ a functor, exact on grid points and tolerance-compared in float mode.  A
 coweight on X (1 -+-> X) is a weight on X^op, so each coweight operation is its
 weight counterpart on `opposite(X)`, read back through `_dual`.
 
-On a category with a grid, the weight law is checked on grid indices through
-the grid's conj table, and `tensor` reads r -> - off its imp table; a weight
-value off the grid (an off-grid rational, a float, a bool or a string) is
-rejected on construction.  Without a grid the law is a scalar loop over tn.conj.
+Every weight value passes the scalar check on construction.  On a category with
+a grid, the weight law is checked on grid indices through the grid's conj table,
+and `tensor` reads r -> - off its imp table; without a grid the law is a scalar
+loop over tn.conj.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import product as iproduct
 from . import tnorm as tn
 from .cat import EnrichedCategory, EnrichedFunctor, Rel, _compose, _residual_left, opposite, underlying_order
 from .errors import AxiomError, BoundExceededError, CarrierMismatchError, RecatError
-from .values import _check_on_grid
+from .values import _check_scalars, _in_carrier
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class Weight:
         if len(self.values) != X.n:
             raise CarrierMismatchError("weight length differs from carrier")
         grid = X.grid
+        i = _check_scalars(self.values, grid, mode=X.mode)
         if grid is None:
             for x1 in range(X.n):
                 for x2 in range(X.n):
@@ -43,7 +44,6 @@ class Weight:
                         raise AxiomError("not a weight", witness=(x1, x2))
             return
         # on a grid the law is read off the conj table, on indices; indices ascend with the points
-        i = _check_on_grid(self.values, grid)
         pos, conj = grid._pos, grid.conj_table
         for x1, row in enumerate(X.hom):
             top = i[x1]
@@ -88,6 +88,7 @@ def _same_base(A: EnrichedCategory, B: EnrichedCategory):
 
 
 def yoneda(X: EnrichedCategory, a: int) -> Weight:
+    _in_carrier(X, a)
     return Weight(X, tuple(X.hom[x][a] for x in range(X.n)))
 
 
@@ -185,9 +186,11 @@ def tensor(X: EnrichedCategory, r, x: int):
     """Element c with X(c, y) = r -> X(x, y) for all y, or None; on a grid, r -> - is a row
     of the imp table."""
     grid = X.grid
+    _in_carrier(X, x)
+    i = _check_scalars((r,), grid, "tensor scalar ", X.mode)
     if grid is None:
         return _representing(X.hom, tuple(X.imp(r, h) for h in X.hom[x]))
-    row, pos = grid.imp_table[_check_on_grid((r,), grid, "tensor scalar ")[0]], grid._pos
+    row, pos = grid.imp_table[i[0]], grid._pos
     return _representing(X.hom, tuple(grid.points[row[pos[h]]] for h in X.hom[x]))
 
 

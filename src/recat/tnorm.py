@@ -42,8 +42,8 @@ def mode_of(v) -> str:
         return "exact"
     if isinstance(v, float):
         return "float"
-    if isinstance(v, int):
-        # bare ints are promoted to exact values
+    if isinstance(v, int) and not isinstance(v, bool):
+        # bare ints are promoted to exact values; a bool is no scalar
         return "exact"
     raise ModeMismatchError(f"unsupported value type {type(v).__name__}")
 
@@ -80,8 +80,14 @@ class Block:
     fhi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        for v in (self.lo, self.hi):
+            if not isinstance(v, str):
+                mode_of(v)  # a bool, None or a list is no bound
+        try:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+            object.__setattr__(self, "hi", Fraction(self.hi))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:  # 'abc', '1/0', NaN, inf
+            raise RecatError(f"cannot parse block bounds {self.lo!r}, {self.hi!r}") from exc
         object.__setattr__(self, "flo", float(self.lo))
         object.__setattr__(self, "fhi", float(self.hi))
         if not (ZERO <= self.lo < self.hi <= ONE):
@@ -174,7 +180,8 @@ def _conj_raw(t: TNorm, x, y, mode: str):
             if b.inner == LUKASIEWICZ:
                 z = x + y - hi
                 return z if z > lo else lo
-            return lo + (x - lo) * (y - lo) / (hi - lo)
+            z = lo + (x - lo) * (y - lo) / (hi - lo)
+            return z if z < hi else hi  # float rounding can land an ulp above hi
     return x if x <= y else y
 
 
@@ -251,8 +258,10 @@ def imp_exact_unchecked(t: TNorm, x: Fraction, y: Fraction) -> Fraction:
 
 def power(t: TNorm, x, n: int):
     """The n-fold (*)-power of x, n >= 1."""
-    if n < 1:
-        raise RecatError("power requires n >= 1")
+    if type(n) is not int or n < 1:
+        raise RecatError(f"power requires an int n >= 1, got {n!r}")
+    if n == 1:
+        conj(t, x, x)  # checks x as the conj calls of a larger n do
     return reduce(lambda a, _: conj(t, a, x), range(n - 1), x)
 
 
@@ -284,7 +293,7 @@ def generator_eval(t: TNorm, x):
     """Additive generator value in [-inf, 0]; product uses ln, Lukasiewicz x - 1.
 
     A plain float skips the mode lookup; any other value that is no scalar
-    (a string, None, a list) raises ModeMismatchError there.
+    (a bool, a string, None, a list) raises ModeMismatchError there.
     """
     base = archimedean_base(t)
     exact = type(x) is not float and mode_of(x) == "exact"

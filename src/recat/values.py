@@ -19,20 +19,22 @@ ONE = tn.ONE
 
 def parse_value(v) -> Fraction:
     """Parse a 'p/q' string, int, or Fraction into an exact value in [0,1]."""
-    if isinstance(v, Fraction):
-        f = v
-    elif isinstance(v, int):
-        f = Fraction(v)
-    elif isinstance(v, str):
+    if isinstance(v, str):
         try:
-            f = Fraction(v.strip())
+            v = Fraction(v.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise RecatError(f"cannot parse exact value from {v!r}") from exc
-    else:
+    elif _KINDS.get(type(v)) != "exact":
         raise RecatError(f"cannot parse exact value from {v!r}")
-    if not (ZERO <= f <= ONE):
-        raise RecatError(f"value {f} outside [0,1]")
-    return f
+    _check_scalars((v,))
+    return Fraction(v)
+
+
+def _normalize(v):
+    # strings are parsed and ints become Fractions; other values stay the caller's objects
+    if isinstance(v, str):
+        return parse_value(v)
+    return Fraction(v) if type(v) is int else v
 
 
 def _json_array(v, what: str, optional: bool = False) -> list:
@@ -132,21 +134,42 @@ class ValueGrid:
         return i
 
 
-def _check_on_grid(values, grid: ValueGrid | None, what: str = ""):
-    """The grid index of each value, as a list; raise on the first value that is not an
-    exact grid point (an int or a Fraction).  With no grid every value passes and the
-    result is None."""
-    if grid is None:
-        return None
-    pos, out = grid._pos, []
+_KINDS = {Fraction: "exact", int: "exact", float: "float"}  # a bool is no scalar
+
+
+def _check_scalars(values, grid: ValueGrid | None = None, what: str = "", mode: str | None = None):
+    """The library's one scalar check: the grid index of each value, as a list, or None
+    without a grid.  A scalar is exact (an int or a Fraction, never a bool) or a float, in
+    [0,1]; a grid holds exact values.  Raise RecatError, its message led by `what`, on the
+    first value that is not a point of the grid or, without one, no scalar of `mode`: the
+    mode of a category's hom, named as such, or by default the first value's."""
+    suffix = ", as the category's hom is" if mode else ""
+    if grid is not None:
+        pos, out = grid._pos, []
+        for v in values:
+            exact = _KINDS.get(type(v)) == "exact"
+            i = pos.get(v) if exact else None
+            if i is None:
+                why = "" if exact else "; a grid holds exact values" + suffix
+                raise RecatError(f"{what}{v if exact else repr(v)} is not a grid point{why}")
+            out.append(i)
+        return out
     for v in values:
-        exact = type(v) in (Fraction, int)
-        i = pos.get(v) if exact else None
-        if i is None:
-            why = "" if exact else "; a grid holds exact values"
-            raise RecatError(f"{what}{v if exact else repr(v)} is not a grid point{why}")
-        out.append(i)
-    return out
+        kind = _KINDS.get(type(v))
+        mode = mode or kind
+        if kind is None or kind != mode:
+            raise RecatError(f"{what}{v!r} is not a scalar" if kind is None else f"{what}{v} is not {mode}{suffix}")
+        if not (0.0 <= v <= 1.0 if kind == "float" else 0 <= v.numerator <= v.denominator):  # NaN fails too
+            raise RecatError(f"{what}{v} is not in [0,1]")
+    return None
+
+
+def _in_carrier(X, *elements):
+    """Raise RecatError unless every element is an index of X's carrier (an int, never a bool)."""
+    n = X.n
+    for a in elements:
+        if type(a) is not int or not 0 <= a < n:
+            raise RecatError(f"element {a} is not in the carrier")
 
 
 def grid_validate(points, t: tn.TNorm) -> ValueGrid:
@@ -173,4 +196,6 @@ def grid_closure(seed, t: tn.TNorm, cap: int = 4096) -> ValueGrid:
 
 def unit_grid(n: int, t: tn.TNorm) -> ValueGrid:
     """The grid {0, 1/n, ..., 1}, validated against t."""
+    if type(n) is not int or n < 1:
+        raise RecatError(f"unit_grid needs an int n >= 1, got {n!r}")
     return grid_validate([Fraction(k, n) for k in range(n + 1)], t)

@@ -1,0 +1,224 @@
+"""Every library entry point checks its scalars and elements once, on entry.
+
+A scalar is exact (an int or a Fraction, never a bool) or a float, in [0,1];
+on a grid it is a grid point.  An element is an int index of the carrier.
+Malformed input raises RecatError, never a bare TypeError, IndexError,
+ValueError or ZeroDivisionError, and never gets a verdict of its own.
+"""
+
+import json
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import recat
+import recat.cli as cli
+from recat import balls, cat, fixtures
+from recat import presheaf as ps
+from recat import tnorm as tn
+from recat import values as vals
+from recat.errors import RecatError
+
+LUKA = tn.lukasiewicz
+BASES = {
+    "exact": lambda: cat.EnrichedCategory(LUKA, fixtures.a2().hom),
+    "grid": fixtures.a2,
+    "float": lambda: cat.EnrichedCategory(tn.product, ((1.0, 0.5), (0.0, 1.0))),
+}
+# malformed scalars per base; "1/2" is well-formed where strings are parsed
+BAD_SCALARS = {
+    "exact": (-1, 3, 0.5, "abc", "1/2", None, [1], True),
+    "grid": (-1, 3, 0.5, F(1, 2), "abc", "1/2", None, [1], True),
+    "float": (float("nan"), 1.5, -1.0, F(1, 2), "abc", None, [1], True),
+}
+BAD_ELEMENTS = (-1, 2, "a", True, None, 1.0)
+
+
+def _set(seq, i, v):
+    out = list(seq)
+    out[i] = v
+    return tuple(out)
+
+
+def _hom_with(X, p, v):
+    return _set(X.hom, p // 2, _set(X.hom[p // 2], p % 2, v))
+
+
+def _balls(X, p, ball):
+    """Two balls of radius 1 centred on 0 and 1, the one picked by p replaced by `ball`."""
+    return _set(((0, X.one), (1, X.one)), p % 2, ball)
+
+
+ALL, GRIDLESS, EXACT = tuple(sorted(BASES)), ("exact", "float"), ("exact",)
+# name -> (bases, call(X, v, p)): v goes into one scalar slot and p in range(4) picks the
+# slot; a call that ignores X's grid is driven on gridless bases, where 1/2 is malformed
+SCALAR_ENTRIES = {
+    "conj": (GRIDLESS, lambda X, v, p: tn.conj(X.tnorm, *_set((X.one, X.one), p % 2, v))),
+    "imp": (GRIDLESS, lambda X, v, p: tn.imp(X.tnorm, *_set((X.zero, X.one), p % 2, v))),
+    "power": (GRIDLESS, lambda X, v, p: tn.power(X.tnorm, v, 1 + p % 2)),
+    "idempotents": (GRIDLESS, lambda X, v, p: tn.idempotents(X.tnorm, [v])),
+    "generator_eval": (GRIDLESS, lambda X, v, p: tn.generator_eval(X.tnorm, v)),
+    "pseudo_inverse": (GRIDLESS, lambda X, v, p: tn.pseudo_inverse(X.tnorm, v)),
+    "Rel": (GRIDLESS, lambda X, v, p: cat.Rel(2, 2, _hom_with(X, p, v))),
+    "ordinal_sum": (EXACT, lambda X, v, p: tn.ordinal_sum(_set((0, 1, tn.LUKASIEWICZ), p % 2, v))),
+    "ValueGrid": (EXACT, lambda X, v, p: recat.ValueGrid((0, v, 1), LUKA)),
+    "grid_validate": (EXACT, lambda X, v, p: recat.grid_validate((0, v, 1), LUKA)),
+    "grid_closure": (EXACT, lambda X, v, p: recat.grid_closure((v,), LUKA)),
+    "EnrichedCategory": (ALL, lambda X, v, p: cat.EnrichedCategory(X.tnorm, _hom_with(X, p, v), X.names, X.grid)),
+    "Weight": (ALL, lambda X, v, p: ps.Weight(X, _set((X.one, X.zero), p % 2, v))),
+    "Coweight": (ALL, lambda X, v, p: ps.Coweight(X, _set((X.zero, X.one), p % 2, v))),
+    "tensor": (ALL, lambda X, v, p: ps.tensor(X, v, p % 2)),
+    "cotensor": (ALL, lambda X, v, p: ps.cotensor(X, v, p % 2)),
+    "ball_leq": (ALL, lambda X, v, p: balls.ball_leq(X, *_balls(X, p, (p % 2, v)))),
+    "ball_equiv": (ALL, lambda X, v, p: balls.ball_equiv(X, *_balls(X, p, (p % 2, v)))),
+    "ball_way_below": (ALL, lambda X, v, p: balls.ball_way_below(X, *_balls(X, p, (p % 2, v)))),
+    "directed_check": (ALL, lambda X, v, p: balls.directed_check(X, [(0, X.one), (p % 2, v)])),
+    "directed_join": (ALL, lambda X, v, p: balls.directed_join(X, [(0, X.one), (p % 2, v)])),
+}
+# what a well-formed call puts where a malformed value went, beyond "1/2" -> 1/2; None
+# marks a value that is well-formed as it stands: no category fixes the mode of a t-norm
+# operation, so 0.5 is a float scalar there, and pseudo_inverse takes u <= 0
+EXTRA_READINGS = {name: {0.5: None} for name in ("power", "idempotents", "generator_eval")}
+EXTRA_READINGS.update(pseudo_inverse={-1: None, 0.5: None}, ordinal_sum={0.5: F(1, 2)})
+
+ELEMENT_ENTRIES = {
+    "yoneda": lambda X, a, p: ps.yoneda(X, a),
+    "coyoneda": lambda X, a, p: ps.coyoneda(X, a),
+    "tensor": lambda X, a, p: ps.tensor(X, X.one, a),
+    "cotensor": lambda X, a, p: ps.cotensor(X, X.one, a),
+    "EnrichedFunctor": lambda X, a, p: cat.EnrichedFunctor(X, X, _set((0, 1), p % 2, a)),
+    "is_compact": lambda X, a, p: balls.is_compact(X, a),
+    "ball_leq": lambda X, a, p: balls.ball_leq(X, *_balls(X, p, (a, X.one))),
+    "directed_join": lambda X, a, p: balls.directed_join(X, [(a, X.one)]),
+}
+COUNT_ENTRIES = {"power": lambda n: tn.power(LUKA, F(1, 2), n), "unit_grid": lambda n: recat.unit_grid(n, LUKA)}
+BAD_COUNTS = (0, -1, 2.0, "3", True, None)
+# public names that take no scalar, element or count: t-norm objects, a predicate, and
+# operations on weights, whose values were checked when the weights were built
+NO_SCALAR = {"TNorm", "is_archimedean", "godel", "product", "lukasiewicz", "sub", "pairing", "colim"}
+
+
+def test_the_sweep_covers_every_public_name():
+    driven = set(SCALAR_ENTRIES) | set(ELEMENT_ENTRIES) | set(COUNT_ENTRIES)
+    assert set(recat.__all__) <= driven | NO_SCALAR
+
+
+def _outcome(call):
+    """("ok", result) or ("error",) on RecatError; any other exception propagates."""
+    try:
+        return ("ok", call())
+    except RecatError:
+        return ("error",)
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ENTRIES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), p=st.integers(0, 3))
+def test_malformed_scalars_raise_recat_error(name, data, p):
+    bases, call = SCALAR_ENTRIES[name]
+    base = data.draw(st.sampled_from(bases))
+    X, readings = BASES[base](), {"1/2": F(1, 2), **EXTRA_READINGS.get(name, {})}
+    for bad in BAD_SCALARS[base]:
+        got = _outcome(lambda: call(X, bad, p))
+        if got != ("error",):
+            key = bad if type(bad) in (int, float, str) else None
+            assert key in readings, f"{name}({bad!r}) on the {base} base answers {got}"
+            if readings[key] is not None:
+                assert got == _outcome(lambda: call(X, readings[key], p))
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_ENTRIES))
+@settings(max_examples=10, deadline=None)
+@given(base=st.sampled_from(ALL), p=st.integers(0, 3))
+def test_malformed_elements_raise_recat_error(name, base, p):
+    X = BASES[base]()
+    for bad in BAD_ELEMENTS:
+        with pytest.raises(RecatError):
+            ELEMENT_ENTRIES[name](X, bad, p)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_ENTRIES))
+@pytest.mark.parametrize("bad", BAD_COUNTS, ids=repr)
+def test_counts_that_are_no_positive_int_raise_recat_error(name, bad):
+    """power(t, x, 2.0) and power(t, x, '3') used to raise a bare TypeError, and
+    unit_grid(0) a bare ZeroDivisionError."""
+    with pytest.raises(RecatError):
+        COUNT_ENTRIES[name](bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda X: ps.yoneda(X, -1),
+        lambda X: ps.coyoneda(X, 2),
+        lambda X: ps.tensor(X, F(1), -1),
+        lambda X: ps.cotensor(X, F(1), 2),
+        lambda X: cat.EnrichedFunctor(X, X, (0, -1)),
+        lambda X: cat.EnrichedFunctor(X, X, (0, 5)),
+        lambda X: cat.EnrichedFunctor(X, X, (0, "a")),
+    ],
+    ids=["yoneda", "coyoneda", "tensor", "cotensor", "functor-negative", "functor-past-end", "functor-string"],
+)
+def test_elements_outside_the_carrier_are_rejected(call):
+    """A negative element used to wrap round, and one past the end or a string raised
+    a bare IndexError or TypeError."""
+    X = BASES["exact"]()
+    with pytest.raises(RecatError, match="^element .* is not in the carrier$"):
+        call(X)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tn.conj(LUKA, True, F(1, 2)),
+        lambda: tn.imp(LUKA, F(1, 2), False),
+        lambda: tn.power(LUKA, True, 2),
+        lambda: tn.idempotents(LUKA, [True]),
+        lambda: tn.generator_eval(LUKA, True),
+        lambda: tn.pseudo_inverse(LUKA, False),
+        lambda: vals.grid_validate([0, True, 1], LUKA),
+        lambda: cat.EnrichedCategory(LUKA, ((F(1), True), (F(0), F(1)))),
+        lambda: cat.EnrichedCategory(LUKA, ((True, F(0)), (F(0), F(1)))),
+        lambda: cat.Rel(1, 2, ((F(1), True),)),
+        lambda: ps.Weight(BASES["exact"](), (True, F(0))),
+    ],
+    ids=["conj", "imp", "power", "idempotents", "generator_eval", "pseudo_inverse", "grid_validate",
+         "category", "category-first-value", "Rel", "Weight"],
+)
+def test_a_bool_is_no_scalar(call):
+    with pytest.raises(RecatError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "hom",
+    [((1, -1), (0, 1)), ((1, 3), (0, 1)), ((F(1), 1.5), (0.0, 1.0)), ((1.0, float("nan")), (0.0, 1.0)),
+     ((1.0, F(1, 2)), (0.0, 1.0))],
+    ids=["negative", "above-one", "above-one-float", "nan", "mixed-modes"],
+)
+def test_a_gridless_hom_holds_scalars_of_one_mode_in_the_unit_interval(hom):
+    with pytest.raises(RecatError):
+        cat.EnrichedCategory(tn.product if isinstance(hom[0][0], float) else LUKA, hom)
+    with pytest.raises(RecatError):
+        cat.Rel(2, 2, hom)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, "NaN"])
+def test_a_float_hom_outside_the_unit_interval_is_a_parse_failure(tmp_path, capsys, bad):
+    """`recat check` used to read such a hom and report it with exit 1."""
+    path = tmp_path / "c.json"
+    text = json.dumps({"tnorm": "product", "hom": [[1.0, 0.5], [0.0, 1.0]]})
+    path.write_text(text.replace("0.5", str(bad)))
+    code = cli.main(["check", str(path)])
+    assert code == 2 and "is not in [0,1]" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_a_product_block_keeps_its_values_in_the_unit_interval():
+    """Under a product block [1/5, 1], 1.0 (*) 1.0 used to round to 1.0000000000000002,
+    which the relation check rejects, so composing a float hom with itself raised."""
+    t = tn.ordinal_sum((F(1, 5), 1, tn.PRODUCT))
+    assert tn.conj(t, 1.0, 1.0) == 1.0
+    X = cat.EnrichedCategory(t, ((1.0, 0.5), (0.25, 1.0)))
+    assert cat.rel_eq(cat.compose(t, cat.hom_rel(X), cat.hom_rel(X)), cat.hom_rel(X))
