@@ -4,9 +4,10 @@ A formal ball is a pair (element, radius) ordered by r <= s (*) X(x, y); join
 searches add to the grid the critical products of the inputs.  The public ball
 functions check each ball's centre and radius once, on entry.  On a finite
 carrier every ideal is representable, so the way-below distributor is X \\ X,
-the hom: compactness, continuity and interpolation hold on every non-empty
-carrier and ball way-below reads the hom.  The below-weight of complete
-distributivity is a min over the n * k weights X(y, -) -> s, with no bound.
+the hom, on every non-empty exact category, with a grid or without and at any
+size: compactness, continuity and interpolation hold there and ball way-below
+reads the hom.  The below-weight of complete distributivity is a min over the
+n * k weights X(y, -) -> s, with no bound.
 The searches these replace are oracles in `tests/oracles.py`.
 """
 
@@ -16,8 +17,8 @@ from . import tnorm as tn
 from .cat import EnrichedCategory, Rel, hom_rel, residual_right
 from .errors import RecatError
 from .poset import _directed, _least
-from .presheaf import Weight, _grid_space, colim, is_cocomplete_over_grid
-from .values import _check_scalars, _in_carrier
+from .presheaf import Weight, colim, is_cocomplete_over_grid
+from .values import _check_scalars, _exact, _in_carrier
 
 
 def _check_balls(X: EnrichedCategory, *balls):
@@ -67,8 +68,7 @@ def directed_check(X: EnrichedCategory, balls) -> bool:
 
 def directed_join(X: EnrichedCategory, balls):
     """Brute-force least upper bound over carrier x radius candidates, or None."""
-    if X.mode != "exact":
-        raise RecatError("directed joins are computed in exact mode")
+    _exact(X, "directed joins are computed in exact mode")
     balls = list(balls)
     _check_balls(X, *balls)
     candidates = [(z, t) for z in range(X.n) for t in radius_candidates(X, balls)]
@@ -76,13 +76,13 @@ def directed_join(X: EnrichedCategory, balls):
     return _least(ubs, lambda c, d: _leq(X, c, d))
 
 
-def way_below_distributor(X: EnrichedCategory, bound: int = 10**6) -> Rel:
-    """w(y, x) = inf over grid ideals phi with a colimit c of (X(x, c) -> phi(y)).
+def way_below_distributor(X: EnrichedCategory) -> Rel:
+    """w(y, x) = inf over ideals phi with a colimit c of (X(x, c) -> phi(y)).
 
     Every ideal on a finite carrier is representable, so w is X \\ X, which is X.
-    It raises where the ideal search did: no grid, |grid|^n > bound, no element.
+    It raises in float mode and on an empty carrier, which has no ideal.
     """
-    _grid_space(X, bound, "the way-below distributor")
+    _exact(X, "the way-below distributor needs exact mode")
     if X.n == 0:
         raise RecatError("no ideals with colimits; carrier is empty")
     return hom_rel(X)

@@ -34,7 +34,7 @@ class EnrichedCategory:
     _op = None  # opposite(self) once built; a plain attribute, not a dataclass field
 
     def __post_init__(self):
-        rows = tuple(tuple(vals._normalize(v) for v in row) for row in self.hom)
+        rows = tuple(tuple(map(vals._normalize, vals._items(row, "hom row"))) for row in vals._items(self.hom, "hom"))
         object.__setattr__(self, "hom", rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
@@ -127,7 +127,7 @@ class Rel:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(vals._normalize(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(vals._normalize, vals._items(row, "row"))) for row in vals._items(self.rows, "rows"))
         object.__setattr__(self, "rows", rows)
         if len(rows) != self.src or any(len(r) != self.tgt for r in rows):
             raise RecatError("relation shape mismatch")
@@ -248,7 +248,7 @@ class EnrichedFunctor:
     mapping: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(self.mapping))
+        object.__setattr__(self, "mapping", vals._items(self.mapping, "mapping"))
         if self.src.tnorm != self.tgt.tnorm:
             raise CarrierMismatchError("a functor's source and target must share one t-norm")
         if len(self.mapping) != self.src.n:
@@ -358,4 +358,5 @@ def hom_category(X: EnrichedCategory, Y: EnrichedCategory, bound: int = 4096) ->
 
 def categories_isomorphic(A: EnrichedCategory, B: EnrichedCategory) -> bool:
     """Bijective hom-preserving correspondence, by permutation search (small n)."""
-    return any(_relabelings(A.hom, B.hom, tn.veq))
+    # not any(): the one relabelling of an empty carrier, (), is falsy
+    return next(_relabelings(A.hom, B.hom, tn.veq), None) is not None

@@ -5,8 +5,9 @@ flatness keeps its own loop, which stops at the first failing (x1, x2, p1, p2).
 Completion-style verdicts are closed forms, since on a finite carrier every sup
 is a max and every Cauchy or ideal weight is representable: the Cauchy
 completion is the distinct Yoneda columns and Smyth completeness is
-separatedness.  Each is defined by a search over grid weights, so each keeps
-that search's precondition: a grid, and len(grid) ** n within the bound.
+separatedness.  The theorem needs exact mode and nothing else, so these answer
+every exact category, with a grid or without, at any size; a float category
+raises.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from .errors import RecatError
 from .presheaf import (
     Coweight,
     Weight,
-    _grid_space,
     _representing,
     coweight_closure,
     enumerate_coweights,
     isbell_ub,
     pairing,
 )
-from .values import _encode
+from .values import _encode, _exact
 
 
 def is_representable(phi: Weight):
@@ -223,33 +223,33 @@ def classify(phi: Weight, bound: int = 10**6, rng=None) -> WeightClassReport:
     return report
 
 
-def cauchy_completion(X: EnrichedCategory, bound: int = 10**6):
+def cauchy_completion(X: EnrichedCategory):
     """(completion, embedding): the distinct Yoneda columns, lexicographically.
 
-    They are the Cauchy grid weights, sub between the columns of a and b is
+    They are the Cauchy weights, sub between the columns of a and b is
     X(a, b), and the embedding sends x to the class of its column.
     """
-    _grid_space(X, bound, "cauchy completion")
+    _exact(X, "cauchy completion needs exact mode")
     columns = _columns(X.hom, X.n)
-    classes = sorted(set(columns))
-    rep = [columns.index(c) for c in classes]
+    first = {c: x for x, c in reversed(tuple(enumerate(columns)))}  # column -> least element with it
+    classes = sorted(first)
+    rep = [first[c] for c in classes]
     hom = tuple(tuple(X.hom[a][b] for b in rep) for a in rep)
     names = tuple(f"c{i}" for i in range(len(rep)))
     completion = EnrichedCategory(X.tnorm, hom, names, X.grid)
-    return completion, tuple(classes.index(c) for c in columns)
+    index = {c: i for i, c in enumerate(classes)}
+    return completion, tuple(index[c] for c in columns)
 
 
 def is_smyth_complete(X: EnrichedCategory) -> bool:
-    """Separated, since every grid ideal is representable."""
-    if not is_separated(X):
-        return False
-    _grid_space(X, 10**6)
-    return True
+    """Separated, since every ideal is representable."""
+    _exact(X, "smyth completeness needs exact mode")
+    return is_separated(X)
 
 
 def is_smyth_completable(X: EnrichedCategory) -> bool:
-    """True on a separated carrier, since every grid ideal is representable, hence Cauchy."""
+    """True on a separated carrier, since every ideal is representable, hence Cauchy."""
+    _exact(X, "smyth completability needs exact mode")
     if not is_separated(X):
         raise RecatError("smyth completability is postulated for separated carriers")
-    _grid_space(X, 10**6)
     return True

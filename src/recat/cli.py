@@ -130,7 +130,7 @@ def cmd_balls(args) -> int:
 
 def cmd_complete(args) -> int:
     X = _valid_category(args.category)
-    completion, embedding = cauchy_completion(X, bound=args.bound)
+    completion, embedding = cauchy_completion(X)
     out = completion.to_json()
     out["embedding"] = list(embedding)
     print(_emit(out))
@@ -371,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sp.add_parser("complete", help="emit the Cauchy completion as category JSON")
     c.add_argument("category")
-    c.add_argument("--bound", type=int, default=10**6)
     c.set_defaults(fn=cmd_complete)
 
     return p

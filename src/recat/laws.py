@@ -41,7 +41,7 @@ from .presheaf import (
     sub,
     tensor,
 )
-from .values import ValueGrid, _check_scalars
+from .values import ValueGrid, _check_scalars, _count, _in_carrier, _items
 
 
 # --- lax idempotency ------------------------------------------------------
@@ -180,10 +180,11 @@ class ModuleAction:
     action: tuple  # action[ri][x] with ri indexing grid.points
 
     def __post_init__(self):
-        object.__setattr__(self, "action", tuple(tuple(row) for row in self.action))
+        object.__setattr__(self, "action", tuple(_items(row, "action row") for row in _items(self.action, "action")))
         validate_module(self)
 
     def act(self, r, x: int) -> int:
+        _in_carrier(self.lattice, x)
         return self.action[_check_scalars((r,), self.grid)[0]][x]
 
 
@@ -305,7 +306,8 @@ class ConicalFilter:
     _indices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gens = tuple(tuple(v for v in g) for g in self.generators)
+        _count(self.size, "filter size")
+        gens = tuple(_items(g, "generator") for g in _items(self.generators, "generators"))
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise RecatError("a conical filter needs at least one generator")
@@ -364,10 +366,15 @@ def filter_axiom_check(grid: ValueGrid, table) -> dict:
     Table keys and values must be exact grid points.
     """
     pts, imp = grid.points, grid.imp_table
-    size = len(next(iter(table)))
+    if not isinstance(table, dict):
+        raise RecatError(f"a filter table is a dict, not {type(table).__name__}")
     scalars = range(len(pts))
     values = _check_scalars(table.values(), grid, "table value ")
-    on_indices = {tuple(_check_scalars(lam, grid, "table key entry ")): v for lam, v in zip(table, values)}
+    at = [tuple(_check_scalars(_items(lam, "table key"), grid, "table key entry ")) for lam in table]
+    size = len(at[0]) if at else 1
+    if len(at) != len(pts) ** size or any(len(lam) != size for lam in at):
+        raise RecatError("a filter table needs one value at each grid vector of one size")
+    on_indices = dict(zip(at, values))
     lams = list(iproduct(scalars, repeat=size))
     pairs, shifts = iproduct(lams, lams), iproduct(lams, scalars)
     report = dict.fromkeys(("CF1", "CF2", "CF3", "CF4"))
@@ -455,7 +462,7 @@ def find_cf4_cotensor_witness(grid: ValueGrid, bound: int = 10**6):
     must not exceed bound.
     """
     pts = grid.points
-    if comb(2 * len(pts) - 1, len(pts)) > bound:
+    if comb(2 * len(pts) - 1, len(pts)) > _count(bound, "bound", 0):  # a zero bound is exceeded, not malformed
         raise BoundExceededError(f"C({2 * len(pts) - 1}, {len(pts)}) candidate tables exceed bound {bound}")
     for values in combinations_with_replacement(pts, len(pts)):
         if values[-1] != tn.ONE:
@@ -481,6 +488,8 @@ def powerset_monad_check(grid: ValueGrid, size: int, rng, samples: int = 50) -> 
     associativity square are verified on sampled second-order elements.
     Grid values are indices throughout, combined through the grid's conj table.
     """
+    _count(size, "size")
+    _count(samples, "samples")
     k, conj = len(grid.points), grid.conj_table
     funcs = list(iproduct(range(k), repeat=size))
     at_point = _columns(funcs, size)  # at_point[i][j] = funcs[j][i]

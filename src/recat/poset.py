@@ -179,7 +179,8 @@ def _relabelings(A, B, same):
 
 
 def posets_isomorphic(P: FinitePoset, Q: FinitePoset) -> bool:
-    return any(_relabelings(P.leq, Q.leq, eq))
+    # not any(): the one relabelling of an empty carrier, (), is falsy
+    return next(_relabelings(P.leq, Q.leq, eq), None) is not None
 
 
 def galois_check(f, g, P: FinitePoset, Q: FinitePoset) -> bool:

@@ -20,7 +20,7 @@ from itertools import product as iproduct
 from . import tnorm as tn
 from .cat import EnrichedCategory, EnrichedFunctor, Rel, _compose, _residual_left, opposite, underlying_order
 from .errors import AxiomError, BoundExceededError, CarrierMismatchError, RecatError
-from .values import _check_scalars, _in_carrier
+from .values import _check_scalars, _in_carrier, _items
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class Weight:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", _items(self.values, "values"))
         X = self.base
         if len(self.values) != X.n:
             raise CarrierMismatchError("weight length differs from carrier")
@@ -66,7 +66,7 @@ class Coweight:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", _items(self.values, "values"))
         if len(self.values) != self.base.n:
             raise CarrierMismatchError("coweight length differs from carrier")
         try:
@@ -254,18 +254,18 @@ def f_inv_coweight(f: EnrichedFunctor, mu: Coweight) -> Coweight:
 # --- enumeration ----------------------------------------------------------
 
 
-def _grid_space(X: EnrichedCategory, bound: int, task: str = "weight enumeration", what: str = "weight"):
-    """Raise unless X has a grid with len(grid) ** n <= bound: the precondition of a grid
-    vector search and of the closed forms that stand for one; `task` and `what` name them in errors."""
+def _grid_space(X: EnrichedCategory, bound: int, what: str = "weight"):
+    """Raise unless X has a grid with len(grid) ** n <= bound: the precondition of a search
+    over the grid vectors that are `what`s, named in errors."""
     if X.grid is None:
-        raise RecatError(f"{task} needs a grid")
+        raise RecatError(f"{what} enumeration needs a grid")
     if len(X.grid.points) ** X.n > bound:
         raise BoundExceededError(f"{what} space exceeds bound")
 
 
 def _lawful(X: EnrichedCategory, bound: int, what: str):
     """Every grid vector that the weight law accepts, lexicographically; `what` names it in errors."""
-    _grid_space(X, bound, f"{what} enumeration", what)
+    _grid_space(X, bound, what)
     out = []
     for vec in iproduct(X.grid.points, repeat=X.n):
         try:

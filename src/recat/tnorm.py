@@ -267,7 +267,9 @@ def power(t: TNorm, x, n: int):
 
 def idempotents(t: TNorm, grid):
     """All grid points with x (*) x = x."""
-    points = getattr(grid, "points", grid)
+    from .values import _items  # values imports this module
+
+    points = _items(getattr(grid, "points", grid), "grid")
     return tuple(p for p in points if veq(conj(t, p, p), p))
 
 

@@ -91,7 +91,7 @@ class ValueGrid:
     imp_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = tuple(sorted({parse_value(p) for p in self.points}))
+        pts = tuple(sorted({parse_value(p) for p in _items(self.points, "grid points")}))
         object.__setattr__(self, "points", pts)
         pos = {p: i for i, p in enumerate(pts)}
         object.__setattr__(self, "_pos", pos)
@@ -172,6 +172,30 @@ def _in_carrier(X, *elements):
             raise RecatError(f"element {a} is not in the carrier")
 
 
+def _exact(X, message: str):
+    """Raise RecatError(message) unless X is in exact mode, which the theorems that
+    read a sup over a finite carrier as a max need; a grid they do not."""
+    if X.mode != "exact":
+        raise RecatError(message)
+
+
+def _count(n, what: str, least: int = 1) -> int:
+    """n if it is an int (never a bool) of at least `least`, else RecatError led by `what`."""
+    if type(n) is not int or n < least:
+        raise RecatError(f"{what} must be an int >= {least}, got {n!r}")
+    return n
+
+
+def _items(v, what: str) -> tuple:
+    """The items of a container argument (a hom, its rows, values, a mapping, grid points)
+    as a tuple; RecatError, led by `what`, when v is not iterable (None, an int)."""
+    try:
+        it = iter(v)
+    except TypeError:
+        raise RecatError(f"{what} must be a sequence, not {type(v).__name__}") from None
+    return tuple(it)
+
+
 def grid_validate(points, t: tn.TNorm) -> ValueGrid:
     """Return the validated grid, or raise NotClosedError on the first bad pair."""
     return ValueGrid(points, t)
@@ -179,7 +203,7 @@ def grid_validate(points, t: tn.TNorm) -> ValueGrid:
 
 def grid_closure(seed, t: tn.TNorm, cap: int = 4096) -> ValueGrid:
     """Least closed superset of the seed if it fits within cap elements."""
-    current = {parse_value(p) for p in seed} | {ZERO, ONE}
+    current = {parse_value(p) for p in _items(seed, "grid seed")} | {ZERO, ONE}
     while True:
         fresh = set()
         for x in current:
@@ -196,6 +220,5 @@ def grid_closure(seed, t: tn.TNorm, cap: int = 4096) -> ValueGrid:
 
 def unit_grid(n: int, t: tn.TNorm) -> ValueGrid:
     """The grid {0, 1/n, ..., 1}, validated against t."""
-    if type(n) is not int or n < 1:
-        raise RecatError(f"unit_grid needs an int n >= 1, got {n!r}")
+    _count(n, "the unit grid's n")
     return grid_validate([Fraction(k, n) for k in range(n + 1)], t)

@@ -434,7 +434,7 @@ def way_below_distributor(X: EnrichedCategory, bound: int = 10**6) -> Rel:
 
 def way_below_residual(X: EnrichedCategory, bound: int = 10**6) -> Rel:
     """The way-below distributor as X \\ X, under the ideal search's precondition."""
-    _grid_space(X, bound, "the way-below distributor")
+    _grid_space(X, bound)
     if X.n == 0:
         raise RecatError("no ideals with colimits; carrier is empty")
     return balls.way_below_via_representables(X)

@@ -6,12 +6,15 @@ knows compactness, continuity and interpolation to hold.  Each is compared here
 with the code it replaced, kept in `tests/oracles.py`: the subset searches on
 random preorders (n <= 8) and on every lattice with at most 5 elements and its
 opposite, and the grid-ideal search and the verdicts read off X \\ X on random
-categories, value for value and on every error path.  The below-weight of
+categories, value for value and on every error path.  The ball verdicts need exact
+mode only: without a grid they equal the searches' on the grid closure of the hom
+values, and past the searches' bound they are read off a discrete order.  The below-weight of
 enriched complete distributivity, a min over the n * k weights X(y, -) -> s, is
 compared with the search over every grid weight on the categories of grids and
 of random modules where that search stays small.
 """
 
+import inspect
 import random
 from fractions import Fraction as F
 from operator import and_
@@ -88,9 +91,10 @@ def _outcome(f, *args, **kwargs):
         return "raised", type(exc), str(exc)
 
 
-def ball_report(module, X, distributor):
-    """The way-below rows and every ball verdict of X, computed by `module`."""
-    radii = [r for r in X.grid.points if r > 0]
+def ball_report(module, X, distributor, grid=None):
+    """The way-below rows and every ball verdict of X, computed by `module`, on the
+    positive radii of `grid`, by default X's."""
+    radii = [r for r in (grid or X.grid).points if r > 0]
     pairs = [((x, r), (y, s)) for x in range(X.n) for r in radii for y in range(X.n) for s in radii]
     return {
         "rows": distributor(X).rows,
@@ -118,48 +122,85 @@ def _discrete(n, grid):
     return cat.EnrichedCategory(grid.tnorm, hom, (), grid)
 
 
+def _gridless():
+    return cat.EnrichedCategory.from_json({"tnorm": "lukasiewicz", "hom": [["1", "1/2"], ["0", "1"]]})
+
+
+def _float():
+    return cat.EnrichedCategory(tn.lukasiewicz, ((1.0, 0.5), (0.0, 1.0)))
+
+
+def _empty():
+    return gen.random_category(random.Random(0), 0, GRIDS["luka_1_4"]())
+
+
 ERROR_INPUTS = {  # name: (category, the message every below verdict raises)
-    "gridless_exact": (
-        lambda: cat.EnrichedCategory.from_json({"tnorm": "lukasiewicz", "hom": [["1", "1/2"], ["0", "1"]]}),
-        "the way-below distributor needs a grid",
-    ),
-    "float": (
-        lambda: cat.EnrichedCategory(tn.lukasiewicz, ((1.0, 0.5), (0.0, 1.0))),
-        "the way-below distributor needs a grid",
-    ),
-    "empty": (
-        lambda: gen.random_category(random.Random(0), 0, GRIDS["luka_1_4"]()),
-        "no ideals with colimits; carrier is empty",
-    ),
-    # 5 ** 9 > 10 ** 6 grid vectors
-    "over_bound": (lambda: _discrete(9, GRIDS["luka_1_4"]()), "weight space exceeds bound"),
+    "float": (_float, "the way-below distributor needs exact mode"),
+    "empty": (_empty, "no ideals with colimits; carrier is empty"),
 }
+
+
+def _below_calls(X):
+    return (
+        ("is_compact", (X, 0)),
+        ("is_continuous_enriched", (X,)),
+        ("interpolation_check", (X,)),
+        ("ball_way_below", (X, (0, F(1, 2)), (0, F(1)))),
+    )
 
 
 @pytest.mark.parametrize("name", sorted(ERROR_INPUTS))
 def test_error_paths(name):
     build, message = ERROR_INPUTS[name]
     X = build()
-    calls = (
-        ("is_compact", (X, 0)),
-        ("is_continuous_enriched", (X,)),
-        ("interpolation_check", (X,)),
-        ("ball_way_below", (X, (0, F(1, 2)), (0, F(1)))),
-    )
-    for fname, args in calls:
-        got = _outcome(getattr(balls, fname), *args)
-        assert got == _outcome(getattr(oracles, fname), *args)
-        assert got[0] == "raised" and got[2] == message
-    got = _outcome(balls.way_below_distributor, X)
-    assert got == _outcome(oracles.way_below_residual, X)
-    assert got[2] == message
+    calls = [(getattr(balls, f), getattr(oracles, f), args) for f, args in _below_calls(X)]
+    for ours, theirs, args in calls + [(balls.way_below_distributor, oracles.way_below_residual, (X,))]:
+        got, want = _outcome(ours, *args), _outcome(theirs, *args)
+        assert got == ("raised", RecatError, message)
+        # both refuse a float category; the searches say that they need a grid
+        assert got == want if name == "empty" else want[:2] == got[:2]
 
 
-def test_bound_and_zero_radius_errors():
-    X = fixtures.g5()
-    got = _outcome(balls.way_below_distributor, X, bound=10)
-    assert got == _outcome(oracles.way_below_residual, X, bound=10)
-    assert got[2] == "weight space exceeds bound"
+def _past_gridless():
+    """Exact categories without a grid: each verdict equals the searches' on the grid closure."""
+    for grid_name in sorted(GRIDS):
+        for n in range(1, 5):
+            Z = gen.random_category(random.Random(100 * n), n, GRIDS[grid_name]())
+            values = {v for row in Z.hom for v in row}
+            Z = cat.EnrichedCategory(Z.tnorm, Z.hom, (), vals.grid_closure(values, Z.tnorm))
+            X = cat.EnrichedCategory(Z.tnorm, Z.hom)
+            got = ball_report(balls, X, balls.way_below_distributor, Z.grid)
+            assert got == ball_report(oracles, Z, oracles.way_below_residual)
+            assert got["rows"] == oracles.way_below_distributor(Z).rows == X.hom
+    assert balls.ball_way_below(_gridless(), (0, F(1, 2)), (0, F(1)))
+
+
+def _past_over_bound():
+    """5 ** 9 > 10 ** 6 grid vectors: the searches refuse, the hom is X \\ X and each verdict
+    is read off the discrete order, where (x, r) is way below (y, s) iff x = y and r < s."""
+    X = _discrete(9, GRIDS["luka_1_4"]())
+    for fname, args in _below_calls(X):
+        with pytest.raises(BoundExceededError, match="weight space exceeds bound"):
+            getattr(oracles, fname)(*args)
+    report = ball_report(balls, X, balls.way_below_distributor)
+    assert report["rows"] == balls.way_below_via_representables(X).rows == X.hom
+    assert all(report["compact"]) and report["continuous"] and report["interpolation"]
+    radii = [r for r in X.grid.points if r > 0]
+    pairs = [((x, r), (y, s)) for x in range(X.n) for r in radii for y in range(X.n) for s in radii]
+    assert report["ball_way_below"] == [x == y and r < s for (x, r), (y, s) in pairs]
+
+
+PAST_INPUTS = {"gridless_exact": _past_gridless, "over_bound": _past_over_bound}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_INPUTS))
+def test_past_the_old_preconditions(name):
+    """Exact mode is the only precondition: no grid, and no bound on |grid| ** n."""
+    assert "bound" not in inspect.signature(balls.way_below_distributor).parameters
+    PAST_INPUTS[name]()
+
+
+def test_zero_radius_errors():
     A2 = fixtures.a2()
     for b1, b2 in (((0, F(0)), (1, F(1))), ((0, F(1)), (1, F(0)))):
         got = _outcome(balls.ball_way_below, A2, b1, b2)
@@ -232,10 +273,10 @@ def test_complete_distributivity_past_the_search_bound():
 
 
 CD_ERROR_INPUTS = {  # name: (category, the message both versions raise)
-    "gridless_exact": (ERROR_INPUTS["gridless_exact"][0], "grid cocompleteness needs a grid"),
-    "float": (ERROR_INPUTS["float"][0], "grid cocompleteness needs a grid"),
+    "gridless_exact": (_gridless, "grid cocompleteness needs a grid"),
+    "float": (_float, "grid cocompleteness needs a grid"),
     "not_cocomplete": (fixtures.a2, "enriched complete distributivity needs a grid-cocomplete carrier"),
-    "empty": (ERROR_INPUTS["empty"][0], "enriched complete distributivity needs a grid-cocomplete carrier"),
+    "empty": (_empty, "enriched complete distributivity needs a grid-cocomplete carrier"),
 }
 
 

@@ -1,5 +1,6 @@
 """Bound handling, float-mode flags, JSON round trips."""
 
+import inspect
 import json
 import random
 from fractions import Fraction as F
@@ -29,15 +30,25 @@ class TestBounds:
             psh.enumerate_weights(fixtures.g5(), bound=10)
 
     def test_way_below_bound(self):
-        with pytest.raises(BoundExceededError):
-            balls.way_below_distributor(fixtures.g5(), bound=10)
+        """The way-below distributor is the hom, with no bound: 5 ** 9 grid vectors,
+        past the ideal search's 10 ** 6, and no grid at all are both answered."""
+        assert "bound" not in inspect.signature(balls.way_below_distributor).parameters
+        n = 9
+        hom = tuple(tuple(F(int(a == b)) for b in range(n)) for a in range(n))
+        for grid in (vals.unit_grid(4, tn.lukasiewicz), None):
+            X = cat.EnrichedCategory(tn.lukasiewicz, hom, (), grid)
+            assert balls.way_below_distributor(X).rows == hom
+            assert balls.interpolation_check(X) and balls.is_continuous_enriched(X)
 
     def test_cli_bound_exit_code(self, tmp_path, capsys):
+        """`recat complete` takes no --bound: passing one is a usage error."""
         p = tmp_path / "g5.json"
         p.write_text(json.dumps(fixtures.g5().to_json()))
         code = cli.main(["complete", str(p), "--bound", "10"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2 and "unrecognized arguments: --bound 10" in out["error"]
+        assert cli.main(["complete", str(p)]) == 0
         capsys.readouterr()
-        assert code == 3
 
     def test_cli_float_suite_needs_grid(self, capsys):
         code = cli.main(["laws", "kz", "--tnorm", "product"])

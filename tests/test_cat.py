@@ -5,6 +5,7 @@ from itertools import product as iproduct
 import pytest
 
 import recat.cat as cat
+import recat.poset as ps
 import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures, gen
@@ -310,3 +311,15 @@ def test_functor_between_categories_under_different_tnorms_raises():
     with pytest.raises(CarrierMismatchError):
         cat.EnrichedFunctor(Y, X, (0, 1))
     assert cat.EnrichedFunctor(X, X, (0, 1)).mapping == (0, 1)
+
+
+def test_two_empty_carriers_are_isomorphic():
+    """The one relabelling of an empty carrier is (), which is falsy, so any() over the
+    relabellings used to answer False for two empty categories or posets."""
+    E = cat.EnrichedCategory(tn.godel, ())
+    assert cat.categories_isomorphic(E, E)
+    assert cat.categories_isomorphic(E, cat.EnrichedCategory(tn.godel, (), (), vals.unit_grid(2, tn.godel)))
+    assert not cat.categories_isomorphic(E, fixtures.d2())
+    empty = ps.FinitePoset(0, ())
+    assert ps.posets_isomorphic(empty, empty)
+    assert not ps.posets_isomorphic(empty, ps.FinitePoset(1, ((True,),)))

@@ -4,9 +4,12 @@ On a finite carrier every Cauchy or ideal weight is representable, so the
 library computes the Cauchy completion, both Smyth verdicts and the way-below
 distributor without enumerating weights.  Each closed form is compared here
 with the search it replaced, byte for byte, on seeded categories with n = 0..4
-(separated or not) and on every error path.
+(separated or not) and on every error path.  The closed forms need exact mode and
+nothing else: an exact category without a grid gets the searches' answers on the
+grid closure of its hom values, and a carrier past the searches' bound answers.
 """
 
+import inspect
 import json
 import random
 from fractions import Fraction as F
@@ -105,59 +108,113 @@ def test_non_separated_smyth_completable_raises():
     assert cl.is_smyth_complete(X) is oracles.is_smyth_complete(X) is False
 
 
+CLOSED_FORMS = (  # (library, oracle, the library's exact-mode message)
+    (cl.cauchy_completion, oracles.cauchy_completion, "cauchy completion needs exact mode"),
+    (cl.is_smyth_complete, oracles.is_smyth_complete, "smyth completeness needs exact mode"),
+    (cl.is_smyth_completable, oracles.is_smyth_completable, "smyth completability needs exact mode"),
+    (balls.way_below_distributor, oracles.way_below_distributor, "the way-below distributor needs exact mode"),
+)
+
+
+def _discrete(n, grid):
+    hom = tuple(tuple(F(int(a == b)) for b in range(n)) for a in range(n))
+    return cat.EnrichedCategory(grid.tnorm, hom, (), grid)
+
+
+def _answers(X):
+    """Every closed-form answer on X, comparable across categories with or without a grid."""
+    completion, embedding = cl.cauchy_completion(X)
+    return {
+        "completion": (completion.names, completion.hom, embedding),
+        "smyth_complete": cl.is_smyth_complete(X),
+        "smyth_completable": _outcome(cl.is_smyth_completable, X),
+        "way_below": _outcome(balls.way_below_distributor, X),
+    }
+
+
 @pytest.mark.parametrize("bound", [0, 10])
 def test_bound_exceeded(bound):
+    """Past a search's bound the closed forms, which take none, give its unbounded answer."""
     X = fixtures.g5()
-    for ours, theirs in (
-        (cl.cauchy_completion, oracles.cauchy_completion),
-        (balls.way_below_distributor, oracles.way_below_distributor),
-    ):
-        got = _outcome(ours, X, bound=bound)
-        assert got == _outcome(theirs, X, bound=bound)
-        assert got == ("raised", BoundExceededError, "weight space exceeds bound")
+    for ours, theirs in ((cl.cauchy_completion, oracles.cauchy_completion),
+                         (balls.way_below_distributor, oracles.way_below_distributor)):
+        assert _outcome(theirs, X, bound=bound) == ("raised", BoundExceededError, "weight space exceeds bound")
+        assert "bound" not in inspect.signature(ours).parameters
+    assert _completion_bytes(cl.cauchy_completion(X)) == _completion_bytes(oracles.cauchy_completion(X))
+    assert balls.way_below_distributor(X).rows == oracles.way_below_distributor(X).rows == X.hom
 
 
 def test_smyth_bound_exceeded():
-    # 5 ** 9 > 10 ** 6 grid vectors on a discrete, hence separated, carrier
-    n = 9
-    hom = tuple(tuple(F(int(a == b)) for b in range(n)) for a in range(n))
-    X = cat.EnrichedCategory(tn.lukasiewicz, hom, (), GRIDS["luka_1_4"]())
-    for ours, theirs in ((cl.is_smyth_complete, oracles.is_smyth_complete),
-                         (cl.is_smyth_completable, oracles.is_smyth_completable)):
-        got = _outcome(ours, X)
-        assert got == _outcome(theirs, X)
-        assert got == ("raised", BoundExceededError, "weight space exceeds bound")
+    # 5 ** 9 > 10 ** 6 grid vectors on a discrete, hence separated, carrier: the searches
+    # refuse it, and the closed forms answer as on every discrete carrier
+    X = _discrete(9, GRIDS["luka_1_4"]())
+    for _, theirs, _ in CLOSED_FORMS:
+        assert _outcome(theirs, X) == ("raised", BoundExceededError, "weight space exceeds bound")
+    completion, embedding = cl.cauchy_completion(X)
+    assert completion.n == 9 and sorted(embedding) == list(range(9))
+    assert cat.categories_isomorphic(completion, X)
+    assert cl.is_smyth_complete(X) is cl.is_smyth_completable(X) is True
+    assert balls.way_below_distributor(X).rows == X.hom
+
+
+def _gridless_cases():
+    """(gridless X, the same hom on the grid closure of its values), for every seeded category."""
+    for g, n, s in CASES:
+        for X in _categories(g, n, s):
+            values = {v for row in X.hom for v in row}
+            yield (cat.EnrichedCategory(X.tnorm, X.hom),
+                   cat.EnrichedCategory(X.tnorm, X.hom, (), vals.grid_closure(values, X.tnorm)))
 
 
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_no_grid(kind):
-    if kind == "exact":
-        X = cat.EnrichedCategory.from_json(GRIDLESS)
-    else:
+    if kind == "float":
         X = cat.EnrichedCategory(tn.lukasiewicz, ((1.0, 0.5), (0.0, 1.0)))
-    # the Smyth verdicts keep the search's message word for word
-    for ours, theirs in ((cl.is_smyth_complete, oracles.is_smyth_complete),
-                         (cl.is_smyth_completable, oracles.is_smyth_completable)):
-        got = _outcome(ours, X)
-        assert got == _outcome(theirs, X)
-        assert got == ("raised", RecatError, "weight enumeration needs a grid")
-    # the completion and the way-below distributor say what is missing
-    for ours, theirs, message in (
-        (cl.cauchy_completion, oracles.cauchy_completion, "cauchy completion needs a grid"),
-        (balls.way_below_distributor, oracles.way_below_distributor, "the way-below distributor needs a grid"),
-    ):
-        got, want = _outcome(ours, X), _outcome(theirs, X)
-        assert got[:2] == want[:2] == ("raised", RecatError)
-        assert got[2] == message
+        twins = cat.EnrichedCategory(tn.lukasiewicz, ((1.0, 1.0), (1.0, 1.0)))
+        for Y in (X, twins):  # separated or not
+            for ours, _, message in CLOSED_FORMS:
+                assert _outcome(ours, Y) == ("raised", RecatError, message)
+        return
+    # an exact category without a grid gets the answers that the searches give on its grid closure
+    checked = 0
+    for X, Z in _gridless_cases():
+        assert X.grid is None
+        got = _answers(X)
+        assert got == _answers(Z)
+        completion, embedding = oracles.cauchy_completion(Z)
+        assert got["completion"] == (completion.names, completion.hom, embedding)
+        assert got["smyth_complete"] == oracles.is_smyth_complete(Z)
+        assert got["smyth_completable"] == _outcome(oracles.is_smyth_completable, Z)
+        assert got["way_below"] == _outcome(oracles.way_below_distributor, Z)
+        checked += 1
+    assert checked == sum(len(_categories(*case)) for case in CASES)
+    X = cat.EnrichedCategory.from_json(GRIDLESS)
+    assert X.grid is None and cl.cauchy_completion(X)[1] == (1, 0)
+
+
+def _cli_complete(tmp_path, capsys, name, data):
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(data))
+    code = cli.main(["complete", str(p)])
+    return code, capsys.readouterr().out
 
 
 def test_cli_complete_without_grid(tmp_path, capsys):
-    p = tmp_path / "gridless.json"
-    p.write_text(json.dumps(GRIDLESS))
-    code = cli.main(["complete", str(p)])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert json.loads(out) == {"error": "cauchy completion needs a grid"}
+    """Exit 0, and the bytes of the gridded completion but for the grid."""
+    code, out = _cli_complete(tmp_path, capsys, "gridless", GRIDLESS)
+    assert code == 0
+    gridded_code, gridded = _cli_complete(tmp_path, capsys, "gridded", {**GRIDLESS, "grid": ["0", "1/2", "1"]})
+    assert gridded_code == 0
+    assert json.loads(out) == {**json.loads(gridded), "grid": None}
+    assert json.loads(out)["embedding"] == [1, 0]
+
+
+def test_cli_complete_past_the_old_bound(tmp_path, capsys):
+    data = _discrete(9, GRIDS["luka_1_4"]()).to_json()
+    code, out = _cli_complete(tmp_path, capsys, "discrete9", data)
+    assert code == 0 and len(json.loads(out)["names"]) == 9
+    code, out = _cli_complete(tmp_path, capsys, "float", {"tnorm": "lukasiewicz", "hom": [[1.0, 0.5], [0.0, 1.0]]})
+    assert code == 1 and json.loads(out) == {"error": "cauchy completion needs exact mode"}
 
 
 def test_cli_complete_twins(tmp_path, capsys):

@@ -1,12 +1,17 @@
 """Every library entry point checks its scalars and elements once, on entry.
 
 A scalar is exact (an int or a Fraction, never a bool) or a float, in [0,1];
-on a grid it is a grid point.  An element is an int index of the carrier.
+on a grid it is a grid point.  An element is an int index of the carrier.  A
+count (a size, a sample count, a bound) is a positive int, and a container (a
+hom, its rows, values, a mapping, grid points, a filter table) is iterable.
 Malformed input raises RecatError, never a bare TypeError, IndexError,
-ValueError or ZeroDivisionError, and never gets a verdict of its own.
+ValueError, StopIteration or ZeroDivisionError, and never gets a verdict of its
+own.  The sweep covers `recat.__all__`, the ball, tensor and generator
+functions, and the `laws` entry points, which take grids and tables.
 """
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +20,7 @@ from hypothesis import strategies as st
 
 import recat
 import recat.cli as cli
-from recat import balls, cat, fixtures
+from recat import balls, cat, fixtures, laws
 from recat import presheaf as ps
 from recat import tnorm as tn
 from recat import values as vals
@@ -51,7 +56,17 @@ def _balls(X, p, ball):
     return _set(((0, X.one), (1, X.one)), p % 2, ball)
 
 
-ALL, GRIDLESS, EXACT = tuple(sorted(BASES)), ("exact", "float"), ("exact",)
+def _module(grid):
+    """The module of grid-valued truth values on `grid`: lattice and scalars are its points."""
+    return laws.category_to_module(fixtures.grid_v(grid))
+
+
+def _max_table(grid):
+    """The functional max, tabulated on all pairs of grid points."""
+    return laws.filter_table(max, grid, 2)
+
+
+ALL, GRIDLESS, EXACT, GRID = tuple(sorted(BASES)), ("exact", "float"), ("exact",), ("grid",)
 # name -> (bases, call(X, v, p)): v goes into one scalar slot and p in range(4) picks the
 # slot; a call that ignores X's grid is driven on gridless bases, where 1/2 is malformed
 SCALAR_ENTRIES = {
@@ -76,6 +91,13 @@ SCALAR_ENTRIES = {
     "ball_way_below": (ALL, lambda X, v, p: balls.ball_way_below(X, *_balls(X, p, (p % 2, v)))),
     "directed_check": (ALL, lambda X, v, p: balls.directed_check(X, [(0, X.one), (p % 2, v)])),
     "directed_join": (ALL, lambda X, v, p: balls.directed_join(X, [(0, X.one), (p % 2, v)])),
+    "ModuleAction.act": (GRID, lambda X, v, p: _module(X.grid).act(v, p % 2)),
+    "ConicalFilter": (GRID, lambda X, v, p: laws.ConicalFilter(X.grid, 2, (_set((X.one, X.one), p % 2, v),))),
+    "ConicalFilter.__call__": (GRID, lambda X, v, p: laws.ConicalFilter(X.grid, 2, ((X.one, X.one),))(
+        _set((X.one, X.one), p % 2, v))),
+    "filter_axiom_check": (GRID, lambda X, v, p: laws.filter_axiom_check(
+        X.grid, {**_max_table(X.grid), (X.one, X.grid.points[p % 2]): v})),
+    "cotensor_filter_table": (GRID, lambda X, v, p: laws.cotensor_filter_table(X.grid, v, _max_table(X.grid))),
 }
 # what a well-formed call puts where a malformed value went, beyond "1/2" -> 1/2; None
 # marks a value that is well-formed as it stands: no category fixes the mode of a t-norm
@@ -92,8 +114,18 @@ ELEMENT_ENTRIES = {
     "is_compact": lambda X, a, p: balls.is_compact(X, a),
     "ball_leq": lambda X, a, p: balls.ball_leq(X, *_balls(X, p, (a, X.one))),
     "directed_join": lambda X, a, p: balls.directed_join(X, [(a, X.one)]),
+    # the module of {0, 1}: a two-element lattice, as the carriers of the bases
+    "ModuleAction.act": lambda X, a, p: _module(recat.unit_grid(1, LUKA)).act(F(1), a),
 }
-COUNT_ENTRIES = {"power": lambda n: tn.power(LUKA, F(1, 2), n), "unit_grid": lambda n: recat.unit_grid(n, LUKA)}
+G3 = recat.unit_grid(3, LUKA)
+COUNT_ENTRIES = {
+    "power": lambda n: tn.power(LUKA, F(1, 2), n),
+    "unit_grid": lambda n: recat.unit_grid(n, LUKA),
+    "ConicalFilter": lambda n: laws.ConicalFilter(G3, n, ((F(1),),)),
+    "powerset_monad_check-size": lambda n: laws.powerset_monad_check(G3, n, random.Random(0)),
+    "powerset_monad_check-samples": lambda n: laws.powerset_monad_check(G3, 1, random.Random(0), n),
+    "find_cf4_cotensor_witness": lambda n: laws.find_cf4_cotensor_witness(G3, n),
+}
 BAD_COUNTS = (0, -1, 2.0, "3", True, None)
 # public names that take no scalar, element or count: t-norm objects, a predicate, and
 # operations on weights, whose values were checked when the weights were built
@@ -143,9 +175,61 @@ def test_malformed_elements_raise_recat_error(name, base, p):
 @pytest.mark.parametrize("bad", BAD_COUNTS, ids=repr)
 def test_counts_that_are_no_positive_int_raise_recat_error(name, bad):
     """power(t, x, 2.0) and power(t, x, '3') used to raise a bare TypeError, and
-    unit_grid(0) a bare ZeroDivisionError."""
+    unit_grid(0) a bare ZeroDivisionError; a filter or powerset size of True was read
+    as 1, a powerset size of -1 raised a bare ValueError, and a string sample count or
+    bound a bare TypeError."""
     with pytest.raises(RecatError):
         COUNT_ENTRIES[name](bad)
+
+
+X2 = fixtures.a2()
+CONTAINER_ENTRIES = {
+    "EnrichedCategory-hom": lambda v: cat.EnrichedCategory(LUKA, v),
+    "EnrichedCategory-row": lambda v: cat.EnrichedCategory(LUKA, (v, v)),
+    "Rel-rows": lambda v: cat.Rel(1, 1, v),
+    "Rel-row": lambda v: cat.Rel(1, 1, (v,)),
+    "Weight": lambda v: ps.Weight(X2, v),
+    "Coweight": lambda v: ps.Coweight(X2, v),
+    "EnrichedFunctor": lambda v: cat.EnrichedFunctor(X2, X2, v),
+    "ValueGrid": lambda v: recat.ValueGrid(v, LUKA),
+    "grid_validate": lambda v: recat.grid_validate(v, LUKA),
+    "grid_closure": lambda v: recat.grid_closure(v, LUKA),
+    "idempotents": lambda v: tn.idempotents(LUKA, v),
+    "ConicalFilter-generators": lambda v: laws.ConicalFilter(G3, 1, v),
+    "ConicalFilter-generator": lambda v: laws.ConicalFilter(G3, 1, (v,)),
+    "filter_axiom_check": lambda v: laws.filter_axiom_check(G3, v),
+    "filter_axiom_check-key": lambda v: laws.filter_axiom_check(G3, {v: F(1)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINER_ENTRIES))
+@pytest.mark.parametrize("bad", (None, 3, F(1, 2), True), ids=repr)
+def test_containers_that_are_not_iterable_raise_recat_error(name, bad):
+    """A hom, rows, values, a mapping or a grid given as None or an int used to raise a
+    bare TypeError ('NoneType' object is not iterable)."""
+    with pytest.raises(RecatError):
+        CONTAINER_ENTRIES[name](bad)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [{}, [], {(F(0),): F(1)}, {(F(0), F(0)): F(1), (F(1),): F(1)}],
+    ids=["empty", "list", "one-of-four-vectors", "two-sizes"],
+)
+def test_a_filter_table_covers_the_grid_vectors_of_one_size(table):
+    """filter_axiom_check(grid, {}) used to raise a bare StopIteration, and a table
+    missing a vector a bare KeyError."""
+    with pytest.raises(RecatError, match="filter table"):
+        laws.filter_axiom_check(G3, table)
+
+
+def test_a_module_acts_on_its_own_elements():
+    """act(r, n) used to raise a bare IndexError, and act(r, True) read True as element 1."""
+    M = _module(G3)
+    assert M.act(F(1), 1) == 1
+    for bad in (M.lattice.n, -1, True, 1.0):
+        with pytest.raises(RecatError, match="is not in the carrier"):
+            M.act(F(1), bad)
 
 
 @pytest.mark.parametrize(
