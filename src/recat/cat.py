@@ -333,7 +333,7 @@ def separated_quotient(X: EnrichedCategory):
 
 def all_functors(X: EnrichedCategory, Y: EnrichedCategory, bound: int = 4096):
     """All functor mappings X -> Y, in lexicographic order."""
-    if Y.n ** X.n > bound:
+    if Y.n ** X.n > vals._count(bound, "bound", 0):  # a zero bound is exceeded, not malformed
         raise BoundExceededError(f"{Y.n}^{X.n} candidate maps exceed bound {bound}")
     out = []
     for mapping in iproduct(range(Y.n), repeat=X.n):

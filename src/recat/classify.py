@@ -1,7 +1,8 @@
 """Weight classification: representable, Cauchy, ideal, conically flat, flat.
 
 The Cauchy verdict checks the unit only, the counit being a theorem; conical
-flatness keeps its own loop, which stops at the first failing (x1, x2, p1, p2).
+flatness keeps its own loop, which stops at the first failing (x1, x2, p1, p2)
+and, the identity being symmetric, visits only the pairs x1 <= x2.
 Completion-style verdicts are closed forms, since on a finite carrier every sup
 is a max and every Cauchy or ideal weight is representable: the Cauchy
 completion is the distinct Yoneda columns and Smyth completeness is
@@ -27,7 +28,7 @@ from .presheaf import (
     isbell_ub,
     pairing,
 )
-from .values import _encode, _exact
+from .values import _count, _encode, _exact
 
 
 def is_representable(phi: Weight):
@@ -84,13 +85,16 @@ def is_conically_flat(phi: Weight):
 
     Checks (p1 (*) phi(x1)) meet (p2 (*) phi(x2)) against the sup over x of
     ((p1 (*) X(x1, x)) meet (p2 (*) X(x2, x))) (*) phi(x) for breakpoints p.
+    Both sides are unchanged by swapping (x1, p1) with (x2, p2), so a failure at
+    (x1, x2, p1, p2) with x1 > x2 has a mirror (x2, x1, p2, p1) that the scan
+    reaches first: scanning only x2 >= x1 finds the same first failure.
     """
     X = phi.base
     if not any(tn.veq(phi(x), X.one) for x in range(X.n)):
         return False, ("inhabited",), X.mode == "exact"
     points, exact = _breakpoints(X)
     for x1 in range(X.n):
-        for x2 in range(X.n):
+        for x2 in range(x1, X.n):
             for p1 in points:
                 a1 = X.conj(p1, phi(x1))
                 for p2 in points:
@@ -105,7 +109,11 @@ def is_conically_flat(phi: Weight):
 
 
 def _coweight_family(X: EnrichedCategory, bound: int, rng):
-    """Exhaustive grid coweights when affordable, otherwise a generated family."""
+    """Exhaustive grid coweights when affordable, otherwise a generated family.
+
+    The family takes the closures of up to 1000 drawn vectors and stops drawing
+    once every vector has been drawn, when later draws could add nothing.
+    """
     if X.grid is not None and len(X.grid.points) ** X.n <= bound:
         return enumerate_coweights(X, bound), True
     fam = []
@@ -119,7 +127,10 @@ def _coweight_family(X: EnrichedCategory, bound: int, rng):
                 fam.append(cw)
     rng = rng or random.Random(0)
     drawn = set()  # a vector drawn again has the same closure: skip it, keep the draws
+    vectors = len(points) ** X.n
     for _ in range(1000):
+        if len(drawn) == vectors:
+            break
         vec = tuple(rng.choice(points) for _ in range(X.n))
         if vec in drawn:
             continue
@@ -190,6 +201,7 @@ class WeightClassReport:
 
 def classify(phi: Weight, bound: int = 10**6, rng=None) -> WeightClassReport:
     """Aggregate all class predicates, enforcing the implication chain."""
+    _count(bound, "bound", 0)
     rep = is_representable(phi)
     cw = is_cauchy(phi)
     ideal, ideal_wit = is_ideal(phi)

@@ -176,9 +176,10 @@ def _suite_tnorm(t, grid, rng, args):
     def float_failures():
         for _ in range(samples):
             x, y, z = rng.random(), rng.random(), rng.random()
-            if not tn.veq(tn.conj(t, x, y), tn.conj(t, y, x)):
+            xy = tn.conj(t, x, y)  # serves commutativity and associativity
+            if not tn.veq(xy, tn.conj(t, y, x)):
                 yield x, y
-            elif not tn.veq(tn.conj(t, tn.conj(t, x, y), z), tn.conj(t, x, tn.conj(t, y, z))):
+            elif not tn.veq(tn.conj(t, xy, z), tn.conj(t, x, tn.conj(t, y, z))):
                 yield x, y, z
             elif not tn.veq(tn.conj(t, x, tn.imp(t, x, y)), min(x, y)):
                 yield x, y
@@ -340,6 +341,17 @@ def cmd_laws(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_SEMANTIC
 
 
+def _bound(text) -> int:
+    """The --bound value: an int >= 0, else a usage error (exit 2)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be an int >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="recat", description=__doc__)
     sp = p.add_subparsers(dest="command", required=True)
@@ -352,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("category")
     c.add_argument("weight")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bound", type=int, default=10**6)
+    c.add_argument("--bound", type=_bound, default=10**6)
     c.set_defaults(fn=cmd_classify)
 
     c = sp.add_parser("laws", help="run a named law suite")
@@ -361,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--grid", default=None)
     c.add_argument("--mode", choices=("exact", "float"), default="exact")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bound", type=int, default=10**6)
+    c.add_argument("--bound", type=_bound, default=10**6)
     c.set_defaults(fn=cmd_laws)
 
     c = sp.add_parser("balls", help="emit the grid-radius ball poset as DOT")

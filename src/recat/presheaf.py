@@ -20,7 +20,7 @@ from itertools import product as iproduct
 from . import tnorm as tn
 from .cat import EnrichedCategory, EnrichedFunctor, Rel, _compose, _residual_left, opposite, underlying_order
 from .errors import AxiomError, BoundExceededError, CarrierMismatchError, RecatError
-from .values import _check_scalars, _in_carrier, _items
+from .values import _check_scalars, _count, _in_carrier, _items
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,7 @@ def _grid_space(X: EnrichedCategory, bound: int, what: str = "weight"):
     over the grid vectors that are `what`s, named in errors."""
     if X.grid is None:
         raise RecatError(f"{what} enumeration needs a grid")
-    if len(X.grid.points) ** X.n > bound:
+    if len(X.grid.points) ** X.n > _count(bound, "bound", 0):  # a zero bound is exceeded, not malformed
         raise BoundExceededError(f"{what} space exceeds bound")
 
 

@@ -7,11 +7,11 @@ block) is evaluated in float mode only, since no finite rational set is
 closed under it.
 
 `conj` and `imp` check their operands on entry.  Two plain floats in
-[0.0, 1.0] go straight to the float evaluation; every other pair (ints,
-Fractions, mixed modes, NaN, values outside [0,1]) goes through the checked
-path, which settles the mode with `same_mode`, applies `_check_range` and
-raises `ModeMismatchError` or `RecatError` there.  The evaluators below
-never check.
+[0.0, 1.0] go straight to the t-norm's float evaluator, `float_conj` or
+`float_imp`, built once per `TNorm`; every other pair (ints, Fractions, mixed
+modes, NaN, values outside [0,1]) goes through the checked path, which
+settles the mode with `same_mode`, applies `_check_range` and raises
+`ModeMismatchError` or `RecatError` there.  The evaluators never check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 from .errors import ExactModeError, ModeMismatchError, NotArchimedeanError, RecatError
 
@@ -75,9 +75,6 @@ class Block:
     lo: Fraction
     hi: Fraction
     inner: str  # PRODUCT or LUKASIEWICZ
-    # lo and hi as floats, converted once for float-mode evaluation
-    flo: float = field(init=False, repr=False, compare=False)
-    fhi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v in (self.lo, self.hi):
@@ -88,12 +85,71 @@ class Block:
             object.__setattr__(self, "hi", Fraction(self.hi))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:  # 'abc', '1/0', NaN, inf
             raise RecatError(f"cannot parse block bounds {self.lo!r}, {self.hi!r}") from exc
-        object.__setattr__(self, "flo", float(self.lo))
-        object.__setattr__(self, "fhi", float(self.hi))
         if not (ZERO <= self.lo < self.hi <= ONE):
             raise RecatError(f"block needs 0 <= lo < hi <= 1, got [{self.lo}, {self.hi}]")
         if self.inner not in (PRODUCT, LUKASIEWICZ):
             raise RecatError(f"block inner must be product or lukasiewicz, got {self.inner!r}")
+
+
+# --- float evaluators ----------------------------------------------------
+# Each TNorm compiles its float (*) and -> once, from these module-level
+# functions (a partial over the float block bounds for an ordinal sum, never a
+# lambda, so a TNorm still pickles).  They never check their operands.
+
+
+def _godel_conj(x, y):
+    return x if x <= y else y
+
+
+def _godel_imp(x, y):
+    return 1.0 if x <= y else y
+
+
+def _lukasiewicz_conj(x, y):
+    z = x + y - 1.0
+    return z if z > 0.0 else 0.0
+
+
+def _lukasiewicz_imp(x, y):
+    return 1.0 if x <= y else 1.0 - x + y
+
+
+def _product_conj(x, y):
+    return x * y
+
+
+def _product_imp(x, y):
+    return 1.0 if x <= y else y / x
+
+
+def _ordinal_conj(blocks, x, y):
+    """x (*) y for an ordinal sum whose blocks are float (lo, hi, is_lukasiewicz) triples."""
+    for lo, hi, luka in blocks:
+        if lo <= x <= hi and lo <= y <= hi:
+            if luka:
+                z = x + y - hi
+                return z if z > lo else lo
+            z = lo + (x - lo) * (y - lo) / (hi - lo)
+            return z if z < hi else hi  # float rounding can land an ulp above hi
+    return x if x <= y else y
+
+
+def _ordinal_imp(blocks, x, y):
+    if x <= y:
+        return 1.0
+    for lo, hi, luka in blocks:
+        if lo <= y < x <= hi:
+            if luka:
+                return hi - x + y
+            return lo + (hi - lo) * (y - lo) / (x - lo)
+    return y
+
+
+_FLOAT_OPS = {
+    GODEL: (_godel_conj, _godel_imp),
+    LUKASIEWICZ: (_lukasiewicz_conj, _lukasiewicz_imp),
+    PRODUCT: (_product_conj, _product_imp),
+}
 
 
 @dataclass(frozen=True)
@@ -102,6 +158,9 @@ class TNorm:
 
     kind: str
     blocks: tuple = ()
+    # the float (*) and ->, built once from the kind and the block bounds
+    float_conj: object = field(init=False, repr=False, compare=False)
+    float_imp: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (GODEL, PRODUCT, LUKASIEWICZ, ORDINAL):
@@ -112,6 +171,13 @@ class TNorm:
         for a, b in zip(self.blocks, self.blocks[1:]):
             if a.hi > b.lo:
                 raise RecatError(f"blocks overlap: [{a.lo},{a.hi}] and [{b.lo},{b.hi}]")
+        if self.kind == ORDINAL:
+            bounds = tuple((float(b.lo), float(b.hi), b.inner == LUKASIEWICZ) for b in self.blocks)
+            ops = partial(_ordinal_conj, bounds), partial(_ordinal_imp, bounds)
+        else:
+            ops = _FLOAT_OPS[self.kind]
+        object.__setattr__(self, "float_conj", ops[0])
+        object.__setattr__(self, "float_imp", ops[1])
 
     @property
     def supports_exact(self) -> bool:
@@ -165,38 +231,37 @@ def format_tnorm(t: TNorm) -> str:
     return f"ordinal[{parts}]"
 
 
-def _conj_raw(t: TNorm, x, y, mode: str):
+def _conj_raw(t: TNorm, x: Fraction, y: Fraction) -> Fraction:
+    """x (*) y on rationals; the float (*) is t.float_conj."""
     if t.kind == GODEL:
         return x if x <= y else y
     if t.kind == LUKASIEWICZ:
-        zero = ZERO if mode == "exact" else 0.0
-        z = x + y - (ONE if mode == "exact" else 1.0)
-        return z if z > zero else zero
+        z = x + y - ONE
+        return z if z > ZERO else ZERO
     if t.kind == PRODUCT:
         return x * y
     for b in t.blocks:
-        lo, hi = (b.lo, b.hi) if mode == "exact" else (b.flo, b.fhi)
+        lo, hi = b.lo, b.hi
         if lo <= x <= hi and lo <= y <= hi:
             if b.inner == LUKASIEWICZ:
                 z = x + y - hi
                 return z if z > lo else lo
-            z = lo + (x - lo) * (y - lo) / (hi - lo)
-            return z if z < hi else hi  # float rounding can land an ulp above hi
+            return lo + (x - lo) * (y - lo) / (hi - lo)
     return x if x <= y else y
 
 
-def _imp_raw(t: TNorm, x, y, mode: str):
-    one = ONE if mode == "exact" else 1.0
+def _imp_raw(t: TNorm, x: Fraction, y: Fraction) -> Fraction:
+    """x -> y on rationals; the float -> is t.float_imp."""
     if x <= y:
-        return one
+        return ONE
     if t.kind == GODEL:
         return y
     if t.kind == LUKASIEWICZ:
-        return one - x + y
+        return ONE - x + y
     if t.kind == PRODUCT:
         return y / x
     for b in t.blocks:
-        lo, hi = (b.lo, b.hi) if mode == "exact" else (b.flo, b.fhi)
+        lo, hi = b.lo, b.hi
         if lo <= y < x <= hi:
             if b.inner == LUKASIEWICZ:
                 return hi - x + y
@@ -206,12 +271,12 @@ def _imp_raw(t: TNorm, x, y, mode: str):
 
 @lru_cache(maxsize=1 << 20)
 def _conj_cached(t: TNorm, x, y):
-    return _conj_raw(t, x, y, "exact")
+    return _conj_raw(t, x, y)
 
 
 @lru_cache(maxsize=1 << 20)
 def _imp_cached(t: TNorm, x, y):
-    return _imp_raw(t, x, y, "exact")
+    return _imp_raw(t, x, y)
 
 
 def _check_range(v):
@@ -222,7 +287,7 @@ def _check_range(v):
 def conj(t: TNorm, x, y):
     """x (*) y for the t-norm t."""
     if type(x) is float and type(y) is float and 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0:
-        return _conj_raw(t, x, y, "float")
+        return t.float_conj(x, y)
     mode = same_mode(x, y)
     _check_range(x)
     _check_range(y)
@@ -230,13 +295,13 @@ def conj(t: TNorm, x, y):
         if not t.supports_exact:
             raise ExactModeError(f"{t} has no exact semantics; use float operands")
         return _conj_cached(t, Fraction(x), Fraction(y))
-    return _conj_raw(t, x, y, mode)
+    return t.float_conj(x, y)
 
 
 def imp(t: TNorm, x, y):
     """The residuum x -> y: the largest z with x (*) z <= y."""
     if type(x) is float and type(y) is float and 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0:
-        return _imp_raw(t, x, y, "float")
+        return t.float_imp(x, y)
     mode = same_mode(x, y)
     _check_range(x)
     _check_range(y)
@@ -244,22 +309,23 @@ def imp(t: TNorm, x, y):
         if not t.supports_exact:
             raise ExactModeError(f"{t} has no exact semantics; use float operands")
         return _imp_cached(t, Fraction(x), Fraction(y))
-    return _imp_raw(t, x, y, mode)
+    return t.float_imp(x, y)
 
 
 def conj_exact_unchecked(t: TNorm, x: Fraction, y: Fraction) -> Fraction:
     """Rational evaluation without the exact-mode gate (grid closure probes)."""
-    return _conj_raw(t, Fraction(x), Fraction(y), "exact")
+    return _conj_raw(t, Fraction(x), Fraction(y))
 
 
 def imp_exact_unchecked(t: TNorm, x: Fraction, y: Fraction) -> Fraction:
-    return _imp_raw(t, Fraction(x), Fraction(y), "exact")
+    return _imp_raw(t, Fraction(x), Fraction(y))
 
 
 def power(t: TNorm, x, n: int):
     """The n-fold (*)-power of x, n >= 1."""
-    if type(n) is not int or n < 1:
-        raise RecatError(f"power requires an int n >= 1, got {n!r}")
+    from .values import _count  # values imports this module
+
+    _count(n, "power's n")
     if n == 1:
         conj(t, x, x)  # checks x as the conj calls of a larger n do
     return reduce(lambda a, _: conj(t, a, x), range(n - 1), x)

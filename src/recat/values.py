@@ -203,6 +203,7 @@ def grid_validate(points, t: tn.TNorm) -> ValueGrid:
 
 def grid_closure(seed, t: tn.TNorm, cap: int = 4096) -> ValueGrid:
     """Least closed superset of the seed if it fits within cap elements."""
+    _count(cap, "cap", 0)
     current = {parse_value(p) for p in _items(seed, "grid seed")} | {ZERO, ONE}
     while True:
         fresh = set()

@@ -5,6 +5,7 @@ or from a different characterisation, so a test can pair it with the library's
 own answer.
 """
 
+import random
 from functools import partial
 from itertools import combinations, product as iproduct
 from operator import and_
@@ -13,7 +14,7 @@ import recat.balls as balls
 import recat.laws as laws
 import recat.tnorm as tn
 from recat.cat import EnrichedCategory, Rel, _columns, _residual_left, compose, is_separated, opposite, rel_eq
-from recat.classify import is_cauchy, is_ideal, is_representable
+from recat.classify import _breakpoints, is_cauchy, is_ideal, is_representable
 from recat.errors import RecatError
 from recat.gen import _godel_grid, _relabel_module, _trivial_module
 from recat.laws import ModuleAction, _cf_failures
@@ -28,10 +29,13 @@ from recat.poset import (
     posets_isomorphic,
 )
 from recat.presheaf import (
+    Coweight,
     Weight,
     _dual,
     _grid_space,
     colim,
+    coweight_closure,
+    enumerate_coweights,
     enumerate_weights,
     is_cocomplete_over_grid,
     sub,
@@ -525,3 +529,57 @@ def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
             elif tn.veq(lhs, rhs):
                 equalities += 1
     return {"total": total, "equalities": equalities, "violations": violations}
+
+
+# --- conical flatness on every pair, and the coweight family of 1000 draws --
+# The library scans only x1 <= x2, since the binary-meet identity is symmetric
+# under (x1, p1) <-> (x2, p2), and stops drawing coweight vectors once every
+# vector has been drawn; these scan every (x1, x2) and make every draw.
+
+
+def is_conically_flat(phi: Weight):
+    """(verdict, witness, exact_flag) from the binary-meet identity at every (x1, x2, p1, p2)."""
+    X = phi.base
+    if not any(tn.veq(phi(x), X.one) for x in range(X.n)):
+        return False, ("inhabited",), X.mode == "exact"
+    points, exact = _breakpoints(X)
+    for x1 in range(X.n):
+        for x2 in range(X.n):
+            for p1 in points:
+                a1 = X.conj(p1, phi(x1))
+                for p2 in points:
+                    lhs = min(a1, X.conj(p2, phi(x2)))
+                    rhs = max(
+                        X.conj(min(X.conj(p1, X.hom[x1][x]), X.conj(p2, X.hom[x2][x])), phi(x))
+                        for x in range(X.n)
+                    )
+                    if not tn.veq(lhs, rhs):
+                        return False, (x1, x2, p1, p2), exact
+    return True, None, exact
+
+
+def coweight_family(X: EnrichedCategory, bound: int, rng):
+    """Exhaustive grid coweights when affordable, otherwise closures of 1000 drawn vectors."""
+    if X.grid is not None and len(X.grid.points) ** X.n <= bound:
+        return enumerate_coweights(X, bound), True
+    fam = []
+    seen = set()
+    points = list(X.grid.points) if X.grid is not None else [X.zero, X.one]
+    for p in points:
+        for x in range(X.n):
+            cw = Coweight(X, tuple(X.conj(p, X.hom[x][y]) for y in range(X.n)))
+            if cw.values not in seen:
+                seen.add(cw.values)
+                fam.append(cw)
+    rng = rng or random.Random(0)
+    drawn = set()
+    for _ in range(1000):
+        vec = tuple(rng.choice(points) for _ in range(X.n))
+        if vec in drawn:
+            continue
+        drawn.add(vec)
+        cw = coweight_closure(X, vec)
+        if cw.values not in seen:
+            seen.add(cw.values)
+            fam.append(cw)
+    return fam, False

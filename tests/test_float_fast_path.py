@@ -2,12 +2,13 @@
 
 Two plain floats in [0, 1] skip the mode and range checks.  On seeded floats
 and on the edge values 0.0, 1.0, -0.0 and the block endpoints, every result
-must equal `_conj_raw`/`_imp_raw` bit for bit, and equal the formulas written
-out below with the block bounds converted at each call; every operand pair
-outside that case must still raise.
+must equal the t-norm's compiled `float_conj`/`float_imp` bit for bit, and
+equal the formulas written out below with the block bounds converted at each
+call; every operand pair outside that case must still raise.
 """
 
 import math
+import pickle
 import random
 import struct
 from fractions import Fraction as F
@@ -23,6 +24,7 @@ TNORMS = {
     "lukasiewicz": tn.lukasiewicz,
     "lower_product_block": tn.ordinal_sum((F(0), F(1, 2), tn.PRODUCT)),
     "two_product_blocks": tn.ordinal_sum((F(1, 8), F(3, 8), tn.PRODUCT), (F(1, 2), F(1), tn.PRODUCT)),
+    "lukasiewicz_and_product_blocks": tn.ordinal_sum((F(0), F(1, 4), tn.LUKASIEWICZ), (F(1, 2), F(1), tn.PRODUCT)),
 }
 
 
@@ -50,6 +52,8 @@ def conj_formula(t, x, y):
     for b in t.blocks:
         lo, hi = float(b.lo), float(b.hi)
         if lo <= x <= hi and lo <= y <= hi:
+            if b.inner == tn.LUKASIEWICZ:
+                return max(x + y - hi, lo)
             return lo + (x - lo) * (y - lo) / (hi - lo)
     return x if x <= y else y
 
@@ -66,6 +70,8 @@ def imp_formula(t, x, y):
     for b in t.blocks:
         lo, hi = float(b.lo), float(b.hi)
         if lo <= y < x <= hi:
+            if b.inner == tn.LUKASIEWICZ:
+                return hi - x + y
             return lo + (hi - lo) * (y - lo) / (x - lo)
     return y
 
@@ -75,9 +81,20 @@ def test_fast_path_equals_the_evaluators_bit_for_bit(name):
     t = TNORMS[name]
     for x, y in operands(t):
         c = tn.conj(t, x, y)
-        assert bits(c) == bits(tn._conj_raw(t, x, y, "float")) == bits(conj_formula(t, x, y))
+        assert bits(c) == bits(t.float_conj(x, y)) == bits(conj_formula(t, x, y))
         i = tn.imp(t, x, y)
-        assert bits(i) == bits(tn._imp_raw(t, x, y, "float")) == bits(imp_formula(t, x, y))
+        assert bits(i) == bits(t.float_imp(x, y)) == bits(imp_formula(t, x, y))
+
+
+@pytest.mark.parametrize("name", sorted(TNORMS))
+def test_a_tnorm_pickles_with_its_evaluators(name):
+    """The evaluators are module-level functions or partials over them, never lambdas."""
+    t = TNORMS[name]
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and hash(u) == hash(t) and repr(u) == repr(t)
+    for x, y in operands(t):
+        assert bits(u.float_conj(x, y)) == bits(t.float_conj(x, y))
+        assert bits(u.float_imp(x, y)) == bits(t.float_imp(x, y))
 
 
 @pytest.mark.parametrize("name", sorted(TNORMS))

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 import recat
 import recat.cli as cli
 from recat import balls, cat, fixtures, laws
+from recat import classify as cl
 from recat import presheaf as ps
 from recat import tnorm as tn
 from recat import values as vals
-from recat.errors import RecatError
+from recat.errors import BoundExceededError, CapExceededError, RecatError
 
 LUKA = tn.lukasiewicz
 BASES = {
@@ -183,6 +184,73 @@ def test_counts_that_are_no_positive_int_raise_recat_error(name, bad):
 
 
 X2 = fixtures.a2()
+# name -> call(bound): each counts its candidates against the bound (a grid closure
+# its points against the cap), so a zero bound is exceeded, which the CLI exits 3 on
+BOUND_ENTRIES = {
+    "enumerate_weights": lambda b: ps.enumerate_weights(X2, b),
+    "enumerate_coweights": lambda b: ps.enumerate_coweights(X2, b),
+    "all_functors": lambda b: cat.all_functors(X2, X2, b),
+    "hom_category": lambda b: cat.hom_category(X2, X2, b),
+    "kz_equality_consistent_with_cauchy": lambda b: laws.kz_equality_consistent_with_cauchy(X2, b),
+    "grid_closure": lambda b: recat.grid_closure((F(1, 3),), LUKA, cap=b),
+}
+BAD_BOUNDS = (-1, 2.0, "x", True, None)
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_ENTRIES))
+@pytest.mark.parametrize("bad", BAD_BOUNDS, ids=repr)
+def test_bounds_that_are_no_int_of_at_least_zero_raise_recat_error(name, bad):
+    """A bound or cap of 'x' or None used to raise a bare TypeError, and True read as 1."""
+    with pytest.raises(RecatError, match=r"must be an int >= 0, got"):
+        BOUND_ENTRIES[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_ENTRIES))
+def test_a_zero_bound_is_exceeded(name):
+    with pytest.raises(CapExceededError if name == "grid_closure" else BoundExceededError):
+        BOUND_ENTRIES[name](0)
+
+
+@pytest.mark.parametrize("bad", BAD_BOUNDS, ids=repr)
+def test_classify_checks_its_bound(bad):
+    with pytest.raises(RecatError, match=r"^bound must be an int >= 0, got"):
+        cl.classify(ps.yoneda(X2, 0), bound=bad)
+
+
+def test_classify_under_a_zero_bound_draws_its_coweights():
+    """classify enumerates no weights: a bound below the grid's vector count makes
+    the flatness verdict rest on a drawn coweight family, flagged not exhaustive."""
+    rep = cl.classify(ps.yoneda(X2, 0), bound=0)
+    assert rep.flat and not rep.exhaustive
+
+
+def _cli_files(tmp_path):
+    """The a2 category and its Yoneda weight at a, as CLI input files."""
+    cpath, wpath = tmp_path / "c.json", tmp_path / "w.json"
+    cpath.write_text(json.dumps(X2.to_json()))
+    wpath.write_text(json.dumps({"values": vals._encode(ps.yoneda(X2, 0).values)}))
+    return [str(cpath), str(wpath)]
+
+
+@pytest.mark.parametrize(
+    "command, zero_exit",
+    [(["classify"], 0), (["laws", "filters"], 3), (["laws", "kz"], 3)],
+    ids=["classify", "laws-filters", "laws-kz"],
+)
+def test_cli_bounds(tmp_path, capsys, command, zero_exit):
+    """--bound -1 used to exit 0 on classify, 1 on laws filters and 3 on laws kz; now
+    every negative --bound is a usage error (exit 2), and a zero one is exceeded
+    (exit 3) wherever the command enumerates."""
+    argv = command + (_cli_files(tmp_path) if command == ["classify"] else [])
+    assert cli.main(argv + ["--bound", "-1"]) == 2
+    assert "--bound: must be an int >= 0, got -1" in json.loads(capsys.readouterr().out)["error"]
+    assert cli.main(argv + ["--bound", "x"]) == 2
+    assert "--bound: invalid int value: 'x'" in json.loads(capsys.readouterr().out)["error"]
+    assert cli.main(argv + ["--bound", "0"]) == zero_exit
+    out = json.loads(capsys.readouterr().out)
+    assert "exceed" in out["error"] if zero_exit == 3 else out["exhaustive"] is False
+
+
 CONTAINER_ENTRIES = {
     "EnrichedCategory-hom": lambda v: cat.EnrichedCategory(LUKA, v),
     "EnrichedCategory-row": lambda v: cat.EnrichedCategory(LUKA, (v, v)),
