@@ -1,14 +1,16 @@
 """Formal balls, directed joins, the way-below distributor, compactness.
 
-A formal ball is a pair (element, radius) ordered by r <= s (*) X(x, y); join
-searches add to the grid the critical products of the inputs.  The public ball
-functions check each ball's centre and radius once, on entry.  On a finite
-carrier every ideal is representable, so the way-below distributor is X \\ X,
-the hom, on every non-empty exact category, with a grid or without and at any
-size: compactness, continuity and interpolation hold there and ball way-below
-reads the hom.  The below-weight of complete distributivity is a min over the
-n * k weights X(y, -) -> s, with no bound.
-The searches these replace are oracles in `tests/oracles.py`.
+A formal ball is a pair (element, radius) ordered by r <= s (*) X(x, y).  A
+finite directed set holds an upper bound of itself, which `poset._least`, the
+one bound search, finds under the flipped order: it is the join (the filter
+bounds in `laws` rest on two more theorems, stated in `poset`).  The public
+ball functions check each ball's centre and radius once, on entry.  On a
+finite carrier every ideal is representable, so the way-below distributor is
+X \\ X, the hom, on every non-empty exact category, with a grid or without
+and at any size: compactness, continuity and interpolation hold there and
+ball way-below reads the hom.  The below-weight of complete distributivity is
+a min over the n * k weights X(y, -) -> s, with no bound.  The searches these
+replace are oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 from . import tnorm as tn
 from .cat import EnrichedCategory, Rel, hom_rel, residual_right
 from .errors import RecatError
-from .poset import _directed, _least
+from .poset import _least
 from .presheaf import Weight, colim, is_cocomplete_over_grid
-from .values import _check_scalars, _exact, _in_carrier
+from .values import ValueGrid, _check_scalars, _exact, _in_carrier, _items, format_value
 
 
 def _check_balls(X: EnrichedCategory, *balls):
@@ -60,20 +62,23 @@ def radius_candidates(X: EnrichedCategory, balls):
 
 
 def directed_check(X: EnrichedCategory, balls) -> bool:
-    """Every pair of the set has an upper bound within the set."""
-    balls = list(balls)
+    """Every pair has an upper bound in the set: on a finite set, a member above all."""
+    balls = _items(balls, "balls")
     _check_balls(X, *balls)
-    return bool(balls) and _directed(balls, lambda a, b: _leq(X, a, b))
+    return _least(balls, lambda a, b: _leq(X, b, a)) is not None
 
 
 def directed_join(X: EnrichedCategory, balls):
-    """Brute-force least upper bound over carrier x radius candidates, or None."""
+    """The least-index ball equivalent to the family's top member (y, s), its join, or
+    None when the family is not directed.  Such a ball (z, t) has t <= s (*) X(z, y) <= s
+    and s <= t (*) X(y, z) <= t, so t = s."""
     _exact(X, "directed joins are computed in exact mode")
-    balls = list(balls)
+    balls = _items(balls, "balls")
     _check_balls(X, *balls)
-    candidates = [(z, t) for z in range(X.n) for t in radius_candidates(X, balls)]
-    ubs = [c for c in candidates if all(_leq(X, b, c) for b in balls)]
-    return _least(ubs, lambda c, d: _leq(X, c, d))
+    top = _least(balls, lambda a, b: _leq(X, b, a))
+    if top is None:
+        return None
+    return next(b for b in ((z, top[1]) for z in range(X.n)) if _leq(X, b, top) and _leq(X, top, b))
 
 
 def way_below_distributor(X: EnrichedCategory) -> Rel:
@@ -160,10 +165,8 @@ def is_completely_distributive_enriched(X: EnrichedCategory):
 def ball_poset_dot(X: EnrichedCategory, grid=None) -> str:
     """DOT digraph of the grid-radius ball poset with covering-relation edges."""
     grid = grid or X.grid
-    if grid is None:
+    if not isinstance(grid, ValueGrid):
         raise RecatError("ball poset export needs a grid of radii")
-    from .values import format_value
-
     nodes = [(x, r) for x in range(X.n) for r in grid.points]
     label = {b: f"{X.names[b[0]]}@{format_value(b[1])}" for b in nodes}
     strictly = {

@@ -15,7 +15,7 @@ from .errors import NotAFunctorError, RecatError
 from .laws import ModuleAction
 from .poset import FinitePoset, chain, closure, lattice_catalog
 from .presheaf import Coweight, Weight, _dual
-from .values import ValueGrid, grid_validate, unit_grid
+from .values import ValueGrid, _in_carrier, _items, grid_validate, unit_grid
 
 
 def random_category(rng: random.Random, n: int, grid: ValueGrid) -> EnrichedCategory:
@@ -56,7 +56,7 @@ def random_functor(rng: random.Random, X: EnrichedCategory, Y: EnrichedCategory)
 
 def full_subcategory(X: EnrichedCategory, subset) -> tuple:
     """(category on the subset, fully faithful inclusion functor)."""
-    subset = sorted(subset)
+    subset = sorted(_in_carrier(X, *_items(subset, "subset")))
     hom = tuple(tuple(X.hom[a][b] for b in subset) for a in subset)
     names = tuple(X.names[a] for a in subset)
     sub = EnrichedCategory(X.tnorm, hom, names, X.grid)
@@ -67,6 +67,8 @@ def random_directed_balls(rng: random.Random, X: EnrichedCategory, length: int =
     """A random chain in the ball order; chains are directed."""
     from .balls import ball_leq, radius_candidates
 
+    if X.grid is None:
+        raise RecatError("random directed balls need a grid of radii")
     pts = list(X.grid.points)
     current = (rng.randrange(X.n), rng.choice(pts))
     out = [current]

@@ -12,8 +12,12 @@ and run the Isbell bounds and every pair on the grid's conj/imp tables
 (`cat._compose_on`/`_residual_left_on`); without one they use the kernel.
 The module, negation, filter-axiom and powerset checks take the ValueGrid
 alone, t-norm included, and work on grid indices through its conj/imp
-tables, as do filter evaluation and the filter cotensor; the Kowalsky
-generator join is one sup-(*) composition in the kernel.
+tables, as do filter evaluation and the filter cotensor.  `poset._least`, the
+one bound search, finds the pointwise least generator that a finite directed
+set holds; (->) is antitone in its first argument, so it attains F's max over
+generators; and the Kowalsky generator join is monotone in the meta and member
+generators, so the least ones give the least join, one composition on grid
+indices.  The searches these replace are oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -22,17 +26,16 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb
-from operator import eq
+from operator import eq, le
 from typing import NamedTuple
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, _columns, _compose, _compose_on, _residual_left_on, is_separated, underlying_order
+from .cat import EnrichedCategory, _columns, _compose_on, _residual_left_on, is_separated, underlying_order
 from .classify import is_cauchy
 from .errors import BoundExceededError, RecatError
-from .poset import FinitePoset, _directed, _relabelings
+from .poset import FinitePoset, _least, _relabelings
 from .presheaf import (
     Weight,
-    _column,
     _same_base,
     enumerate_weights,
     is_cocomplete_over_grid,
@@ -287,8 +290,14 @@ def _sub_vec(imp, xi, lam):
     return min(imp(a, b) for a, b in zip(xi, lam))
 
 
-def _pointwise_ge(a, b):
-    return all(x >= y for x, y in zip(a, b))
+def _least_vector(vectors, grid: ValueGrid, what: str) -> tuple:
+    """The grid indices of the pointwise least of the vectors; RecatError, led by
+    `what`, when they hold none, which for a finite family means not directed."""
+    at = [tuple(_check_scalars(v, grid, f"{what} entry ")) for v in vectors]
+    least = _least(at, lambda a, b: all(map(le, a, b)))
+    if least is None:
+        raise RecatError(f"{what}s are not directed")
+    return least
 
 
 @dataclass(frozen=True)
@@ -296,35 +305,31 @@ class ConicalFilter:
     """A filter generated by a finite directed set of grid vectors.
 
     Evaluation is the pointwise best lower approximation degree:
-    F(lam) = max over generators xi of inf_i (xi_i -> lam_i) under grid.tnorm.
+    F(lam) = max over generators xi of inf_i (xi_i -> lam_i) under grid.tnorm,
+    attained at the pointwise least generator.
     """
 
     grid: ValueGrid
     size: int
     generators: tuple
-    # the generators as grid indices, kept from the construction check
-    _indices: tuple = field(init=False, repr=False, compare=False)
+    # the grid indices of the pointwise least generator
+    _least_at: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _count(self.size, "filter size")
         gens = tuple(_items(g, "generator") for g in _items(self.generators, "generators"))
         object.__setattr__(self, "generators", gens)
-        if not gens:
-            raise RecatError("a conical filter needs at least one generator")
-        indices = []
-        for g in gens:
-            if len(g) != self.size:
-                raise RecatError("generator length mismatch")
-            indices.append(tuple(_check_scalars(g, self.grid, "generator entry ")))
-        object.__setattr__(self, "_indices", tuple(indices))
-        if not _directed(gens, _pointwise_ge):
-            raise RecatError("generators are not directed")
+        if any(len(g) != self.size for g in gens):
+            raise RecatError("generator length mismatch")
+        object.__setattr__(self, "_least_at", _least_vector(gens, self.grid, "generator"))
 
     def __call__(self, lam):
-        """F(lam) on grid indices through the imp table; lam must lie on the grid."""
+        """inf_i (g_i -> lam_i) for the least generator g, through the imp table."""
         grid = self.grid
-        imp, at = grid.imp_table, _check_scalars(lam, grid, "argument entry ")
-        return grid.points[max(min(imp[a][b] for a, b in zip(g, at)) for g in self._indices)]
+        imp, at = grid.imp_table, _check_scalars(_items(lam, "argument"), grid, "argument entry ")
+        if len(at) != self.size:
+            raise RecatError(f"a filter of size {self.size} takes {self.size} entries, got {len(at)}")
+        return grid.points[min(imp[a][b] for a, b in zip(self._least_at, at))]
 
 
 def filter_table(F, grid: ValueGrid, size: int) -> dict:
@@ -402,34 +407,24 @@ def kowalsky_sum(meta_generators, filters) -> ConicalFilter:
     """Flatten a finitely generated filter of filters into a filter.
 
     Each meta generator xi assigns a grid level to every member filter; its
-    contribution is the pointwise inf of xi(F) -> F, which for generated
-    members is generated by joins of scaled member generators.  The result,
-    on the members' one grid and size, is a generated filter, re-validated.
+    contribution inf_F (xi(F) -> F) is generated by the joins sup_F xi(F) (*) g_F
+    of member generators g_F.  The least xi and least g_F give the least join,
+    which alone generates the sum, on the members' one grid and size.
     """
+    filters = _items(filters, "filters")
     if not filters:
         raise RecatError("kowalsky sum needs a nonempty filter support")
+    if any(not isinstance(F, ConicalFilter) for F in filters):
+        raise RecatError("kowalsky sum members must be conical filters")
     grid, size = filters[0].grid, filters[0].size
     if any((F.grid, F.size) != (grid, size) for F in filters):
         raise RecatError("kowalsky sum members must share one grid and size")
-    metas = [tuple(xi) for xi in meta_generators]
-    for xi in metas:
-        if len(xi) != len(filters):
-            raise RecatError("meta generator length mismatch")
-    if not _directed(metas, _pointwise_ge):
-        raise RecatError("meta generators are not directed")
-    # inf_F (xi(F) -> F) is generated by { join_F xi(F) (*) g_F : g_F in gens(F) }
-    gens = [
-        _column(_compose(grid.tnorm, (xi,), _columns(combo, size), tn.ZERO))
-        for xi in metas
-        for combo in iproduct(*(F.generators for F in filters))
-    ]
-    # pointwise-minimal generators suffice; the least meta generator combined
-    # with the least member generators supplies the common lower bound
-    minimal = []
-    for g in sorted(set(gens)):
-        if not any(_pointwise_ge(g, h) for h in minimal):
-            minimal.append(g)
-    return ConicalFilter(grid, size, tuple(minimal))
+    metas = tuple(_items(xi, "meta generator") for xi in _items(meta_generators, "meta generators"))
+    if any(len(xi) != len(filters) for xi in metas):
+        raise RecatError("meta generator length mismatch")
+    xi = _least_vector(metas, grid, "meta generator")
+    join = _compose_on(grid.conj_table, (xi,), _columns([F._least_at for F in filters], size), 0)
+    return ConicalFilter(grid, size, (tuple(grid.points[i] for i, in join),))
 
 
 def conical_filter_check_float(t: tn.TNorm, size: int, rng, samples: int = 200) -> bool:

@@ -2,11 +2,15 @@
 
 Orders are reflexive transitive boolean matrices; antisymmetry is tracked but
 not required except where lattice operations need canonical meets and joins.
-`_least` and `_directed` take the order as a function `le`, so `balls` and
-`laws` run the same searches on formal balls and on vectors.  The below
-relations are closed forms, with no subset search: way-below is the order, and
-totally-below is one join per element above y.  The subset searches they
-replaced are oracles in `tests/oracles.py`.
+`_least`, the one bound search, takes the order as a function `le`, so `balls`
+and `laws` run it on balls and vectors.  Under the flipped order it finds the
+bound of a directed family, by three theorems: a finite directed set holds an
+upper bound of itself; (->) is antitone in its first argument, so a filter's
+least generator attains the max over generators; and the Kowalsky generator
+join is monotone in the meta and member generators.  The below relations are
+closed forms: way-below is the order, and totally-below is one join per
+element above y.  The pairwise directedness test and the subset searches are
+oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from itertools import permutations
 from operator import and_, eq
 
 from .errors import AxiomError, RecatError
+from .values import _count, _in_carrier, _items
 
 
 @dataclass(frozen=True)
@@ -24,7 +29,9 @@ class FinitePoset:
     leq: tuple  # n x n tuple of bool tuples
 
     def __post_init__(self):
-        object.__setattr__(self, "leq", tuple(tuple(bool(v) for v in row) for row in self.leq))
+        _count(self.n, "poset size", 0)
+        leq = tuple(tuple(bool(v) for v in _items(row, "leq row")) for row in _items(self.leq, "leq"))
+        object.__setattr__(self, "leq", leq)
         if len(self.leq) != self.n or any(len(r) != self.n for r in self.leq):
             raise RecatError("leq must be an n x n matrix")
         for i in range(self.n):
@@ -51,9 +58,11 @@ class FinitePoset:
         )
 
     def upper_bounds(self, elems):
+        elems = _in_carrier(self, *_items(elems, "elements"))
         return [u for u in range(self.n) if all(self.leq[a][u] for a in elems)]
 
     def lower_bounds(self, elems):
+        elems = _in_carrier(self, *_items(elems, "elements"))
         return [l for l in range(self.n) if all(self.leq[l][a] for a in elems)]
 
     def join(self, elems):
@@ -90,20 +99,24 @@ class FinitePoset:
 
     @staticmethod
     def from_json(data) -> "FinitePoset":
-        return FinitePoset(int(data["n"]), tuple(tuple(row) for row in data["leq"]))
+        return FinitePoset(data["n"], data["leq"])
 
 
 def _least(items, le):
-    """The first item a with le(a, b) for every item b, or None."""
+    """The first item a with le(a, b) for every item b, or None; under the flipped
+    order, the bound of a finite directed family, None when it is not directed."""
     for a in items:
         if all(le(a, b) for b in items):
             return a
     return None
 
 
-def _directed(items, le):
-    """Every pair of `items` has an upper bound among the items."""
-    return all(any(le(a, c) and le(b, c) for c in items) for a in items for b in items)
+def _map(f, P: FinitePoset, Q: FinitePoset) -> tuple:
+    """f as a tuple with one element of Q per element of P; RecatError otherwise."""
+    f = _in_carrier(Q, *_items(f, "map"))
+    if len(f) != P.n:
+        raise RecatError(f"a map on {P.n} elements needs {P.n} images, got {len(f)}")
+    return f
 
 
 def chain(n: int) -> FinitePoset:
@@ -185,10 +198,12 @@ def posets_isomorphic(P: FinitePoset, Q: FinitePoset) -> bool:
 
 def galois_check(f, g, P: FinitePoset, Q: FinitePoset) -> bool:
     """True iff f(x) <= y exactly when x <= g(y), for all pairs."""
+    f, g = _map(f, P, Q), _map(g, Q, P)
     return all(Q.le(f[x], y) == P.le(x, g[y]) for x in range(P.n) for y in range(Q.n))
 
 
 def is_monotone(f, P: FinitePoset, Q: FinitePoset) -> bool:
+    f = _map(f, P, Q)
     return all(Q.le(f[x], f[y]) for x in range(P.n) for y in range(P.n) if P.le(x, y))
 
 
@@ -218,6 +233,7 @@ def way_below(L: FinitePoset, x: int, y: int) -> bool:
     way-below is the order (Gierz et al., *Continuous Lattices and Domains*,
     2003).  `tests/oracles.py` searches the directed subsets.
     """
+    _in_carrier(L, x, y)
     return L.le(x, y)
 
 
@@ -229,6 +245,7 @@ def totally_below(L: FinitePoset, x: int, y: int) -> bool:
     lies below z.  So x is totally below y iff no z >= y is the join of the
     members of U below z: O(n) joins where the subset search takes 2^n.
     """
+    _in_carrier(L, x, y)
     outside = [a for a in range(L.n) if not L.le(x, a)]
     return not any(L.le(y, z) and L.join([a for a in outside if L.le(a, z)]) == z for z in range(L.n))
 

@@ -164,12 +164,13 @@ def _check_scalars(values, grid: ValueGrid | None = None, what: str = "", mode: 
     return None
 
 
-def _in_carrier(X, *elements):
-    """Raise RecatError unless every element is an index of X's carrier (an int, never a bool)."""
+def _in_carrier(X, *elements) -> tuple:
+    """The elements, unless one is no index of X's carrier (an int, never a bool): RecatError."""
     n = X.n
     for a in elements:
         if type(a) is not int or not 0 <= a < n:
             raise RecatError(f"element {a} is not in the carrier")
+    return elements
 
 
 def _exact(X, message: str):

@@ -13,15 +13,15 @@ from operator import and_
 import recat.balls as balls
 import recat.laws as laws
 import recat.tnorm as tn
-from recat.cat import EnrichedCategory, Rel, _columns, _residual_left, compose, is_separated, opposite, rel_eq
+from recat.cat import EnrichedCategory, Rel, _columns, _compose, _residual_left, compose, is_separated, opposite, rel_eq
 from recat.classify import _breakpoints, is_cauchy, is_ideal, is_representable
 from recat.errors import RecatError
 from recat.gen import _godel_grid, _relabel_module, _trivial_module
 from recat.laws import ModuleAction, _cf_failures
 from recat.poset import (
     FinitePoset,
-    _directed,
     _joins_what_is_below,
+    _least,
     boolean_lattice,
     chain,
     closure,
@@ -131,8 +131,13 @@ def totally_below(L: FinitePoset, x: int, y: int) -> bool:
     return _below_members(L, x, y, _subsets(L.n))
 
 
+def directed(items, le) -> bool:
+    """Every pair of `items` has an upper bound among the items, pair by pair."""
+    return all(any(le(a, c) and le(b, c) for c in items) for a in items for b in items)
+
+
 def is_directed_subset(L: FinitePoset, A) -> bool:
-    return bool(A) and _directed(A, L.le)
+    return bool(A) and directed(A, L.le)
 
 
 def way_below(L: FinitePoset, x: int, y: int) -> bool:
@@ -583,3 +588,46 @@ def coweight_family(X: EnrichedCategory, bound: int, rng):
             seen.add(cw.values)
             fam.append(cw)
     return fam, False
+
+
+# --- directed families by search ------------------------------------------
+# The library reads the bound of a finite directed family off the family: it
+# holds a member above all members (balls), a pointwise least generator
+# (conical filters), and the least meta and member generators give the least
+# Kowalsky join.  These test directedness pair by pair, scan carrier x radius
+# candidates for the least upper bound, and join every meta x member-generator
+# combination, keeping the pointwise-minimal joins.
+
+
+def directed_check(X: EnrichedCategory, fam) -> bool:
+    """balls.directed_check pair by pair."""
+    return bool(fam) and directed(fam, partial(balls.ball_leq, X))
+
+
+def directed_join(X: EnrichedCategory, fam):
+    """The least upper bound of fam among carrier x radius candidates, or None."""
+    candidates = [(z, t) for z in range(X.n) for t in balls.radius_candidates(X, fam)]
+    ubs = [c for c in candidates if all(balls.ball_leq(X, b, c) for b in fam)]
+    return _least(ubs, partial(balls.ball_leq, X))
+
+
+def pointwise_ge(a, b):
+    return all(x >= y for x, y in zip(a, b))
+
+
+def kowalsky_sum(meta_generators, filters):
+    """laws.kowalsky_sum from every meta x member-generator join, keeping the minimal ones."""
+    grid, size = filters[0].grid, filters[0].size
+    metas = [tuple(xi) for xi in meta_generators]
+    if not metas or not directed(metas, pointwise_ge):
+        raise RecatError("meta generators are not directed")
+    gens = [
+        tuple(row[0] for row in _compose(grid.tnorm, (xi,), _columns(combo, size), tn.ZERO))
+        for xi in metas
+        for combo in iproduct(*(F.generators for F in filters))
+    ]
+    minimal = []
+    for g in sorted(set(gens)):
+        if not any(pointwise_ge(g, h) for h in minimal):
+            minimal.append(g)
+    return laws.ConicalFilter(grid, size, tuple(minimal))

@@ -7,7 +7,8 @@ hom, its rows, values, a mapping, grid points, a filter table) is iterable.
 Malformed input raises RecatError, never a bare TypeError, IndexError,
 ValueError, StopIteration or ZeroDivisionError, and never gets a verdict of its
 own.  The sweep covers `recat.__all__`, the ball, tensor and generator
-functions, and the `laws` entry points, which take grids and tables.
+functions, the `laws` entry points, which take grids and tables, and the
+order layer, whose elements, maps and sizes are checked the same way.
 """
 
 import json
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 import recat
 import recat.cli as cli
-from recat import balls, cat, fixtures, laws
+from recat import balls, cat, fixtures, gen, laws
+from recat import poset as po
 from recat import classify as cl
 from recat import presheaf as ps
 from recat import tnorm as tn
@@ -62,6 +64,16 @@ def _module(grid):
     return laws.category_to_module(fixtures.grid_v(grid))
 
 
+def _filter(grid):
+    """The conical filter of size 2 generated by the top vector of `grid`."""
+    return laws.ConicalFilter(grid, 2, ((grid.points[-1],) * 2,))
+
+
+def _pair(p, a):
+    """The identity map (0, 1) of a two-element carrier, the image picked by p replaced by `a`."""
+    return _set((0, 1), p % 2, a)
+
+
 def _max_table(grid):
     """The functional max, tabulated on all pairs of grid points."""
     return laws.filter_table(max, grid, 2)
@@ -99,6 +111,8 @@ SCALAR_ENTRIES = {
     "filter_axiom_check": (GRID, lambda X, v, p: laws.filter_axiom_check(
         X.grid, {**_max_table(X.grid), (X.one, X.grid.points[p % 2]): v})),
     "cotensor_filter_table": (GRID, lambda X, v, p: laws.cotensor_filter_table(X.grid, v, _max_table(X.grid))),
+    "kowalsky_sum": (GRID, lambda X, v, p: laws.kowalsky_sum(
+        [(X.one, X.one), _set((X.one, X.one), p % 2, v)][p // 2:], [_filter(X.grid)] * 2)),
 }
 # what a well-formed call puts where a malformed value went, beyond "1/2" -> 1/2; None
 # marks a value that is well-formed as it stands: no category fixes the mode of a t-norm
@@ -117,6 +131,18 @@ ELEMENT_ENTRIES = {
     "directed_join": lambda X, a, p: balls.directed_join(X, [(a, X.one)]),
     # the module of {0, 1}: a two-element lattice, as the carriers of the bases
     "ModuleAction.act": lambda X, a, p: _module(recat.unit_grid(1, LUKA)).act(F(1), a),
+    "full_subcategory": lambda X, a, p: gen.full_subcategory(X, _pair(p, a)),
+    # the order layer on the underlying order of X, two elements as the carriers of the bases
+    "FinitePoset.join": lambda X, a, p: cat.underlying_order(X).join(_pair(p, a)),
+    "FinitePoset.meet": lambda X, a, p: cat.underlying_order(X).meet(_pair(p, a)),
+    "FinitePoset.upper_bounds": lambda X, a, p: cat.underlying_order(X).upper_bounds([a]),
+    "FinitePoset.lower_bounds": lambda X, a, p: cat.underlying_order(X).lower_bounds([a]),
+    "way_below": lambda X, a, p: po.way_below(cat.underlying_order(X), *_pair(p, a)),
+    "totally_below": lambda X, a, p: po.totally_below(cat.underlying_order(X), *_pair(p, a)),
+    "is_monotone": lambda X, a, p: po.is_monotone(_pair(p, a), po.chain(2), cat.underlying_order(X)),
+    "galois_check": lambda X, a, p: po.galois_check(
+        *_set(((0, 1), (0, 1)), p // 2 % 2, _pair(p, a)), po.chain(2), cat.underlying_order(X)),
+    "left_adjoint_of": lambda X, a, p: po.left_adjoint_of(_pair(p, a), po.chain(2), cat.underlying_order(X)),
 }
 G3 = recat.unit_grid(3, LUKA)
 COUNT_ENTRIES = {
@@ -267,6 +293,19 @@ CONTAINER_ENTRIES = {
     "ConicalFilter-generator": lambda v: laws.ConicalFilter(G3, 1, (v,)),
     "filter_axiom_check": lambda v: laws.filter_axiom_check(G3, v),
     "filter_axiom_check-key": lambda v: laws.filter_axiom_check(G3, {v: F(1)}),
+    "ConicalFilter.__call__": lambda v: laws.ConicalFilter(G3, 1, ((F(1),),))(v),
+    "kowalsky_sum-metas": lambda v: laws.kowalsky_sum(v, [laws.ConicalFilter(G3, 1, ((F(1),),))]),
+    "kowalsky_sum-meta": lambda v: laws.kowalsky_sum((v,), [laws.ConicalFilter(G3, 1, ((F(1),),))]),
+    "kowalsky_sum-filters": lambda v: laws.kowalsky_sum([(F(1),)], v),
+    "FinitePoset-leq": lambda v: po.FinitePoset(1, v),
+    "FinitePoset-row": lambda v: po.FinitePoset(1, (v,)),
+    "FinitePoset.upper_bounds": lambda v: po.chain(2).upper_bounds(v),
+    "FinitePoset.lower_bounds": lambda v: po.chain(2).lower_bounds(v),
+    "is_monotone": lambda v: po.is_monotone(v, po.chain(2), po.chain(2)),
+    "galois_check": lambda v: po.galois_check((0, 1), v, po.chain(2), po.chain(2)),
+    "full_subcategory": lambda v: gen.full_subcategory(X2, v),
+    "directed_check": lambda v: balls.directed_check(X2, v),
+    "directed_join": lambda v: balls.directed_join(X2, v),
 }
 
 
@@ -374,3 +413,83 @@ def test_a_product_block_keeps_its_values_in_the_unit_interval():
     assert tn.conj(t, 1.0, 1.0) == 1.0
     X = cat.EnrichedCategory(t, ((1.0, 0.5), (0.25, 1.0)))
     assert cat.rel_eq(cat.compose(t, cat.hom_rel(X), cat.hom_rel(X)), cat.hom_rel(X))
+
+
+L3 = po.chain(3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: L3.join([3]), "^element 3 is not in the carrier$"),
+        (lambda: L3.meet([-1]), "^element -1 is not in the carrier$"),
+        (lambda: L3.upper_bounds(None), "^elements must be a sequence, not NoneType$"),
+        (lambda: po.way_below(L3, 0, 3), "^element 3 is not in the carrier$"),
+        (lambda: po.way_below(L3, -1, 0), "^element -1 is not in the carrier$"),
+        (lambda: po.totally_below(L3, 0, 5), "^element 5 is not in the carrier$"),
+        (lambda: po.left_adjoint_of([0], L3, L3), "^a map on 3 elements needs 3 images, got 1$"),
+        (lambda: po.galois_check([0], [0], L3, L3), "^a map on 3 elements needs 3 images, got 1$"),
+        (lambda: po.is_monotone([0, 1, 9], L3, L3), "^element 9 is not in the carrier$"),
+        (lambda: po.FinitePoset(2, None), "^leq must be a sequence, not NoneType$"),
+        (lambda: po.FinitePoset(-1, ()), "^poset size must be an int >= 0, got -1$"),
+        (lambda: po.FinitePoset.from_json({"n": "x", "leq": []}), "^poset size must be an int >= 0, got 'x'$"),
+    ],
+    ids=["join", "meet-negative", "upper_bounds-None", "way_below", "way_below-negative", "totally_below",
+         "left_adjoint_of", "galois_check", "is_monotone", "FinitePoset-None", "FinitePoset-size", "from_json"],
+)
+def test_the_order_layer_checks_its_elements_maps_and_sizes(call, message):
+    """These raised a bare IndexError, TypeError or ValueError, and a negative element
+    wrapped round: L.meet([-1]) answered 2 and way_below(L, -1, 0) False."""
+    with pytest.raises(RecatError, match=message):
+        call()
+
+
+def test_the_order_layer_keeps_its_answers():
+    assert L3.join([0, 2]) == 2 and L3.meet([]) == 2 and L3.upper_bounds((1,)) == [1, 2]
+    assert po.left_adjoint_of((0, 1, 2), L3, L3) == [0, 1, 2]
+    assert po.FinitePoset.from_json(L3.to_json()) == L3 and po.FinitePoset(0, ()).bottom is None
+
+
+def test_a_subcategory_is_taken_on_elements_of_the_carrier():
+    """full_subcategory(X, [2]) raised a bare IndexError and (X, None) a bare TypeError;
+    a -1 was caught only after the hom was read at a wrapped index."""
+    for subset, message in (([2], "element 2 is not"), (None, "subset must be a sequence"),
+                            ([-1], "element -1 is not"), ([0, "a"], "element a is not")):
+        with pytest.raises(RecatError, match=message):
+            gen.full_subcategory(X2, subset)
+    sub_c, incl = gen.full_subcategory(X2, (1,))
+    assert sub_c.hom == ((F(1),),) and incl.mapping == (1,)
+
+
+def test_ball_exports_and_draws_need_a_grid_of_radii():
+    """ball_poset_dot(X, grid=[0, 1]) and random_directed_balls on a gridless category
+    raised a bare AttributeError."""
+    with pytest.raises(RecatError, match="needs a grid of radii"):
+        balls.ball_poset_dot(X2, grid=[0, 1])
+    with pytest.raises(RecatError, match="need a grid of radii"):
+        gen.random_directed_balls(random.Random(0), BASES["exact"]())
+    assert balls.ball_poset_dot(X2, grid=None) == balls.ball_poset_dot(X2, X2.grid)
+
+
+def test_kowalsky_sum_checks_its_meta_generators():
+    """A meta entry "abc" or None beside a second meta generator, and metas of None,
+    raised a bare TypeError; an off-grid entry was accepted."""
+    F1 = laws.ConicalFilter(G3, 1, ((F(1),),))
+    for metas, message in (([(F(1),), ("abc",)], "^meta generator entry 'abc' is not a grid point"),
+                           ([(F(1),), (None,)], "^meta generator entry None is not a grid point"),
+                           (None, "^meta generators must be a sequence"),
+                           ([(F(1, 5),)], "^meta generator entry 1/5 is not a grid point$"),
+                           ([(F(1), F(1))], "^meta generator length mismatch$")):
+        with pytest.raises(RecatError, match=message):
+            laws.kowalsky_sum(metas, [F1])
+    with pytest.raises(RecatError, match="^kowalsky sum members must be conical filters$"):
+        laws.kowalsky_sum([(F(1),)], [None])
+
+
+def test_a_filter_takes_arguments_of_its_size():
+    """A short argument was cut by zip, and an empty one raised a bare ValueError."""
+    Fg = laws.ConicalFilter(G3, 2, ((F(1), F(1, 3)),))
+    assert Fg((F(1), F(1, 3))) == F(1)
+    for lam in ((F(1),), (), (F(1),) * 3):
+        with pytest.raises(RecatError, match="^a filter of size 2 takes 2 entries"):
+            Fg(lam)
