@@ -23,10 +23,14 @@ from .presheaf import Weight, colim, is_cocomplete_over_grid
 from .values import ValueGrid, _check_scalars, _exact, _in_carrier, _items, format_value
 
 
-def _check_balls(X: EnrichedCategory, *balls):
-    """Raise RecatError unless every ball is (element of X, scalar of X's mode and grid)."""
+def _check_balls(X: EnrichedCategory, *balls) -> tuple:
+    """The balls as pairs; RecatError unless each is (element of X, scalar of X's mode and grid)."""
+    balls = tuple(_items(b, "a ball") for b in balls)
+    if any(len(b) != 2 for b in balls):
+        raise RecatError("a ball is an (element, radius) pair")
     _in_carrier(X, *(x for x, _ in balls))
     _check_scalars((r for _, r in balls), X.grid, "radius ", X.mode)
+    return balls
 
 
 def _leq(X: EnrichedCategory, b1, b2) -> bool:
@@ -36,12 +40,11 @@ def _leq(X: EnrichedCategory, b1, b2) -> bool:
 
 def ball_leq(X: EnrichedCategory, b1, b2) -> bool:
     """(x, r) below (y, s) iff r <= s (*) X(x, y)."""
-    _check_balls(X, b1, b2)
-    return _leq(X, b1, b2)
+    return _leq(X, *_check_balls(X, b1, b2))
 
 
 def ball_equiv(X: EnrichedCategory, b1, b2) -> bool:
-    _check_balls(X, b1, b2)
+    b1, b2 = _check_balls(X, b1, b2)
     return _leq(X, b1, b2) and _leq(X, b2, b1)
 
 
@@ -63,8 +66,7 @@ def radius_candidates(X: EnrichedCategory, balls):
 
 def directed_check(X: EnrichedCategory, balls) -> bool:
     """Every pair has an upper bound in the set: on a finite set, a member above all."""
-    balls = _items(balls, "balls")
-    _check_balls(X, *balls)
+    balls = _check_balls(X, *_items(balls, "balls"))
     return _least(balls, lambda a, b: _leq(X, b, a)) is not None
 
 
@@ -73,8 +75,7 @@ def directed_join(X: EnrichedCategory, balls):
     None when the family is not directed.  Such a ball (z, t) has t <= s (*) X(z, y) <= s
     and s <= t (*) X(y, z) <= t, so t = s."""
     _exact(X, "directed joins are computed in exact mode")
-    balls = _items(balls, "balls")
-    _check_balls(X, *balls)
+    balls = _check_balls(X, *_items(balls, "balls"))
     top = _least(balls, lambda a, b: _leq(X, b, a))
     if top is None:
         return None
@@ -122,9 +123,8 @@ def ball_way_below(X: EnrichedCategory, b1, b2) -> bool:
     The characterization is exact for Archimedean t-norms; elsewhere it is a
     heuristic, see ball_way_below_is_exact.
     """
-    (x, r), (y, s) = b1, b2
     way_below_distributor(X)
-    _check_balls(X, b1, b2)
+    (x, r), (y, s) = _check_balls(X, b1, b2)
     if not (r > 0 and s > 0):
         raise RecatError("ball way-below is stated for positive radii")
     return r < X.conj(s, X.hom[x][y])

@@ -2,18 +2,18 @@
 
 The Cauchy verdict checks the unit only, the counit being a theorem; conical
 flatness keeps its own loop, which stops at the first failing (x1, x2, p1, p2)
-and, the identity being symmetric, visits only the pairs x1 <= x2.
-Completion-style verdicts are closed forms, since on a finite carrier every sup
-is a max and every Cauchy or ideal weight is representable: the Cauchy
-completion is the distinct Yoneda columns and Smyth completeness is
-separatedness.  The theorem needs exact mode and nothing else, so these answer
+and, the identity being symmetric, visits only the pairs x1 <= x2.  Flatness
+draws nothing: past the exhaustive cap, and in float mode, the corepresentables
+decide it (see `_coweight_family`).  Completion-style verdicts are closed forms,
+since on a finite carrier every sup is a max and every Cauchy or ideal weight is
+representable: the Cauchy completion is the distinct Yoneda columns and Smyth
+completeness is separatedness.  The theorem needs exact mode and nothing else, so these answer
 every exact category, with a grid or without, at any size; a float category
 raises.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from . import tnorm as tn
@@ -23,12 +23,13 @@ from .presheaf import (
     Coweight,
     Weight,
     _representing,
-    coweight_closure,
+    _unchecked,
+    coyoneda,
     enumerate_coweights,
     isbell_ub,
     pairing,
 )
-from .values import _count, _encode, _exact
+from .values import _encode, _exact
 
 
 def is_representable(phi: Weight):
@@ -108,65 +109,54 @@ def is_conically_flat(phi: Weight):
     return True, None, exact
 
 
-def _coweight_family(X: EnrichedCategory, bound: int, rng):
-    """Exhaustive grid coweights when affordable, otherwise a generated family.
+#: the most grid vectors whose coweights `_coweight_family` lists one by one
+EXHAUSTIVE_CAP = 10**6
 
-    The family takes the closures of up to 1000 drawn vectors and stops drawing
-    once every vector has been drawn, when later draws could add nothing.
+
+def _coweight_family(X: EnrichedCategory):
+    """Every grid coweight when |grid| ** n <= EXHAUSTIVE_CAP, otherwise the corepresentables.
+
+    The corepresentables X(a, -) decide flatness by themselves.  Let phi be
+    conically flat.  Its set T = {x : phi(x) = 1} is directed (the identity at
+    p1 = p2 = 1 puts some x of T above any two members), so the finite T holds a
+    top m.  If phi is not X(-, m), take the first a with phi(a) != X(a, m); the
+    weight law X(a, m) (*) phi(m) <= phi(a) makes phi(a) > X(a, m).  Then
+    (r, psi) = (phi(a), X(a, -)) breaks the cotensor identity: its right side is
+    1, from the x = a term, while each term of its left side is < 1, on T since
+    X(a, x) <= X(a, m) < phi(a) and off T since phi(x) < 1.  Representable
+    weights are flat, so scanning r over the grid radii and phi's own values
+    against the corepresentables gives the exact verdict at every n.
     """
-    if X.grid is not None and len(X.grid.points) ** X.n <= bound:
-        return enumerate_coweights(X, bound), True
-    fam = []
-    seen = set()
-    points = list(X.grid.points) if X.grid is not None else [X.zero, X.one]
-    for p in points:
-        for x in range(X.n):
-            cw = Coweight(X, tuple(X.conj(p, X.hom[x][y]) for y in range(X.n)))
-            if cw.values not in seen:
-                seen.add(cw.values)
-                fam.append(cw)
-    rng = rng or random.Random(0)
-    drawn = set()  # a vector drawn again has the same closure: skip it, keep the draws
-    vectors = len(points) ** X.n
-    for _ in range(1000):
-        if len(drawn) == vectors:
-            break
-        vec = tuple(rng.choice(points) for _ in range(X.n))
-        if vec in drawn:
-            continue
-        drawn.add(vec)
-        cw = coweight_closure(X, vec)
-        if cw.values not in seen:
-            seen.add(cw.values)
-            fam.append(cw)
-    return fam, False
+    if X.grid is not None and len(X.grid.points) ** X.n <= EXHAUSTIVE_CAP:
+        return enumerate_coweights(X, EXHAUSTIVE_CAP)
+    return [coyoneda(X, x) for x in range(X.n)]
 
 
 def is_flat(phi: Weight):
-    """(verdict, witness, exhaustive_flag): conically flat plus cotensor stability.
+    """(verdict, witness, exact_flag): conically flat plus cotensor stability.
 
     The extra condition quantifies pairing(phi, r -> psi) = r -> pairing(phi, psi)
-    over grid scalars r and a coweight family (exhaustive up to 10**6 grid vectors).
+    over the scalars r of the breakpoints and phi, and the coweights of
+    `_coweight_family`.
     """
-    return _flat(phi, is_conically_flat(phi), 10**6, None)
+    return _flat(phi, is_conically_flat(phi))
 
 
-def _flat(phi: Weight, conical, bound: int, rng):
+def _flat(phi: Weight, conical):
     """is_flat, given the result of is_conically_flat(phi)."""
     cf, wit, exact = conical
     if not cf:
         return False, ("conically_flat", wit), exact
     X = phi.base
     points, _ = _breakpoints(X)
-    family, exhaustive = _coweight_family(X, bound, rng)
-    for r in points:
+    family = _coweight_family(X)
+    for r in sorted(set(points) | set(phi.values)):
         for psi in family:
-            shifted = Coweight(X, tuple(X.imp(r, psi(y)) for y in range(X.n)))
-            lhs = pairing(phi, shifted)
-            rhs = X.imp(r, pairing(phi, psi))
-            if not tn.veq(lhs, rhs):
-                return False, (r, psi.values), exhaustive and exact
-    return True, None, exhaustive and exact
+            # r -> psi is a coweight; unchecked, since a float residual scales TOL by 1/r
+            shifted = _unchecked(Coweight, X, tuple(X.imp(r, psi(y)) for y in range(X.n)))
+            if not tn.veq(pairing(phi, shifted), X.imp(r, pairing(phi, psi))):
+                return False, (r, psi.values), exact
+    return True, None, exact
 
 
 @dataclass
@@ -199,15 +189,14 @@ class WeightClassReport:
         }
 
 
-def classify(phi: Weight, bound: int = 10**6, rng=None) -> WeightClassReport:
+def classify(phi: Weight) -> WeightClassReport:
     """Aggregate all class predicates, enforcing the implication chain."""
-    _count(bound, "bound", 0)
     rep = is_representable(phi)
     cw = is_cauchy(phi)
     ideal, ideal_wit = is_ideal(phi)
     conical = is_conically_flat(phi)
     cf, cf_wit, _ = conical
-    flat, flat_wit, exhaustive = _flat(phi, conical, bound, rng)
+    flat, flat_wit, exhaustive = _flat(phi, conical)
     report = WeightClassReport(
         representable=rep,
         cauchy=cw.values if cw else None,

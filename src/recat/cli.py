@@ -1,7 +1,8 @@
 """Batch front end: load categories and weights, run checks, emit reports.
 
 Exit codes: 0 pass, 1 semantic failure, 2 parse failure, 3 resource bound.
-All randomness flows through a seeded PRNG echoed in every report, and JSON
+All randomness flows through a seeded PRNG echoed in every report (`classify`
+draws nothing and only echoes its `--seed`), and JSON
 output uses sorted keys so runs are byte-reproducible.
 """
 
@@ -111,8 +112,8 @@ def cmd_check(args) -> int:
 def cmd_classify(args) -> int:
     X = _valid_category(args.category)
     phi = load_weight(args.weight, X)
-    out = classify(phi, bound=args.bound, rng=random.Random(args.seed)).to_json()
-    out["seed"] = args.seed
+    out = classify(phi).to_json()
+    out["seed"] = args.seed  # echoed only: classify draws nothing
     print(_emit(out))
     return EXIT_OK
 
@@ -364,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("category")
     c.add_argument("weight")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bound", type=_bound, default=10**6)
     c.set_defaults(fn=cmd_classify)
 
     c = sp.add_parser("laws", help="run a named law suite")

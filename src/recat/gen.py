@@ -15,7 +15,7 @@ from .errors import NotAFunctorError, RecatError
 from .laws import ModuleAction
 from .poset import FinitePoset, chain, closure, lattice_catalog
 from .presheaf import Coweight, Weight, _dual
-from .values import ValueGrid, _in_carrier, _items, grid_validate, unit_grid
+from .values import ValueGrid, _count, _in_carrier, _items, grid_validate, unit_grid
 
 
 def random_category(rng: random.Random, n: int, grid: ValueGrid) -> EnrichedCategory:
@@ -67,6 +67,7 @@ def random_directed_balls(rng: random.Random, X: EnrichedCategory, length: int =
     """A random chain in the ball order; chains are directed."""
     from .balls import ball_leq, radius_candidates
 
+    _count(length, "length")
     if X.grid is None:
         raise RecatError("random directed balls need a grid of radii")
     pts = list(X.grid.points)

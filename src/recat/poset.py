@@ -273,19 +273,13 @@ def coprimes(L: FinitePoset, include_vacuous_bottom: bool = True):
     are reachable through the flag since the empty-join convention is a
     documented open point.
     """
-    out = []
-    for x in range(L.n):
-        ok = True
-        for a in range(L.n):
-            for b in range(L.n):
-                j = L.join([a, b])
-                if j is not None and L.le(x, j) and not (L.le(x, a) or L.le(x, b)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(x)
+    joins = [(a, b, L.join([a, b])) for a in range(L.n) for b in range(L.n)]
+    joins = [(a, b, j) for a, b, j in joins if j is not None]
+    out = [
+        x
+        for x in range(L.n)
+        if not any(L.le(x, j) and not (L.le(x, a) or L.le(x, b)) for a, b, j in joins)
+    ]
     if not include_vacuous_bottom:
         bot = L.bottom
         out = [x for x in out if x != bot]

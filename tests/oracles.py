@@ -5,7 +5,6 @@ or from a different characterisation, so a test can pair it with the library's
 own answer.
 """
 
-import random
 from functools import partial
 from itertools import combinations, product as iproduct
 from operator import and_
@@ -29,13 +28,10 @@ from recat.poset import (
     posets_isomorphic,
 )
 from recat.presheaf import (
-    Coweight,
     Weight,
     _dual,
     _grid_space,
     colim,
-    coweight_closure,
-    enumerate_coweights,
     enumerate_weights,
     is_cocomplete_over_grid,
     sub,
@@ -90,6 +86,20 @@ def lower_sets(L: FinitePoset):
         if all(y in s for x in s for y in range(L.n) if L.le(y, x)):
             out.append(tuple(sorted(s)))
     return out
+
+
+def coprimes(L: FinitePoset, include_vacuous_bottom: bool = True):
+    """poset.coprimes with one join per (x, a, b), as the definition reads."""
+    out = [
+        x
+        for x in range(L.n)
+        if not any(
+            L.join([a, b]) is not None and L.le(x, L.join([a, b])) and not (L.le(x, a) or L.le(x, b))
+            for a in range(L.n)
+            for b in range(L.n)
+        )
+    ]
+    return tuple(x for x in out if include_vacuous_bottom or x != L.bottom)
 
 
 def cd_law_identity_check(L: FinitePoset) -> bool:
@@ -536,10 +546,9 @@ def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
     return {"total": total, "equalities": equalities, "violations": violations}
 
 
-# --- conical flatness on every pair, and the coweight family of 1000 draws --
+# --- conical flatness on every pair ---------------------------------------
 # The library scans only x1 <= x2, since the binary-meet identity is symmetric
-# under (x1, p1) <-> (x2, p2), and stops drawing coweight vectors once every
-# vector has been drawn; these scan every (x1, x2) and make every draw.
+# under (x1, p1) <-> (x2, p2); this scans every (x1, x2).
 
 
 def is_conically_flat(phi: Weight):
@@ -561,33 +570,6 @@ def is_conically_flat(phi: Weight):
                     if not tn.veq(lhs, rhs):
                         return False, (x1, x2, p1, p2), exact
     return True, None, exact
-
-
-def coweight_family(X: EnrichedCategory, bound: int, rng):
-    """Exhaustive grid coweights when affordable, otherwise closures of 1000 drawn vectors."""
-    if X.grid is not None and len(X.grid.points) ** X.n <= bound:
-        return enumerate_coweights(X, bound), True
-    fam = []
-    seen = set()
-    points = list(X.grid.points) if X.grid is not None else [X.zero, X.one]
-    for p in points:
-        for x in range(X.n):
-            cw = Coweight(X, tuple(X.conj(p, X.hom[x][y]) for y in range(X.n)))
-            if cw.values not in seen:
-                seen.add(cw.values)
-                fam.append(cw)
-    rng = rng or random.Random(0)
-    drawn = set()
-    for _ in range(1000):
-        vec = tuple(rng.choice(points) for _ in range(X.n))
-        if vec in drawn:
-            continue
-        drawn.add(vec)
-        cw = coweight_closure(X, vec)
-        if cw.values not in seen:
-            seen.add(cw.values)
-            fam.append(cw)
-    return fam, False
 
 
 # --- directed families by search ------------------------------------------

@@ -1,4 +1,5 @@
 import recat.poset as ps
+import oracles
 from oracles import cd_law_identity_check, enumerate_lattices
 
 
@@ -118,6 +119,13 @@ class TestCoprimes:
         # each atom sits below the join of the other two, so only the bottom
         # survives the binary definition
         assert ps.coprimes(ps.m3()) == (0,)
+
+    def test_binary_joins_built_once_keep_the_coprimes(self):
+        """coprimes built one join per (x, a, b), n**3 joins, where n**2 suffice."""
+        lattices = ps.lattice_catalog(5) + [L for n in range(1, 6) for L in enumerate_lattices(n)]
+        for L in lattices + [L.opposite() for L in lattices]:
+            for vacuous in (True, False):
+                assert ps.coprimes(L, vacuous) == oracles.coprimes(L, vacuous)
 
     def test_primes_dualize(self):
         b = ps.boolean_lattice()

@@ -11,6 +11,7 @@ functions, the `laws` entry points, which take grids and tables, and the
 order layer, whose elements, maps and sizes are checked the same way.
 """
 
+import inspect
 import json
 import random
 from fractions import Fraction as F
@@ -152,6 +153,7 @@ COUNT_ENTRIES = {
     "powerset_monad_check-size": lambda n: laws.powerset_monad_check(G3, n, random.Random(0)),
     "powerset_monad_check-samples": lambda n: laws.powerset_monad_check(G3, 1, random.Random(0), n),
     "find_cf4_cotensor_witness": lambda n: laws.find_cf4_cotensor_witness(G3, n),
+    "random_directed_balls": lambda n: gen.random_directed_balls(random.Random(0), fixtures.a2(), n),
 }
 BAD_COUNTS = (0, -1, 2.0, "3", True, None)
 # public names that take no scalar, element or count: t-norm objects, a predicate, and
@@ -198,13 +200,34 @@ def test_malformed_elements_raise_recat_error(name, base, p):
             ELEMENT_ENTRIES[name](X, bad, p)
 
 
+BALL_ENTRIES = {
+    "ball_leq": lambda X, b, p: balls.ball_leq(X, *_balls(X, p, b)),
+    "ball_equiv": lambda X, b, p: balls.ball_equiv(X, *_balls(X, p, b)),
+    "ball_way_below": lambda X, b, p: balls.ball_way_below(X, *_balls(X, p, b)),
+    "directed_check": lambda X, b, p: balls.directed_check(X, _balls(X, p, b)),
+    "directed_join": lambda X, b, p: balls.directed_join(X, _balls(X, p, b)),
+}
+BAD_BALLS = (5, None, (0,), (0, 1, 1), (), "ab")
+
+
+@pytest.mark.parametrize("name", sorted(BALL_ENTRIES))
+@pytest.mark.parametrize("bad", BAD_BALLS, ids=repr)
+@pytest.mark.parametrize("p", (0, 1))
+def test_balls_that_are_no_element_radius_pair_raise_recat_error(name, bad, p):
+    """directed_check(a2, [5]), ball_leq(a2, 5, (0, 1)) and directed_join(a2, [(0, 1), 7])
+    used to raise a bare TypeError, and ball_equiv(a2, (0,), (0, 1)) a bare ValueError."""
+    with pytest.raises(RecatError):
+        BALL_ENTRIES[name](fixtures.a2(), bad, p)
+
+
 @pytest.mark.parametrize("name", sorted(COUNT_ENTRIES))
 @pytest.mark.parametrize("bad", BAD_COUNTS, ids=repr)
 def test_counts_that_are_no_positive_int_raise_recat_error(name, bad):
     """power(t, x, 2.0) and power(t, x, '3') used to raise a bare TypeError, and
     unit_grid(0) a bare ZeroDivisionError; a filter or powerset size of True was read
     as 1, a powerset size of -1 raised a bare ValueError, and a string sample count or
-    bound a bare TypeError."""
+    bound a bare TypeError; random_directed_balls with a length of "x" raised a bare
+    TypeError, and one of 0 or less returned one ball."""
     with pytest.raises(RecatError):
         COUNT_ENTRIES[name](bad)
 
@@ -237,17 +260,23 @@ def test_a_zero_bound_is_exceeded(name):
         BOUND_ENTRIES[name](0)
 
 
-@pytest.mark.parametrize("bad", BAD_BOUNDS, ids=repr)
-def test_classify_checks_its_bound(bad):
-    with pytest.raises(RecatError, match=r"^bound must be an int >= 0, got"):
-        cl.classify(ps.yoneda(X2, 0), bound=bad)
+def test_classify_takes_no_bound_and_no_rng():
+    """classify and is_flat used to take a bound and an rng that fed drawn coweights."""
+    assert list(inspect.signature(cl.classify).parameters) == ["phi"]
+    assert list(inspect.signature(cl.is_flat).parameters) == ["phi"]
 
 
-def test_classify_under_a_zero_bound_draws_its_coweights():
-    """classify enumerates no weights: a bound below the grid's vector count makes
-    the flatness verdict rest on a drawn coweight family, flagged not exhaustive."""
-    rep = cl.classify(ps.yoneda(X2, 0), bound=0)
-    assert rep.flat and not rep.exhaustive
+def test_classify_past_the_exhaustive_cap_stays_exact(monkeypatch):
+    """Past the cap the corepresentables decide flatness: the verdicts stay exact, where
+    a drawn coweight family used to flag them not exhaustive."""
+    monkeypatch.setattr(cl, "EXHAUSTIVE_CAP", 0)
+    rep = cl.classify(ps.yoneda(X2, 0))
+    assert rep.flat and rep.exhaustive
+    rep = cl.classify(fixtures.g5_weight())
+    assert rep.conically_flat and not rep.flat and rep.exhaustive
+    r, psi = rep.witnesses["flat"]
+    X = fixtures.g5_weight().base
+    assert psi in {ps.coyoneda(X, a).values for a in range(X.n)}
 
 
 def _cli_files(tmp_path):
@@ -258,23 +287,30 @@ def _cli_files(tmp_path):
     return [str(cpath), str(wpath)]
 
 
-@pytest.mark.parametrize(
-    "command, zero_exit",
-    [(["classify"], 0), (["laws", "filters"], 3), (["laws", "kz"], 3)],
-    ids=["classify", "laws-filters", "laws-kz"],
-)
-def test_cli_bounds(tmp_path, capsys, command, zero_exit):
-    """--bound -1 used to exit 0 on classify, 1 on laws filters and 3 on laws kz; now
-    every negative --bound is a usage error (exit 2), and a zero one is exceeded
-    (exit 3) wherever the command enumerates."""
-    argv = command + (_cli_files(tmp_path) if command == ["classify"] else [])
-    assert cli.main(argv + ["--bound", "-1"]) == 2
+@pytest.mark.parametrize("command", [["laws", "filters"], ["laws", "kz"]], ids=["laws-filters", "laws-kz"])
+def test_cli_bounds(capsys, command):
+    """--bound -1 used to exit 1 on laws filters and 3 on laws kz; now every negative
+    --bound is a usage error (exit 2), and a zero one is exceeded (exit 3)."""
+    assert cli.main(command + ["--bound", "-1"]) == 2
     assert "--bound: must be an int >= 0, got -1" in json.loads(capsys.readouterr().out)["error"]
-    assert cli.main(argv + ["--bound", "x"]) == 2
+    assert cli.main(command + ["--bound", "x"]) == 2
     assert "--bound: invalid int value: 'x'" in json.loads(capsys.readouterr().out)["error"]
-    assert cli.main(argv + ["--bound", "0"]) == zero_exit
-    out = json.loads(capsys.readouterr().out)
-    assert "exceed" in out["error"] if zero_exit == 3 else out["exhaustive"] is False
+    assert cli.main(command + ["--bound", "0"]) == 3
+    assert "exceed" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_cli_classify_takes_no_bound_and_only_echoes_its_seed(tmp_path, capsys):
+    """recat classify --bound 0 used to exit 0 with a drawn family; --bound is gone
+    (exit 2), and --seed, which seeds nothing, is echoed."""
+    argv = ["classify"] + _cli_files(tmp_path)
+    assert cli.main(argv + ["--bound", "10"]) == 2
+    assert "--bound" in json.loads(capsys.readouterr().out)["error"]
+    reports = []
+    for seed in ("0", "7"):
+        assert cli.main(argv + ["--seed", seed]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [r.pop("seed") for r in reports] == [0, 7]
+    assert reports[0] == reports[1] and reports[0]["exhaustive"] is True
 
 
 CONTAINER_ENTRIES = {
