@@ -33,19 +33,26 @@ def _check_balls(X: EnrichedCategory, *balls) -> tuple:
     return balls
 
 
-def _leq(X: EnrichedCategory, b1, b2) -> bool:
-    (x, r), (y, s) = b1, b2
-    return tn.vle(r, X.conj(s, X.hom[x][y]))
+def _order(X: EnrichedCategory):
+    """The ball order of X on checked balls, b1 below b2, with X's (*) bound once."""
+    conj, hom = tn.evaluators(X.tnorm, X.mode)[0], X.hom
+
+    def leq(b1, b2) -> bool:
+        (x, r), (y, s) = b1, b2
+        return tn.vle(r, conj(s, hom[x][y]))
+
+    return leq
 
 
 def ball_leq(X: EnrichedCategory, b1, b2) -> bool:
     """(x, r) below (y, s) iff r <= s (*) X(x, y)."""
-    return _leq(X, *_check_balls(X, b1, b2))
+    return _order(X)(*_check_balls(X, b1, b2))
 
 
 def ball_equiv(X: EnrichedCategory, b1, b2) -> bool:
     b1, b2 = _check_balls(X, b1, b2)
-    return _leq(X, b1, b2) and _leq(X, b2, b1)
+    leq = _order(X)
+    return leq(b1, b2) and leq(b2, b1)
 
 
 def radius_candidates(X: EnrichedCategory, balls):
@@ -54,20 +61,23 @@ def radius_candidates(X: EnrichedCategory, balls):
     The way-below distributor collapses to the hom matrix on finite carriers,
     so scaling against it yields the same candidate set.
     """
+    balls = _check_balls(X, *_items(balls, "balls"))
+    conj = tn.evaluators(X.tnorm, X.mode)[0]
     out = set(X.grid.points) if X.grid is not None else set()
     out |= {X.zero, X.one}
     for (_, s) in balls:
         out.add(s)
         for x in range(X.n):
             for y in range(X.n):
-                out.add(X.conj(s, X.hom[x][y]))
+                out.add(conj(s, X.hom[x][y]))
     return sorted(out)
 
 
 def directed_check(X: EnrichedCategory, balls) -> bool:
     """Every pair has an upper bound in the set: on a finite set, a member above all."""
     balls = _check_balls(X, *_items(balls, "balls"))
-    return _least(balls, lambda a, b: _leq(X, b, a)) is not None
+    leq = _order(X)
+    return _least(balls, lambda a, b: leq(b, a)) is not None
 
 
 def directed_join(X: EnrichedCategory, balls):
@@ -76,10 +86,11 @@ def directed_join(X: EnrichedCategory, balls):
     and s <= t (*) X(y, z) <= t, so t = s."""
     _exact(X, "directed joins are computed in exact mode")
     balls = _check_balls(X, *_items(balls, "balls"))
-    top = _least(balls, lambda a, b: _leq(X, b, a))
+    leq = _order(X)
+    top = _least(balls, lambda a, b: leq(b, a))
     if top is None:
         return None
-    return next(b for b in ((z, top[1]) for z in range(X.n)) if _leq(X, b, top) and _leq(X, top, b))
+    return next(b for b in ((z, top[1]) for z in range(X.n)) if leq(b, top) and leq(top, b))
 
 
 def way_below_distributor(X: EnrichedCategory) -> Rel:
@@ -167,13 +178,15 @@ def ball_poset_dot(X: EnrichedCategory, grid=None) -> str:
     grid = grid or X.grid
     if not isinstance(grid, ValueGrid):
         raise RecatError("ball poset export needs a grid of radii")
+    _check_scalars(grid.points, None, "radius ", X.mode)
+    leq = _order(X)
     nodes = [(x, r) for x in range(X.n) for r in grid.points]
     label = {b: f"{X.names[b[0]]}@{format_value(b[1])}" for b in nodes}
     strictly = {
         (a, b)
         for a in nodes
         for b in nodes
-        if a != b and _leq(X, a, b) and not _leq(X, b, a)
+        if a != b and leq(a, b) and not leq(b, a)
     }
     covers = []
     for a, b in sorted(strictly, key=lambda p: (label[p[0]], label[p[1]])):

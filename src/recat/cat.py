@@ -19,6 +19,7 @@ from . import values as vals
 from .errors import (
     BoundExceededError,
     CarrierMismatchError,
+    ModeMismatchError,
     NotAFunctorError,
     RecatError,
 )
@@ -107,13 +108,15 @@ class ValidationReport:
 
 def validate(X: EnrichedCategory) -> ValidationReport:
     """Check reflexivity and transitivity; report the first violating triple."""
+    hom = X.hom
     for x in range(X.n):
-        if not tn.veq(X.hom[x][x], X.one):
+        if not tn.veq(hom[x][x], X.one):
             return ValidationReport(False, "reflexivity", (x,))
+    conj = tn.evaluators(X.tnorm, X.mode)[0]
     for y in range(X.n):
         for z in range(X.n):
             for x in range(X.n):
-                if not tn.vle(X.conj(X.hom[y][z], X.hom[x][y]), X.hom[x][z]):
+                if not tn.vle(conj(hom[y][z], hom[x][y]), hom[x][z]):
                     return ValidationReport(False, "transitivity", (y, z, x))
     return ValidationReport(True)
 
@@ -151,9 +154,12 @@ def identity_rel(n: int) -> Rel:
 # The relation kernel: the sup-(*) and inf-(->) loops under compose, the
 # residuals and the presheaf calculus.  Each takes its operands as tuples of
 # row or column tuples, never as `Rel`, and the value of an empty sup or inf,
-# since an empty carrier shows no mode.  tn.conj and tn.imp are looked up at
-# each call, never bound at import, so wrappers put on the tnorm module (the
-# benchmark's call tracer) see every scalar operation.
+# since an empty carrier shows no mode.  That value's mode picks the loop's
+# (*) or -> from `tn.evaluators` when the loop starts: the float evaluators,
+# or tn.conj/tn.imp bound to the t-norm, never bound at import, so wrappers put
+# on the tnorm module (the benchmark's call tracer) see every exact scalar
+# operation.  `compose` and the residuals pass exact bounds, so a `Rel` of any
+# mode takes the checked path.
 
 
 def _columns(rows, width):
@@ -163,18 +169,18 @@ def _columns(rows, width):
 
 def _compose(t, s_cols, r_rows, zero):
     """m[x][z] = sup_y s_cols[z][y] (*) r_rows[x][y], the matrix of s o r."""
-    conj = tn.conj
+    conj = tn.evaluators(t, tn.mode_of(zero))[0]
     return tuple(
-        tuple(max((conj(t, a, b) for a, b in zip(col, row)), default=zero) for col in s_cols)
+        tuple(max((conj(a, b) for a, b in zip(col, row)), default=zero) for col in s_cols)
         for row in r_rows
     )
 
 
 def _residual_left(t, tt_cols, r_cols, one):
     """m[y][z] = inf_x r_cols[y][x] -> tt_cols[z][x], the matrix of tt // r."""
-    imp = tn.imp
+    imp = tn.evaluators(t, tn.mode_of(one))[1]
     return tuple(
-        tuple(min((imp(t, a, b) for a, b in zip(rcol, col)), default=one) for col in tt_cols)
+        tuple(min((imp(a, b) for a, b in zip(rcol, col)), default=one) for col in tt_cols)
         for rcol in r_cols
     )
 
@@ -227,16 +233,24 @@ def rel_eq(a: Rel, b: Rel) -> bool:
 
 
 def is_distributor(r: Rel, X: EnrichedCategory, Y: EnrichedCategory):
-    """None if r is a bimodule for the hom actions, else the violating tuple."""
+    """None if r is a bimodule for the hom actions, else the violating tuple.
+
+    r must run from X to Y, and a non-empty r holds values of X's and Y's mode.
+    """
+    if (r.src, r.tgt) != (X.n, Y.n):
+        raise CarrierMismatchError("the relation's shape differs from the carriers")
+    if r.src and r.tgt:
+        vals._check_scalars((v for m in (r.rows, Y.hom) for row in m for v in row), None, "value ", X.mode)
+    conj = tn.evaluators(X.tnorm, X.mode)[0]
     for x1 in range(X.n):
         for x2 in range(X.n):
             for y in range(Y.n):
-                if not tn.vle(X.conj(r(x2, y), X.hom[x1][x2]), r(x1, y)):
+                if not tn.vle(conj(r(x2, y), X.hom[x1][x2]), r(x1, y)):
                     return ("left", x1, x2, y)
     for x in range(X.n):
         for y1 in range(Y.n):
             for y2 in range(Y.n):
-                if not tn.vle(X.conj(Y.hom[y1][y2], r(x, y1)), r(x, y2)):
+                if not tn.vle(conj(Y.hom[y1][y2], r(x, y1)), r(x, y2)):
                     return ("right", x, y1, y2)
     return None
 
@@ -254,6 +268,8 @@ class EnrichedFunctor:
         if len(self.mapping) != self.src.n:
             raise RecatError("mapping must cover the source carrier")
         vals._in_carrier(self.tgt, *self.mapping)
+        if self.src.n and self.src.mode != self.tgt.mode:
+            raise ModeMismatchError("a functor's source and target must hold values of one mode")
         for x in range(self.src.n):
             for y in range(self.src.n):
                 if not tn.vle(self.src.hom[x][y], self.tgt.hom[self.mapping[x]][self.mapping[y]]):

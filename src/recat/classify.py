@@ -94,16 +94,14 @@ def is_conically_flat(phi: Weight):
     if not any(tn.veq(phi(x), X.one) for x in range(X.n)):
         return False, ("inhabited",), X.mode == "exact"
     points, exact = _breakpoints(X)
+    conj, hom, v = tn.evaluators(X.tnorm, X.mode)[0], X.hom, phi.values
     for x1 in range(X.n):
         for x2 in range(x1, X.n):
             for p1 in points:
-                a1 = X.conj(p1, phi(x1))
+                a1 = conj(p1, v[x1])
                 for p2 in points:
-                    lhs = min(a1, X.conj(p2, phi(x2)))
-                    rhs = max(
-                        X.conj(min(X.conj(p1, X.hom[x1][x]), X.conj(p2, X.hom[x2][x])), phi(x))
-                        for x in range(X.n)
-                    )
+                    lhs = min(a1, conj(p2, v[x2]))
+                    rhs = max(conj(min(conj(p1, hom[x1][x]), conj(p2, hom[x2][x])), v[x]) for x in range(X.n))
                     if not tn.veq(lhs, rhs):
                         return False, (x1, x2, p1, p2), exact
     return True, None, exact
@@ -150,11 +148,12 @@ def _flat(phi: Weight, conical):
     X = phi.base
     points, _ = _breakpoints(X)
     family = _coweight_family(X)
+    imp = tn.evaluators(X.tnorm, X.mode)[1]
     for r in sorted(set(points) | set(phi.values)):
         for psi in family:
             # r -> psi is a coweight; unchecked, since a float residual scales TOL by 1/r
-            shifted = _unchecked(Coweight, X, tuple(X.imp(r, psi(y)) for y in range(X.n)))
-            if not tn.veq(pairing(phi, shifted), X.imp(r, pairing(phi, psi))):
+            shifted = _unchecked(Coweight, X, tuple(imp(r, w) for w in psi.values))
+            if not tn.veq(pairing(phi, shifted), imp(r, pairing(phi, psi))):
                 return False, (r, psi.values), exact
     return True, None, exact
 
@@ -190,8 +189,16 @@ class WeightClassReport:
 
 
 def classify(phi: Weight) -> WeightClassReport:
-    """Aggregate all class predicates, enforcing the implication chain."""
+    """Aggregate all class predicates, enforcing the implication chain.
+
+    A representable phi is classified as the Yoneda weight X(-, a) it equals:
+    the same vector in exact mode, and in float mode one within TOL of phi
+    that keeps representable => Cauchy => flat, which phi itself, a few ulps
+    off the column, can break.
+    """
     rep = is_representable(phi)
+    if rep is not None:  # a Yoneda column is a weight: no law check
+        phi = _unchecked(Weight, phi.base, tuple(row[rep] for row in phi.base.hom))
     cw = is_cauchy(phi)
     ideal, ideal_wit = is_ideal(phi)
     conical = is_conically_flat(phi)

@@ -276,8 +276,9 @@ def negation_duality_check(grid: ValueGrid):
 
 
 def negation_duality_check_float(t: tn.TNorm, samples=64):
+    imp = tn.evaluators(t, "float")[1]
     for x in (k / samples for k in range(1, samples)):
-        if not tn.veq(tn.imp(t, tn.imp(t, x, 0.0), 0.0), x):
+        if not tn.veq(imp(imp(x, 0.0), 0.0), x):
             return False, x
     return True, None
 
@@ -345,7 +346,7 @@ def _cf_failures(imp, F, one, size: int, pairs, shifts):
     CF3: F(lam meet mu) = F(lam) meet F(mu), at each (lam, mu) in pairs
     CF4: F(r -> lam) = 1 whenever F(lam) > r, at each (lam, r) in shifts
 
-    imp(a, b) is the residuum of the scalars F works on: tn.imp on floats, or
+    imp(a, b) is the residuum of the scalars F works on: the float -> on floats, or
     the grid's imp table on grid indices, whose order is the points' order.
     Comparisons go through tn.vle/tn.veq: exact on Fractions and ints, within
     TOL on floats.
@@ -434,14 +435,14 @@ def conical_filter_check_float(t: tn.TNorm, size: int, rng, samples: int = 200) 
     CF1..CF4 (and the cotensor staying in class) on sampled arguments within
     the float tolerance.
     """
+    conj, imp = tn.evaluators(t, "float")
     for _ in range(samples):
         gen_vec = tuple(rng.random() for _ in range(size))
         r0 = rng.random()
-        for vec in (gen_vec, tuple(tn.conj(t, r0, g) for g in gen_vec)):
+        for vec in (gen_vec, tuple(conj(r0, g) for g in gen_vec)):
             lam = tuple(rng.random() for _ in range(size))
             mu = tuple(rng.random() for _ in range(size))
             r = rng.random()
-            imp = partial(tn.imp, t)
             if any(_cf_failures(imp, partial(_sub_vec, imp, vec), 1.0, size, [(lam, mu)], [(lam, r)])):
                 return False
     return True

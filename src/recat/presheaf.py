@@ -8,8 +8,8 @@ weight counterpart on `opposite(X)`, read back through `_dual`.
 
 Every weight value passes the scalar check on construction.  On a category with
 a grid, the weight law is checked on grid indices through the grid's conj table,
-and `tensor` reads r -> - off its imp table; without a grid the law is a scalar
-loop over tn.conj.
+and `tensor` reads r -> - off its imp table; without a grid the law and
+`tensor` are scalar loops over the (*) and -> of `tn.evaluators`.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ class Weight:
         grid = X.grid
         i = _check_scalars(self.values, grid, mode=X.mode)
         if grid is None:
+            conj, v = tn.evaluators(X.tnorm, X.mode)[0], self.values
             for x1 in range(X.n):
                 for x2 in range(X.n):
-                    if not tn.vle(X.conj(self.values[x2], X.hom[x1][x2]), self.values[x1]):
+                    if not tn.vle(conj(v[x2], X.hom[x1][x2]), v[x1]):
                         raise AxiomError("not a weight", witness=(x1, x2))
             return
         # on a grid the law is read off the conj table, on indices; indices ascend with the points
@@ -177,8 +178,6 @@ def lim(psi: Coweight):
 
 def weighted_colim(phi: Weight, f: EnrichedFunctor):
     """Colimit of f weighted by phi, i.e. colim of phi composed with the cograph."""
-    if phi.base.n != f.src.n:
-        raise CarrierMismatchError("weight must live on the functor source")
     return colim(f_exists(f, phi))
 
 
@@ -189,7 +188,8 @@ def tensor(X: EnrichedCategory, r, x: int):
     _in_carrier(X, x)
     i = _check_scalars((r,), grid, "tensor scalar ", X.mode)
     if grid is None:
-        return _representing(X.hom, tuple(X.imp(r, h) for h in X.hom[x]))
+        imp = tn.evaluators(X.tnorm, X.mode)[1]
+        return _representing(X.hom, tuple(imp(r, h) for h in X.hom[x]))
     row, pos = grid.imp_table[i[0]], grid._pos
     return _representing(X.hom, tuple(grid.points[row[pos[h]]] for h in X.hom[x]))
 
@@ -222,6 +222,7 @@ def is_cocomplete_over_grid(X: EnrichedCategory) -> bool:
 
 def f_exists(f: EnrichedFunctor, phi: Weight) -> Weight:
     """Left Kan extension along f: phi composed with the cograph of f."""
+    _same_base(phi.base, f.src)
     Y = f.tgt
     return Weight(Y, _column(_compose(Y.tnorm, (phi.values,), _at(f, Y.hom), Y.zero)))
 
@@ -233,6 +234,7 @@ def f_inv(f: EnrichedFunctor, gamma: Weight) -> Weight:
 
 def f_forall(f: EnrichedFunctor, phi: Weight) -> Weight:
     """Right Kan extension along f: inf_x (Y(f(x), -) -> phi(x))."""
+    _same_base(phi.base, f.src)
     Y = f.tgt
     return Weight(Y, _column(_residual_left(Y.tnorm, (phi.values,), _at(f, opposite(Y).hom), Y.one)))
 
@@ -285,8 +287,10 @@ def enumerate_coweights(X: EnrichedCategory, bound: int = 10**6):
 
 
 def weight_closure(X: EnrichedCategory, vec) -> Weight:
-    """The least weight above an arbitrary vector: sup_z v(z) (*) X(-, z)."""
-    return Weight(X, _column(_compose(X.tnorm, (tuple(vec),), X.hom, X.zero)))
+    """The least weight above an arbitrary vector of X's mode: sup_z v(z) (*) X(-, z)."""
+    vec = _items(vec, "vector")
+    _check_scalars(vec, None, "vector value ", X.mode)
+    return Weight(X, _column(_compose(X.tnorm, (vec,), X.hom, X.zero)))
 
 
 def coweight_closure(X: EnrichedCategory, vec) -> Coweight:

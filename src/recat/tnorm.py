@@ -12,6 +12,11 @@ closed under it.
 modes, NaN, values outside [0,1]) goes through the checked path, which
 settles the mode with `same_mode`, applies `_check_range` and raises
 `ModeMismatchError` or `RecatError` there.  The evaluators never check.
+
+`evaluators(t, mode)` hands a loop over checked scalars its (*) and -> once:
+the evaluators themselves in float mode, so a float loop pays no dispatch per
+scalar, and `conj`/`imp` bound to t in exact mode, so the rational path and
+its gate stay as they are.
 """
 
 from __future__ import annotations
@@ -310,6 +315,22 @@ def imp(t: TNorm, x, y):
             raise ExactModeError(f"{t} has no exact semantics; use float operands")
         return _imp_cached(t, Fraction(x), Fraction(y))
     return t.float_imp(x, y)
+
+
+def evaluators(t: TNorm, mode: str):
+    """(x (*) y, x -> y) for loops over scalars of `mode` that were checked before the loop.
+
+    In float mode they are t.float_conj and t.float_imp, which skip every
+    check.  That is safe because each float such a loop sees was checked once,
+    by `values._check_scalars` at a category, weight, radius or tensor scalar,
+    or came out of an evaluator, and on [0,1] the evaluators return values in
+    [0,1].  In exact mode they are `conj` and `imp` bound to t, looked up when
+    the pair is built, so a wrapper put on this module counts every exact
+    operation, and product still raises ExactModeError on its first call.
+    """
+    if mode == "float":
+        return t.float_conj, t.float_imp
+    return partial(conj, t), partial(imp, t)
 
 
 def conj_exact_unchecked(t: TNorm, x: Fraction, y: Fraction) -> Fraction:
