@@ -137,8 +137,7 @@ def random_module(
     if kind < 2:
         if grid is None:
             k = rng.randint(1, max_size - 1)
-            lukasiewicz = tn.is_archimedean(t) and tn.archimedean_base(t) == tn.LUKASIEWICZ
-            grid = unit_grid(k, t) if lukasiewicz else _godel_grid(rng, k, t)
+            grid = unit_grid(k, t) if t.base == tn.LUKASIEWICZ else _godel_grid(rng, k, t)
         build = _chain_module if kind == 0 else _opposite_chain_module
         return _relabel_module(rng, build(grid))
     if grid is None:

@@ -276,6 +276,9 @@ def negation_duality_check(grid: ValueGrid):
 
 
 def negation_duality_check_float(t: tn.TNorm, samples=64):
+    """(verdict, first failing point) of x = (x -> 0) -> 0 at k / samples, 0 < k < samples;
+    samples >= 2, so at least one point is checked."""
+    _count(samples, "samples", 2)
     imp = tn.evaluators(t, "float")[1]
     for x in (k / samples for k in range(1, samples)):
         if not tn.veq(imp(imp(x, 0.0), 0.0), x):
@@ -435,6 +438,8 @@ def conical_filter_check_float(t: tn.TNorm, size: int, rng, samples: int = 200) 
     CF1..CF4 (and the cotensor staying in class) on sampled arguments within
     the float tolerance.
     """
+    _count(size, "filter size")
+    _count(samples, "samples")
     conj, imp = tn.evaluators(t, "float")
     for _ in range(samples):
         gen_vec = tuple(rng.random() for _ in range(size))

@@ -1,17 +1,26 @@
 """Continuous t-norms on [0,1]: evaluation, residua, generators, ordinal sums.
 
-Exact mode works on `fractions.Fraction` values and is available for the
-Godel and Lukasiewicz t-norms and for ordinal sums whose blocks are all
-Lukasiewicz.  The product t-norm (and any ordinal sum containing a product
-block) is evaluated in float mode only, since no finite rational set is
-closed under it.
+Every continuous t-norm is an ordinal sum of Lukasiewicz and product copies
+(Mostert and Shields), and a `TNorm` is built from its summands: an ordinal
+sum keeps its blocks, `lukasiewicz` and `product` are one block on [0, 1], and
+`godel` has none.  One formula pair, `_ordinal_conj`/`_ordinal_imp`, bound
+over the summands' float or `Fraction` bounds, is each t-norm's float and
+rational (*) and ->; the named bases keep their own float evaluators in
+`_FLOAT_OPS`, which equal the one-block sums bit for bit.  Whether t has
+exact semantics, its Archimedean base and whether its -> is continuous off
+the diagonal are read off the summands once, at construction.
+
+Exact mode works on `fractions.Fraction` values and is available when every
+summand is Lukasiewicz (so for Godel too).  The product t-norm (and any
+ordinal sum containing a product block) is evaluated in float mode only,
+since no finite rational set is closed under it.
 
 `conj` and `imp` check their operands on entry.  Two plain floats in
 [0.0, 1.0] go straight to the t-norm's float evaluator, `float_conj` or
-`float_imp`, built once per `TNorm`; every other pair (ints, Fractions, mixed
-modes, NaN, values outside [0,1]) goes through the checked path, which
-settles the mode with `same_mode`, applies `_check_range` and raises
-`ModeMismatchError` or `RecatError` there.  The evaluators never check.
+`float_imp`; every other pair (ints, Fractions, mixed modes, NaN, values
+outside [0,1]) goes through the checked path, which settles the mode with
+`same_mode`, applies `_check_range` and raises `ModeMismatchError` or
+`RecatError` there.  The evaluators never check.
 
 `evaluators(t, mode)` hands a loop over checked scalars its (*) and -> once:
 the evaluators themselves in float mode, so a float loop pays no dispatch per
@@ -96,10 +105,10 @@ class Block:
             raise RecatError(f"block inner must be product or lukasiewicz, got {self.inner!r}")
 
 
-# --- float evaluators ----------------------------------------------------
-# Each TNorm compiles its float (*) and -> once, from these module-level
-# functions (a partial over the float block bounds for an ordinal sum, never a
-# lambda, so a TNorm still pickles).  They never check their operands.
+# --- evaluators ----------------------------------------------------------
+# Each TNorm compiles its float and rational (*) and -> once, from these
+# module-level functions (a partial over its summands' bounds, never a lambda,
+# so a TNorm still pickles).  They never check their operands.
 
 
 def _godel_conj(x, y):
@@ -128,7 +137,8 @@ def _product_imp(x, y):
 
 
 def _ordinal_conj(blocks, x, y):
-    """x (*) y for an ordinal sum whose blocks are float (lo, hi, is_lukasiewicz) triples."""
+    """x (*) y for an ordinal sum whose blocks are (lo, hi, is_lukasiewicz) triples,
+    with float bounds for float operands and Fraction bounds for Fractions."""
     for lo, hi, luka in blocks:
         if lo <= x <= hi and lo <= y <= hi:
             if luka:
@@ -139,9 +149,10 @@ def _ordinal_conj(blocks, x, y):
     return x if x <= y else y
 
 
-def _ordinal_imp(blocks, x, y):
+def _ordinal_imp(blocks, one, x, y):
+    """x -> y for the ordinal sum of `_ordinal_conj`; `one` is the mode's top."""
     if x <= y:
-        return 1.0
+        return one
     for lo, hi, luka in blocks:
         if lo <= y < x <= hi:
             if luka:
@@ -163,9 +174,17 @@ class TNorm:
 
     kind: str
     blocks: tuple = ()
-    # the float (*) and ->, built once from the kind and the block bounds
+    # built once from the summands: the float and rational (*) and ->, whether
+    # the rational pair is t's exact semantics, the Archimedean base (the inner
+    # kind of one summand on [0, 1], else None) and whether -> is continuous
+    # off the diagonal
     float_conj: object = field(init=False, repr=False, compare=False)
     float_imp: object = field(init=False, repr=False, compare=False)
+    exact_conj: object = field(init=False, repr=False, compare=False)
+    exact_imp: object = field(init=False, repr=False, compare=False)
+    supports_exact: bool = field(init=False, repr=False, compare=False)
+    base: str | None = field(init=False, repr=False, compare=False)
+    continuous_off_diagonal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (GODEL, PRODUCT, LUKASIEWICZ, ORDINAL):
@@ -176,21 +195,22 @@ class TNorm:
         for a, b in zip(self.blocks, self.blocks[1:]):
             if a.hi > b.lo:
                 raise RecatError(f"blocks overlap: [{a.lo},{a.hi}] and [{b.lo},{b.hi}]")
-        if self.kind == ORDINAL:
-            bounds = tuple((float(b.lo), float(b.hi), b.inner == LUKASIEWICZ) for b in self.blocks)
-            ops = partial(_ordinal_conj, bounds), partial(_ordinal_imp, bounds)
-        else:
-            ops = _FLOAT_OPS[self.kind]
-        object.__setattr__(self, "float_conj", ops[0])
-        object.__setattr__(self, "float_imp", ops[1])
-
-    @property
-    def supports_exact(self) -> bool:
-        if self.kind == PRODUCT:
-            return False
-        if self.kind == ORDINAL:
-            return all(b.inner == LUKASIEWICZ for b in self.blocks)
-        return True
+        summands = (Block(ZERO, ONE, self.kind),) if self.kind in (PRODUCT, LUKASIEWICZ) else self.blocks
+        exact = tuple((b.lo, b.hi, b.inner == LUKASIEWICZ) for b in summands)
+        floats = tuple((float(lo), float(hi), luka) for lo, hi, luka in exact)
+        float_ops = _FLOAT_OPS.get(self.kind) or (partial(_ordinal_conj, floats), partial(_ordinal_imp, floats, 1.0))
+        luka = [b for b in summands if b.inner == LUKASIEWICZ]
+        whole = len(summands) == 1 and summands[0].lo == ZERO and summands[0].hi == ONE
+        for name, value in (
+            ("float_conj", float_ops[0]),
+            ("float_imp", float_ops[1]),
+            ("exact_conj", partial(_ordinal_conj, exact)),
+            ("exact_imp", partial(_ordinal_imp, exact, ONE)),
+            ("supports_exact", len(luka) == len(summands)),
+            ("base", summands[0].inner if whole else None),
+            ("continuous_off_diagonal", not luka or (len(luka) == 1 and luka[0].lo == ZERO)),
+        ):
+            object.__setattr__(self, name, value)
 
     def __str__(self):
         return format_tnorm(self)
@@ -236,52 +256,14 @@ def format_tnorm(t: TNorm) -> str:
     return f"ordinal[{parts}]"
 
 
-def _conj_raw(t: TNorm, x: Fraction, y: Fraction) -> Fraction:
-    """x (*) y on rationals; the float (*) is t.float_conj."""
-    if t.kind == GODEL:
-        return x if x <= y else y
-    if t.kind == LUKASIEWICZ:
-        z = x + y - ONE
-        return z if z > ZERO else ZERO
-    if t.kind == PRODUCT:
-        return x * y
-    for b in t.blocks:
-        lo, hi = b.lo, b.hi
-        if lo <= x <= hi and lo <= y <= hi:
-            if b.inner == LUKASIEWICZ:
-                z = x + y - hi
-                return z if z > lo else lo
-            return lo + (x - lo) * (y - lo) / (hi - lo)
-    return x if x <= y else y
-
-
-def _imp_raw(t: TNorm, x: Fraction, y: Fraction) -> Fraction:
-    """x -> y on rationals; the float -> is t.float_imp."""
-    if x <= y:
-        return ONE
-    if t.kind == GODEL:
-        return y
-    if t.kind == LUKASIEWICZ:
-        return ONE - x + y
-    if t.kind == PRODUCT:
-        return y / x
-    for b in t.blocks:
-        lo, hi = b.lo, b.hi
-        if lo <= y < x <= hi:
-            if b.inner == LUKASIEWICZ:
-                return hi - x + y
-            return lo + (hi - lo) * (y - lo) / (x - lo)
-    return y
-
-
 @lru_cache(maxsize=1 << 20)
 def _conj_cached(t: TNorm, x, y):
-    return _conj_raw(t, x, y)
+    return t.exact_conj(x, y)
 
 
 @lru_cache(maxsize=1 << 20)
 def _imp_cached(t: TNorm, x, y):
-    return _imp_raw(t, x, y)
+    return t.exact_imp(x, y)
 
 
 def _check_range(v):
@@ -335,11 +317,11 @@ def evaluators(t: TNorm, mode: str):
 
 def conj_exact_unchecked(t: TNorm, x: Fraction, y: Fraction) -> Fraction:
     """Rational evaluation without the exact-mode gate (grid closure probes)."""
-    return _conj_raw(t, Fraction(x), Fraction(y))
+    return t.exact_conj(Fraction(x), Fraction(y))
 
 
 def imp_exact_unchecked(t: TNorm, x: Fraction, y: Fraction) -> Fraction:
-    return _imp_raw(t, Fraction(x), Fraction(y))
+    return t.exact_imp(Fraction(x), Fraction(y))
 
 
 def power(t: TNorm, x, n: int):
@@ -361,21 +343,14 @@ def idempotents(t: TNorm, grid):
 
 
 def is_archimedean(t: TNorm) -> bool:
-    if t.kind in (PRODUCT, LUKASIEWICZ):
-        return True
-    if t.kind == ORDINAL and len(t.blocks) == 1:
-        b = t.blocks[0]
-        return b.lo == ZERO and b.hi == ONE
-    return False
+    return t.base is not None
 
 
 def archimedean_base(t: TNorm):
     """The base kind (product or lukasiewicz) of an Archimedean t-norm."""
-    if not is_archimedean(t):
+    if t.base is None:
         raise NotArchimedeanError(f"{t} is not Archimedean")
-    if t.kind == ORDINAL:
-        return t.blocks[0].inner
-    return t.kind
+    return t.base
 
 
 def generator_eval(t: TNorm, x):
@@ -420,9 +395,4 @@ def continuous_off_diagonal(t: TNorm) -> bool:
     Holds exactly when at most one block behaves like Lukasiewicz and that
     block starts at 0.
     """
-    if t.kind in (GODEL, PRODUCT, LUKASIEWICZ):
-        return True
-    luka = [b for b in t.blocks if b.inner == LUKASIEWICZ]
-    if not luka:
-        return True
-    return len(luka) == 1 and luka[0].lo == ZERO
+    return t.continuous_off_diagonal

@@ -613,3 +613,80 @@ def kowalsky_sum(meta_generators, filters):
         if not any(pointwise_ge(g, h) for h in minimal):
             minimal.append(g)
     return laws.ConicalFilter(grid, size, tuple(minimal))
+
+
+# --- t-norms switched on their kind ---------------------------------------
+# The rational (*) and -> and the t-norm predicates as they were written before
+# a t-norm was built from its ordinal summands: one branch per named base, and
+# the ordinal-sum formula on the blocks.
+
+
+def conj_by_kind(t, x, y):
+    if t.kind == tn.GODEL:
+        return x if x <= y else y
+    if t.kind == tn.LUKASIEWICZ:
+        z = x + y - tn.ONE
+        return z if z > tn.ZERO else tn.ZERO
+    if t.kind == tn.PRODUCT:
+        return x * y
+    for b in t.blocks:
+        lo, hi = b.lo, b.hi
+        if lo <= x <= hi and lo <= y <= hi:
+            if b.inner == tn.LUKASIEWICZ:
+                z = x + y - hi
+                return z if z > lo else lo
+            return lo + (x - lo) * (y - lo) / (hi - lo)
+    return x if x <= y else y
+
+
+def imp_by_kind(t, x, y):
+    if x <= y:
+        return tn.ONE
+    if t.kind == tn.GODEL:
+        return y
+    if t.kind == tn.LUKASIEWICZ:
+        return tn.ONE - x + y
+    if t.kind == tn.PRODUCT:
+        return y / x
+    for b in t.blocks:
+        lo, hi = b.lo, b.hi
+        if lo <= y < x <= hi:
+            if b.inner == tn.LUKASIEWICZ:
+                return hi - x + y
+            return lo + (hi - lo) * (y - lo) / (x - lo)
+    return y
+
+
+def supports_exact_by_kind(t) -> bool:
+    if t.kind == tn.PRODUCT:
+        return False
+    if t.kind == tn.ORDINAL:
+        return all(b.inner == tn.LUKASIEWICZ for b in t.blocks)
+    return True
+
+
+def is_archimedean_by_kind(t) -> bool:
+    if t.kind in (tn.PRODUCT, tn.LUKASIEWICZ):
+        return True
+    if t.kind == tn.ORDINAL and len(t.blocks) == 1:
+        b = t.blocks[0]
+        return b.lo == tn.ZERO and b.hi == tn.ONE
+    return False
+
+
+def archimedean_base_by_kind(t):
+    """The base kind of an Archimedean t-norm, None for any other."""
+    if not is_archimedean_by_kind(t):
+        return None
+    if t.kind == tn.ORDINAL:
+        return t.blocks[0].inner
+    return t.kind
+
+
+def continuous_off_diagonal_by_kind(t) -> bool:
+    if t.kind in (tn.GODEL, tn.PRODUCT, tn.LUKASIEWICZ):
+        return True
+    luka = [b for b in t.blocks if b.inner == tn.LUKASIEWICZ]
+    if not luka:
+        return True
+    return len(luka) == 1 and luka[0].lo == tn.ZERO

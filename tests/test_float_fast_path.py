@@ -95,6 +95,17 @@ def test_a_tnorm_pickles_with_its_evaluators(name):
     for x, y in operands(t):
         assert bits(u.float_conj(x, y)) == bits(t.float_conj(x, y))
         assert bits(u.float_imp(x, y)) == bits(t.float_imp(x, y))
+    # the rational pair and the predicates read off the summands come back too
+    assert (u.supports_exact, u.base, u.continuous_off_diagonal) == (
+        t.supports_exact,
+        t.base,
+        t.continuous_off_diagonal,
+    )
+    mesh = [F(k, 12) for k in range(13)]
+    for x in mesh:
+        for y in mesh:
+            assert u.exact_conj(x, y) == t.exact_conj(x, y)
+            assert u.exact_imp(x, y) == t.exact_imp(x, y)
 
 
 @pytest.mark.parametrize("name", sorted(TNORMS))

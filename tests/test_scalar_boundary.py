@@ -154,6 +154,9 @@ COUNT_ENTRIES = {
     "powerset_monad_check-samples": lambda n: laws.powerset_monad_check(G3, 1, random.Random(0), n),
     "find_cf4_cotensor_witness": lambda n: laws.find_cf4_cotensor_witness(G3, n),
     "random_directed_balls": lambda n: gen.random_directed_balls(random.Random(0), fixtures.a2(), n),
+    "negation_duality_check_float": lambda n: laws.negation_duality_check_float(tn.product, n),
+    "conical_filter_check_float-size": lambda n: laws.conical_filter_check_float(tn.product, n, random.Random(0)),
+    "conical_filter_check_float-samples": lambda n: laws.conical_filter_check_float(tn.product, 2, random.Random(0), n),
 }
 BAD_COUNTS = (0, -1, 2.0, "3", True, None)
 # public names that take no scalar, element or count: t-norm objects, a predicate, and
@@ -227,7 +230,9 @@ def test_counts_that_are_no_positive_int_raise_recat_error(name, bad):
     unit_grid(0) a bare ZeroDivisionError; a filter or powerset size of True was read
     as 1, a powerset size of -1 raised a bare ValueError, and a string sample count or
     bound a bare TypeError; random_directed_balls with a length of "x" raised a bare
-    TypeError, and one of 0 or less returned one ball."""
+    TypeError, and one of 0 or less returned one ball; the float negation-duality and
+    filter checks raised a bare TypeError on a string count, a bare ValueError on a filter
+    size of 0, and passed vacuously on 0 samples."""
     with pytest.raises(RecatError):
         COUNT_ENTRIES[name](bad)
 
