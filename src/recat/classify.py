@@ -91,7 +91,8 @@ def is_conically_flat(phi: Weight):
     reaches first: scanning only x2 >= x1 finds the same first failure.
     """
     X = phi.base
-    if not any(tn.veq(phi(x), X.one) for x in range(X.n)):
+    eq = tn.equality(X.mode)
+    if not any(eq(phi(x), X.one) for x in range(X.n)):
         return False, ("inhabited",), X.mode == "exact"
     points, exact = _breakpoints(X)
     conj, hom, v = tn.evaluators(X.tnorm, X.mode)[0], X.hom, phi.values
@@ -102,7 +103,7 @@ def is_conically_flat(phi: Weight):
                 for p2 in points:
                     lhs = min(a1, conj(p2, v[x2]))
                     rhs = max(conj(min(conj(p1, hom[x1][x]), conj(p2, hom[x2][x])), v[x]) for x in range(X.n))
-                    if not tn.veq(lhs, rhs):
+                    if not eq(lhs, rhs):
                         return False, (x1, x2, p1, p2), exact
     return True, None, exact
 
@@ -148,12 +149,12 @@ def _flat(phi: Weight, conical):
     X = phi.base
     points, _ = _breakpoints(X)
     family = _coweight_family(X)
-    imp = tn.evaluators(X.tnorm, X.mode)[1]
+    imp, eq = tn.evaluators(X.tnorm, X.mode)[1], tn.equality(X.mode)
     for r in sorted(set(points) | set(phi.values)):
         for psi in family:
             # r -> psi is a coweight; unchecked, since a float residual scales TOL by 1/r
             shifted = _unchecked(Coweight, X, tuple(imp(r, w) for w in psi.values))
-            if not tn.veq(pairing(phi, shifted), imp(r, pairing(phi, psi))):
+            if not eq(pairing(phi, shifted), imp(r, pairing(phi, psi))):
                 return False, (r, psi.values), exact
     return True, None, exact
 

@@ -130,7 +130,10 @@ def random_module(
 
     Without a grid, a chain module acts by a grid of at most max_size points
     and the trivial modules by {0, 1}; with one, closed under t, every module acts by it.
+    A trivial module on a catalog lattice has at most max_size elements; 2 <= max_size <= 5.
     """
+    if _count(max_size, "max_size", 2) > 5:
+        raise RecatError(f"max_size must be at most 5, the catalog's largest lattice, got {max_size}")
     if grid is not None and grid.tnorm != t:
         raise RecatError(f"the grid is closed under {grid.tnorm}, not {t}")
     kind = rng.randrange(4)

@@ -33,16 +33,16 @@ from . import tnorm as tn
 from .cat import EnrichedCategory, _columns, _compose_on, _residual_left_on, is_separated, underlying_order
 from .classify import is_cauchy
 from .errors import BoundExceededError, RecatError
-from .poset import FinitePoset, _least, _relabelings
+from .poset import FinitePoset, _joins, _least, _relabelings
 from .presheaf import (
     Weight,
     _same_base,
+    _tensor_table,
     enumerate_weights,
     is_cocomplete_over_grid,
     isbell_ub,
     pairing,
     sub,
-    tensor,
 )
 from .values import ValueGrid, _check_scalars, _count, _in_carrier, _items
 
@@ -209,7 +209,7 @@ def validate_module(M: ModuleAction):
                 if s_row[r_row[x]] != rs_row[x]:
                     raise RecatError(f"associativity fails at ({pts[si]}, {pts[ri]}, {x})")
     bot = L.bottom
-    join = [[L.join([x, y]) for y in range(L.n)] for x in range(L.n)]
+    join = _joins(L)
     for ri in range(k):
         row = act[ri]
         if row[bot] != bot:
@@ -247,11 +247,7 @@ def category_to_module(A: EnrichedCategory) -> ModuleAction:
         raise RecatError("module extraction needs a separated carrier")
     if not is_cocomplete_over_grid(A):
         raise RecatError("module extraction needs a grid-cocomplete carrier")
-    L = underlying_order(A)
-    action = tuple(
-        tuple(tensor(A, r, x) for x in range(A.n)) for r in A.grid.points
-    )
-    return ModuleAction(L, A.grid, action)
+    return ModuleAction(underlying_order(A), A.grid, _tensor_table(A))
 
 
 def modules_isomorphic(M: ModuleAction, N: ModuleAction) -> bool:
@@ -279,9 +275,9 @@ def negation_duality_check_float(t: tn.TNorm, samples=64):
     """(verdict, first failing point) of x = (x -> 0) -> 0 at k / samples, 0 < k < samples;
     samples >= 2, so at least one point is checked."""
     _count(samples, "samples", 2)
-    imp = tn.evaluators(t, "float")[1]
+    imp, eq = tn.evaluators(t, "float")[1], tn.equality("float")
     for x in (k / samples for k in range(1, samples)):
-        if not tn.veq(imp(imp(x, 0.0), 0.0), x):
+        if not eq(imp(imp(x, 0.0), 0.0), x):
             return False, x
     return True, None
 

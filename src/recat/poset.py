@@ -2,6 +2,9 @@
 
 Orders are reflexive transitive boolean matrices; antisymmetry is tracked but
 not required except where lattice operations need canonical meets and joins.
+`_joins` is an order's binary join table, built once from `leq`.  A finite
+order with a bottom and binary joins is complete, the upper bounds of A + {a}
+being those of {join A, a}, so a lattice is an antisymmetric order with both.
 `_least`, the one bound search, takes the order as a function `le`, so `balls`
 and `laws` run it on balls and vectors.  Under the flipped order it finds the
 bound of a directed family, by three theorems: a finite directed set holds an
@@ -81,15 +84,8 @@ class FinitePoset:
         return self.meet([])
 
     def is_lattice(self) -> bool:
-        if not self.antisymmetric:
-            return False
-        if self.bottom is None or self.top is None:
-            return False
-        return all(
-            self.join([i, j]) is not None and self.meet([i, j]) is not None
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        """Antisymmetric with a bottom and every binary join; meets and a top follow."""
+        return self.antisymmetric and self.bottom is not None and all(None not in row for row in _joins(self))
 
     def opposite(self) -> "FinitePoset":
         return FinitePoset(self.n, tuple(tuple(self.leq[j][i] for j in range(self.n)) for i in range(self.n)))
@@ -109,6 +105,16 @@ def _least(items, le):
         if all(le(a, b) for b in items):
             return a
     return None
+
+
+def _joins(P: FinitePoset) -> tuple:
+    """joins[a][b]: the least upper bound of a and b, as `P.join([a, b])` picks it, or None."""
+    leq, r = P.leq, range(P.n)
+
+    def le(a, b):
+        return leq[a][b]
+
+    return tuple(tuple(_least([u for u in r if leq[a][u] and leq[b][u]], le) for b in r) for a in r)
 
 
 def _map(f, P: FinitePoset, Q: FinitePoset) -> tuple:
@@ -172,8 +178,8 @@ def n5() -> FinitePoset:
 
 
 def lattice_catalog(max_n: int = 5):
-    """All lattices with at most max_n elements, up to isomorphism (max_n <= 5)."""
-    if max_n > 5:
+    """All lattices with at most max_n elements, up to isomorphism (1 <= max_n <= 5)."""
+    if _count(max_n, "max_n") > 5:
         raise RecatError("catalog covers lattices with at most 5 elements")
     cat = [chain(1), chain(2), chain(3), chain(4), boolean_lattice(), chain(5), m3(), n5(),
            from_covers(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]),   # diamond with new bottom
@@ -273,8 +279,7 @@ def coprimes(L: FinitePoset, include_vacuous_bottom: bool = True):
     are reachable through the flag since the empty-join convention is a
     documented open point.
     """
-    joins = [(a, b, L.join([a, b])) for a in range(L.n) for b in range(L.n)]
-    joins = [(a, b, j) for a, b, j in joins if j is not None]
+    joins = [(a, b, j) for a, row in enumerate(_joins(L)) for b, j in enumerate(row) if j is not None]
     out = [
         x
         for x in range(L.n)

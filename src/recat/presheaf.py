@@ -8,8 +8,9 @@ weight counterpart on `opposite(X)`, read back through `_dual`.
 
 Every weight value passes the scalar check on construction.  On a category with
 a grid, the weight law is checked on grid indices through the grid's conj table,
-and `tensor` reads r -> - off its imp table; without a grid the law and
-`tensor` are scalar loops over the (*) and -> of `tn.evaluators`.
+and `tensor` reads r -> - off its imp table, as `_tensor_table` does for every
+tensor at once; without a grid the law and `tensor` are scalar loops over the
+(*) and -> of `tn.evaluators`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from itertools import product as iproduct
 from . import tnorm as tn
 from .cat import EnrichedCategory, EnrichedFunctor, Rel, _compose, _residual_left, opposite, underlying_order
 from .errors import AxiomError, BoundExceededError, CarrierMismatchError, RecatError
+from .poset import _joins
 from .values import _check_scalars, _count, _in_carrier, _items
 
 
@@ -199,22 +201,24 @@ def cotensor(X: EnrichedCategory, r, y: int):
     return tensor(opposite(X), r, y)
 
 
-def is_cocomplete_over_grid(X: EnrichedCategory) -> bool:
-    """Order-complete plus all grid tensors and cotensors exist.
+def _tensor_table(X: EnrichedCategory) -> tuple:
+    """T[r][x] = tensor(X, r, x) at grid index r: each indexed hom row through imp row r,
+    looked up among the rows."""
+    pos = X.grid._pos
+    rows = [tuple(pos[h] for h in row) for row in X.hom]
+    least = {row: c for c, row in reversed(tuple(enumerate(rows)))}  # row -> least element with it
+    return tuple(tuple(least.get(tuple(imp[i] for i in row)) for row in rows) for imp in X.grid.imp_table)
 
-    A finite preorder is complete when it has a bottom and binary joins, since
-    the upper bounds of A + {a} are those of {join A, a}.
-    """
+
+def is_cocomplete_over_grid(X: EnrichedCategory) -> bool:
+    """Order-complete plus all grid tensors and cotensors exist; a finite preorder
+    is complete when it has a bottom and binary joins (see `poset`)."""
     if X.grid is None:
         raise RecatError("grid cocompleteness needs a grid")
     P = underlying_order(X)
-    if P.bottom is None or any(P.join([a, b]) is None for a in range(X.n) for b in range(X.n)):
+    if P.bottom is None or any(None in row for row in _joins(P)):
         return False
-    for r in X.grid.points:
-        for x in range(X.n):
-            if tensor(X, r, x) is None or cotensor(X, r, x) is None:
-                return False
-    return True
+    return all(None not in row for Y in (X, opposite(X)) for row in _tensor_table(Y))
 
 
 # --- Kan extensions -------------------------------------------------------

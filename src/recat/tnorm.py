@@ -82,6 +82,15 @@ def veq(x, y) -> bool:
     return x == y
 
 
+def equality(mode: str):
+    """veq for a loop over scalars of `mode`, picked once: on floats, its rule undispatched."""
+    return _float_eq if mode == "float" else veq
+
+
+def _float_eq(x, y) -> bool:
+    return abs(x - y) <= TOL
+
+
 @dataclass(frozen=True)
 class Block:
     """One Archimedean summand of an ordinal sum, on the closed interval [lo, hi]."""

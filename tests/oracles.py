@@ -12,7 +12,18 @@ from operator import and_
 import recat.balls as balls
 import recat.laws as laws
 import recat.tnorm as tn
-from recat.cat import EnrichedCategory, Rel, _columns, _compose, _residual_left, compose, is_separated, opposite, rel_eq
+from recat.cat import (
+    EnrichedCategory,
+    Rel,
+    _columns,
+    _compose,
+    _residual_left,
+    compose,
+    is_separated,
+    opposite,
+    rel_eq,
+    underlying_order,
+)
 from recat.classify import _breakpoints, is_cauchy, is_ideal, is_representable
 from recat.errors import RecatError
 from recat.gen import _godel_grid, _relabel_module, _trivial_module
@@ -32,9 +43,11 @@ from recat.presheaf import (
     _dual,
     _grid_space,
     colim,
+    cotensor,
     enumerate_weights,
     is_cocomplete_over_grid,
     sub,
+    tensor as tensor_at,
     weight_closure,
     yoneda,
 )
@@ -71,6 +84,42 @@ def enumerate_lattices(n: int):
         if not any(posets_isomorphic(P, Q) for Q in found):
             found.append(P)
     return found
+
+
+def preorders(n: int):
+    """Every reflexive transitive relation on n elements, as a FinitePoset."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in range(1 << len(pairs)):
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for b, (i, j) in enumerate(pairs):
+            leq[i][j] = bool(bits >> b & 1)
+        leq = tuple(map(tuple, leq))
+        if closure(leq, and_) == leq:
+            yield FinitePoset(n, leq)
+
+
+def is_lattice_by_meets(P: FinitePoset) -> bool:
+    """FinitePoset.is_lattice with its top and every binary meet and join found by a
+    validated `meet` or `join` call, as the definition reads."""
+    if not P.antisymmetric or P.bottom is None or P.top is None:
+        return False
+    return all(P.join([i, j]) is not None and P.meet([i, j]) is not None for i in range(P.n) for j in range(P.n))
+
+
+def is_cocomplete_by_calls(X: EnrichedCategory) -> bool:
+    """presheaf.is_cocomplete_over_grid through a `join` call per pair and a `tensor` and
+    `cotensor` call per grid point and element."""
+    P = underlying_order(X)
+    if P.bottom is None or any(P.join([a, b]) is None for a in range(X.n) for b in range(X.n)):
+        return False
+    return all(
+        tensor_at(X, r, x) is not None and cotensor(X, r, x) is not None for r in X.grid.points for x in range(X.n)
+    )
+
+
+def module_action_by_calls(A: EnrichedCategory) -> tuple:
+    """laws.category_to_module's action, one `tensor` call per grid point and element."""
+    return tuple(tuple(tensor_at(A, r, x) for x in range(A.n)) for r in A.grid.points)
 
 
 def is_order_complete(P: FinitePoset) -> bool:

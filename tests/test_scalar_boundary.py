@@ -157,6 +157,8 @@ COUNT_ENTRIES = {
     "negation_duality_check_float": lambda n: laws.negation_duality_check_float(tn.product, n),
     "conical_filter_check_float-size": lambda n: laws.conical_filter_check_float(tn.product, n, random.Random(0)),
     "conical_filter_check_float-samples": lambda n: laws.conical_filter_check_float(tn.product, 2, random.Random(0), n),
+    "random_module": lambda n: gen.random_module(random.Random(0), LUKA, n),
+    "lattice_catalog": lambda n: po.lattice_catalog(n),
 }
 BAD_COUNTS = (0, -1, 2.0, "3", True, None)
 # public names that take no scalar, element or count: t-norm objects, a predicate, and
@@ -232,7 +234,9 @@ def test_counts_that_are_no_positive_int_raise_recat_error(name, bad):
     bound a bare TypeError; random_directed_balls with a length of "x" raised a bare
     TypeError, and one of 0 or less returned one ball; the float negation-duality and
     filter checks raised a bare TypeError on a string count, a bare ValueError on a filter
-    size of 0, and passed vacuously on 0 samples."""
+    size of 0, and passed vacuously on 0 samples; random_module raised a bare ValueError,
+    IndexError or TypeError on a max_size of 1, 0 or "x" and took True, and lattice_catalog
+    raised a bare TypeError on "x" and read True as 1."""
     with pytest.raises(RecatError):
         COUNT_ENTRIES[name](bad)
 
