@@ -71,8 +71,8 @@ class EnrichedCategory:
         return tn.imp(self.tnorm, x, y)
 
     def leq1(self, v) -> bool:
-        """Whether a hom value counts as 1 (tolerance-aware in float mode)."""
-        return tn.vle(self.one, v)
+        """Whether a value of X's mode counts as 1: tn.vle(X.one, v), picked by the value's mode."""
+        return 1.0 <= v + tn.TOL if type(v) is float else tn.ONE <= v
 
     def to_json(self):
         return {

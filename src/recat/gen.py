@@ -30,13 +30,18 @@ def random_category(rng: random.Random, n: int, grid: ValueGrid) -> EnrichedCate
     return EnrichedCategory(grid.tnorm, hom, (), grid)
 
 
+def _weight_at(rng: random.Random, grid: ValueGrid, at) -> tuple:
+    """random_weight on grid indices: `at` is X's hom on them, and so is the weight returned."""
+    conj = grid.conj_table
+    vec = [rng.randrange(len(grid.points)) for _ in range(len(at))]
+    return tuple(max(conj[v][h] for v, h in zip(vec, row)) for row in at)
+
+
 def random_weight(rng: random.Random, X: EnrichedCategory) -> Weight:
     """The closure sup_z v(z) (*) X(-, z) of a random grid vector v, on the grid's tables."""
-    grid = X.grid
-    vec = [rng.randrange(len(grid.points)) for _ in range(X.n)]
-    conj, index = grid.conj_table, grid.index
-    closed = (max(conj[v][index(h)] for v, h in zip(vec, row)) for row in X.hom)
-    return Weight(X, tuple(grid.points[i] for i in closed))
+    grid, pos = X.grid, X.grid._pos
+    at = [[pos[h] for h in row] for row in X.hom]
+    return Weight(X, tuple(grid.points[i] for i in _weight_at(rng, grid, at)))
 
 
 def random_coweight(rng: random.Random, X: EnrichedCategory) -> Coweight:

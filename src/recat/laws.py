@@ -195,7 +195,8 @@ def validate_module(M: ModuleAction):
     """Raise on the first failed module law; scalars are grid indices throughout."""
     L, pts = M.lattice, M.grid.points
     act, conj, k = M.action, M.grid.conj_table, len(M.grid.points)
-    if not L.is_lattice():
+    bot, join = L.bottom, _joins(L)  # L.is_lattice(), with the join table built once
+    if not L.antisymmetric or bot is None or any(None in row for row in join):
         raise RecatError("module carrier must be a complete lattice")
     if len(act) != k or any(len(row) != L.n or not set(row) <= set(range(L.n)) for row in act):
         raise RecatError(f"a module action needs {k} rows of {L.n} lattice elements each")
@@ -208,8 +209,6 @@ def validate_module(M: ModuleAction):
             for x in range(L.n):
                 if s_row[r_row[x]] != rs_row[x]:
                     raise RecatError(f"associativity fails at ({pts[si]}, {pts[ri]}, {x})")
-    bot = L.bottom
-    join = _joins(L)
     for ri in range(k):
         row = act[ri]
         if row[bot] != bot:

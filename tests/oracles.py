@@ -10,6 +10,7 @@ from itertools import combinations, product as iproduct
 from operator import and_
 
 import recat.balls as balls
+import recat.gen as gen
 import recat.laws as laws
 import recat.tnorm as tn
 from recat.cat import (
@@ -25,6 +26,7 @@ from recat.cat import (
     underlying_order,
 )
 from recat.classify import _breakpoints, is_cauchy, is_ideal, is_representable
+from recat.cli import _check
 from recat.errors import RecatError
 from recat.gen import _godel_grid, _relabel_module, _trivial_module
 from recat.laws import ModuleAction, _cf_failures
@@ -45,6 +47,8 @@ from recat.presheaf import (
     colim,
     cotensor,
     enumerate_weights,
+    f_exists,
+    f_inv,
     is_cocomplete_over_grid,
     sub,
     tensor as tensor_at,
@@ -593,6 +597,46 @@ def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
             elif tn.veq(lhs, rhs):
                 equalities += 1
     return {"total": total, "equalities": equalities, "violations": violations}
+
+
+# --- the Kan adjunction on weights ------------------------------------------
+# `recat laws kan` checks f_! -| f^* on grid indices; this is the same check on
+# `Weight`s through f_exists, f_inv and sub, the checked kernel, with the same
+# draws: each distinct weight is extended or restricted once per functor.
+
+
+def _once(fn):
+    """fn on weights of one base, evaluated once per distinct values tuple."""
+    seen = {}
+
+    def call(w):
+        if w.values not in seen:
+            seen[w.values] = fn(w)
+        return seen[w.values]
+
+    return call
+
+
+def suite_kan(t, grid, rng, args):
+    """The `kan` suite's report: sub(f_! phi, gamma) = sub(phi, f^* gamma) on 25 drawn functors."""
+
+    def failures():
+        for _ in range(25):
+            X = gen.random_category(rng, rng.randint(1, 4), grid)
+            Y = gen.random_category(rng, rng.randint(1, 4), grid)
+            f = gen.random_functor(rng, X, Y)
+            extend, restrict = _once(partial(f_exists, f)), _once(partial(f_inv, f))
+            checked = set()
+            for _ in range(10):
+                phi = gen.random_weight(rng, X)
+                gamma = gen.random_weight(rng, Y)
+                if (phi.values, gamma.values) in checked:
+                    continue
+                checked.add((phi.values, gamma.values))
+                if sub(extend(phi), gamma) != sub(phi, restrict(gamma)):
+                    yield f.mapping, phi.values, gamma.values
+
+    return [_check("kan_adjunction", failures())]
 
 
 # --- conical flatness on every pair ---------------------------------------

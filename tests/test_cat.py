@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import product as iproduct
@@ -239,6 +240,23 @@ class TestDerivedStructure:
         Xop = cat.opposite(X)
         assert cat.opposite(X) is Xop and cat.opposite(Xop) is X
         assert Xop == cat.EnrichedCategory(X.tnorm, tuple(zip(*X.hom)), X.names, X.grid)
+
+    def test_leq1_is_the_comparison_of_one_with_the_value(self):
+        # leq1 picks the comparison by the value's mode, with no dispatch through X.one;
+        # floats run three ulps either side of 1 - TOL, where the verdict turns
+        edge = 1.0 - tn.TOL
+        floats = [0.0, 0.5, edge, math.nextafter(1.0, 0.0), 1.0]
+        for direction in (0.0, 1.0):
+            v = edge
+            for _ in range(3):
+                v = math.nextafter(v, direction)
+                floats.append(v)
+        exacts = [F(0), F(1, 2), 1 - F(1, 10**12), 1 - F(1, 10**13), F(1)]
+        for values in (floats, exacts):
+            X = cat.EnrichedCategory(tn.lukasiewicz, (tuple(values),) * len(values))
+            verdicts = [X.leq1(v) for v in X.hom[0]]
+            assert verdicts == [tn.vle(X.one, v) for v in X.hom[0]], X.mode
+            assert True in verdicts and False in verdicts
 
     def test_symmetrize(self):
         A2 = fixtures.a2()

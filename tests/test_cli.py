@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -11,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recat.cli as cli
+import recat.gen as gen
+import recat.tnorm as tn
+import recat.values as vals
 from recat import fixtures
 
 
@@ -192,6 +196,29 @@ class TestLaws:
         check = json.loads(out)["checks"][0]
         assert code == 1 and check["name"] == "kz_inequality" and not check["pass"]
         assert check["witness"] == [["1", "1/3"], ["2/3", "0"]]
+
+    def test_kan_failure_witness_is_encoded(self, capsys, monkeypatch):
+        # the first failing draw is the witness [mapping, phi, gamma], exact values as "p/q";
+        # the first residual the suite computes is forced off the grid, so the first draw fails
+        real, calls = cli._residual_left_on, []
+
+        def first_differs(imp, tt_cols, r_cols, one):
+            calls.append(None)
+            return ((-1,),) if len(calls) == 1 else real(imp, tt_cols, r_cols, one)
+
+        monkeypatch.setattr(cli, "_residual_left_on", first_differs)
+        code, out = run(capsys, "laws", "kan", "--tnorm", "lukasiewicz", "--grid", "{0,1/3,2/3,1}")
+        check = json.loads(out)["checks"][0]
+        assert code == 1 and check["name"] == "kan_adjunction" and not check["pass"]
+        assert check["witness"] == [[0, 0, 0, 0], ["1", "1", "1/3", "1"], ["1"]]
+        # that is the first draw of seed 0
+        grid = vals.unit_grid(3, tn.lukasiewicz)
+        rng = random.Random(0)
+        X = gen.random_category(rng, rng.randint(1, 4), grid)
+        Y = gen.random_category(rng, rng.randint(1, 4), grid)
+        f = gen.random_functor(rng, X, Y)
+        first = (f.mapping, gen.random_weight(rng, X).values, gen.random_weight(rng, Y).values)
+        assert check["witness"] == vals._encode(first)
 
 
 class TestMalformedInput:

@@ -4,7 +4,9 @@
 each distinct (phi, gamma) pair once; here it is compared with the pair-by-pair
 loop in `tests/oracles.py` on weight lists with repeats, with violations
 forced on chosen pairs.  The `recat laws` suites skip repeated draws; a stdout
-digest pins their reports, and a counted run pins the saving.
+digest pins their reports, and a counted run pins the saving.  The `kan` suite
+runs on grid indices, and its report is compared with the same check on
+`Weight`s through the checked kernel, kept in `tests/oracles.py`.
 """
 
 import contextlib
@@ -147,6 +149,19 @@ def test_suite_stdout_and_exit_codes_are_pinned():
                 code, out = run(argv)
                 h.update(json.dumps([argv, code, out]).encode())
     assert h.hexdigest() == "9d2c0607d6e7f864f1848a3970a37e224675f495fd82833db02827a5e5f3c1f8"
+
+
+@pytest.mark.parametrize("setup", LAW_SETUPS, ids=lambda setup: " ".join(setup[1::2]))
+def test_laws_kan_matches_the_check_on_weights(monkeypatch, setup):
+    def kan_entry(seed):
+        code, out = run(["laws", "kan", *setup, "--seed", str(seed)])
+        (entry,) = json.loads(out)["checks"]
+        assert entry["name"] == "kan_adjunction" and code == (0 if entry["pass"] else 1)
+        return entry
+
+    on_indices = [kan_entry(seed) for seed in range(20)]
+    monkeypatch.setitem(cli.SUITES, "kan", oracles.suite_kan)
+    assert on_indices == [kan_entry(seed) for seed in range(20)]
 
 
 def test_laws_kz_makes_fewer_scalar_calls(monkeypatch):

@@ -82,6 +82,26 @@ def test_tensor_tables_cocompleteness_and_module_actions_match_the_calls(name):
     assert 100 <= cocomplete < 400  # the module categories, and some of the random ones
 
 
+def test_a_module_action_builds_its_join_table_once(monkeypatch):
+    # validation asked is_lattice, which built the table, and then built it again
+    builds = []
+    real = po._joins
+
+    def counted(P):
+        builds.append(P)
+        return real(P)
+
+    monkeypatch.setattr(po, "_joins", counted)
+    monkeypatch.setattr(laws, "_joins", counted)
+    rng = random.Random(5)
+    for name in sorted(GRIDS):
+        for _ in range(20):
+            M = gen.random_module(rng, GRIDS[name].tnorm, grid=GRIDS[name])
+            builds.clear()
+            assert laws.ModuleAction(M.lattice, M.grid, M.action) == M
+            assert builds == [M.lattice]
+
+
 def run(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
