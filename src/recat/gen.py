@@ -11,15 +11,16 @@ from functools import lru_cache
 
 from . import tnorm as tn
 from .cat import EnrichedCategory, EnrichedFunctor, opposite
-from .errors import NotAFunctorError, RecatError
+from .errors import RecatError
 from .laws import ModuleAction
 from .poset import FinitePoset, chain, closure, lattice_catalog
-from .presheaf import Coweight, Weight, _dual
+from .presheaf import Coweight, Weight, _dual, _unchecked
 from .values import ValueGrid, _count, _in_carrier, _items, grid_validate, unit_grid
 
 
 def random_category(rng: random.Random, n: int, grid: ValueGrid) -> EnrichedCategory:
     """Random hom matrix, repaired by sup-(*) transitive closure on the grid's tables."""
+    _count(n, "n", 0)
     k = len(grid.points)
     m = [[rng.randrange(k) for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -38,10 +39,18 @@ def _weight_at(rng: random.Random, grid: ValueGrid, at) -> tuple:
 
 
 def random_weight(rng: random.Random, X: EnrichedCategory) -> Weight:
-    """The closure sup_z v(z) (*) X(-, z) of a random grid vector v, on the grid's tables."""
-    grid, pos = X.grid, X.grid._pos
-    at = [[pos[h] for h in row] for row in X.hom]
-    return Weight(X, tuple(grid.points[i] for i in _weight_at(rng, grid, at)))
+    """The closure phi = sup_z v(z) (*) X(-, z) of a random grid vector v, on the grid's tables.
+
+    X must be a category: its hom transitive, as random_category makes it and
+    validate(X) checks.  phi is then a weight by transitivity,
+    phi(y) (*) X(x, y) <= sup_z v(z) (*) X(x, z), and is built unchecked; on a
+    hom that is not transitive it need not be one.
+    """
+    grid = X.grid
+    if grid is None:
+        raise RecatError("random weights are drawn on a grid; the category has none")
+    at = [[grid._pos[h] for h in row] for row in X.hom]
+    return _unchecked(Weight, X, tuple(grid.points[i] for i in _weight_at(rng, grid, at)))
 
 
 def random_coweight(rng: random.Random, X: EnrichedCategory) -> Coweight:
@@ -49,13 +58,18 @@ def random_coweight(rng: random.Random, X: EnrichedCategory) -> Coweight:
 
 
 def random_functor(rng: random.Random, X: EnrichedCategory, Y: EnrichedCategory):
-    """A random functor X -> Y from 64 tries, falling back to a constant map."""
+    """A random functor X -> Y from 64 tries, falling back to a constant map.
+
+    A try is tested by tn.vle, the comparison EnrichedFunctor makes; only the map returned is checked.
+    """
+    if X.n and not Y.n:
+        raise RecatError("no functor from a non-empty category to an empty one")
+    hom = Y.hom
+    pairs = [(x, y, h) for x, row in enumerate(X.hom) for y, h in enumerate(row)]
     for _ in range(64):
-        mapping = tuple(rng.randrange(Y.n) for _ in range(X.n))
-        try:
-            return EnrichedFunctor(X, Y, mapping)
-        except NotAFunctorError:
-            continue
+        m = tuple(rng.randrange(Y.n) for _ in range(X.n))
+        if all(tn.vle(h, hom[m[x]][m[y]]) for x, y, h in pairs):
+            return EnrichedFunctor(X, Y, m)
     return EnrichedFunctor(X, Y, tuple([rng.randrange(Y.n)] * X.n))
 
 

@@ -15,6 +15,7 @@ import recat.laws as laws
 import recat.tnorm as tn
 from recat.cat import (
     EnrichedCategory,
+    EnrichedFunctor,
     Rel,
     _columns,
     _compose,
@@ -27,7 +28,7 @@ from recat.cat import (
 )
 from recat.classify import _breakpoints, is_cauchy, is_ideal, is_representable
 from recat.cli import _check
-from recat.errors import RecatError
+from recat.errors import NotAFunctorError, RecatError
 from recat.gen import _godel_grid, _relabel_module, _trivial_module
 from recat.laws import ModuleAction, _cf_failures
 from recat.poset import (
@@ -272,6 +273,17 @@ def random_weight(rng, X):
 
 def random_coweight(rng, X):
     return _dual(random_weight(rng, opposite(X)))
+
+
+def random_functor(rng, X, Y):
+    """gen.random_functor with a checked EnrichedFunctor built for every try."""
+    for _ in range(64):
+        mapping = tuple(rng.randrange(Y.n) for _ in range(X.n))
+        try:
+            return EnrichedFunctor(X, Y, mapping)
+        except NotAFunctorError:
+            continue
+    return EnrichedFunctor(X, Y, tuple([rng.randrange(Y.n)] * X.n))
 
 
 def _chain_module(grid):

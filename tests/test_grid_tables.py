@@ -17,13 +17,16 @@ from itertools import product as iproduct
 import pytest
 
 import oracles
+import recat.cat as cat
 import recat.cli as cli
 import recat.laws as laws
+import recat.presheaf as presheaf
 import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures, gen
-from recat.errors import RecatError
+from recat.errors import AxiomError, CarrierMismatchError, RecatError
 from recat.poset import antichain, boolean_lattice, chain, lattice_catalog
+from test_relation_kernel import float_category
 
 ORDINAL = tn.ordinal_sum((0, F(1, 2), tn.LUKASIEWICZ))
 
@@ -90,6 +93,7 @@ GEN_GRIDS = ["luka1", "luka3", "luka6", "godel5", "godel_chain", "ordinal"]
 @pytest.mark.parametrize("name", GEN_GRIDS)
 @pytest.mark.parametrize("seed", range(6))
 def test_generators_equal_the_scalar_generators(name, seed):
+    # the oracle's weights are checked, so each unchecked draw here passes the weight law
     g = GRIDS[name]
     new, old = random.Random(seed), random.Random(seed)
     for n in (0, 1, 2, 3, 4, 6):
@@ -99,6 +103,63 @@ def test_generators_equal_the_scalar_generators(name, seed):
             assert gen.random_weight(new, X).values == oracles.random_weight(old, Y).values
             assert gen.random_coweight(new, X).values == oracles.random_coweight(old, Y).values
     assert new.random() == old.random()
+
+
+def test_a_weight_draw_needs_a_transitive_hom():
+    # X(0, 1) = X(1, 2) = 1 but X(0, 2) = 0: validate flags X, and sup_z v(z) (*) X(-, z)
+    # for v = (0, 0, 1) (the draw of seed 1) is (0, 1, 1), which breaks the weight law at (0, 1)
+    X = cat.EnrichedCategory(tn.godel, ((1, 1, 0), (0, 1, 1), (0, 0, 1)), (), vals.unit_grid(1, tn.godel))
+    assert cat.validate(X).reason == "transitivity"
+    phi = gen.random_weight(random.Random(1), X)
+    assert phi.values == (0, 1, 1)
+    with pytest.raises(AxiomError, match="not a weight"):
+        presheaf.Weight(X, phi.values)
+
+
+FUNCTOR_BASES = {
+    "luka6": lambda rng, n: gen.random_category(rng, n, GRIDS["luka6"]),
+    "godel4": lambda rng, n: gen.random_category(rng, n, vals.unit_grid(4, tn.godel)),
+    "upper_block": lambda rng, n: gen.random_category(
+        rng, n, vals.grid_validate([0, F(1, 2), F(3, 4), 1], fixtures.upper_block_sum())
+    ),
+    "float_product": float_category,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTOR_BASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_random_functor_equals_the_checked_search(name, seed):
+    # the same mapping and the same next draw as a checked functor built for every try
+    draw = FUNCTOR_BASES[name]
+    cats = random.Random(seed)
+    for n in range(6):
+        for m in range(1, 6):
+            X, Y = draw(cats, n), draw(cats, m)
+            new, old = random.Random(100 * seed + 10 * n + m), random.Random(100 * seed + 10 * n + m)
+            assert gen.random_functor(new, X, Y).mapping == oracles.random_functor(old, X, Y).mapping
+            assert new.random() == old.random()
+
+
+def test_random_functor_reads_floats_up_to_the_tolerance():
+    # Y(0, 1) falls short of X(0, 1) by less than TOL, so the identity is a functor
+    X = cat.EnrichedCategory(tn.product, ((1.0, 0.3), (0.0, 1.0)))
+    Y = cat.EnrichedCategory(tn.product, ((1.0, 0.3 - 1e-13), (0.0, 1.0)))
+    found = set()
+    for seed in range(8):
+        new, old = random.Random(seed), random.Random(seed)
+        mapping = gen.random_functor(new, X, Y).mapping
+        assert mapping == oracles.random_functor(old, X, Y).mapping
+        found.add(mapping)
+        assert new.random() == old.random()
+    assert (0, 1) in found
+
+
+def test_random_functor_between_two_tnorms_raises():
+    X = gen.random_category(random.Random(0), 2, GRIDS["luka3"])
+    Y = gen.random_category(random.Random(0), 2, GRIDS["godel5"])
+    for search in (gen.random_functor, oracles.random_functor):
+        with pytest.raises(CarrierMismatchError):
+            search(random.Random(0), X, Y)
 
 
 @pytest.mark.parametrize("t", [tn.lukasiewicz, tn.godel, ORDINAL, tn.ordinal_sum((F(1, 2), 1, tn.LUKASIEWICZ))])

@@ -516,6 +516,30 @@ def test_ball_exports_and_draws_need_a_grid_of_radii():
     assert balls.ball_poset_dot(X2, grid=None) == balls.ball_poset_dot(X2, X2.grid)
 
 
+def test_weight_draws_need_a_grid():
+    """random_weight and random_coweight on a gridless category raised a bare AttributeError."""
+    for base in ("exact", "float"):
+        for draw in (gen.random_weight, gen.random_coweight):
+            with pytest.raises(RecatError, match="drawn on a grid; the category has none"):
+                draw(random.Random(0), BASES[base]())
+
+
+def test_a_functor_draw_needs_a_target_point():
+    """random_functor from a non-empty category to an empty one raised a bare ValueError."""
+    empty = cat.EnrichedCategory(LUKA, (), (), G3)
+    with pytest.raises(RecatError, match="to an empty one"):
+        gen.random_functor(random.Random(0), X2, empty)
+    assert gen.random_functor(random.Random(0), empty, empty).mapping == ()
+
+
+@pytest.mark.parametrize("bad", (-1, 2.0, "3", True, None), ids=repr)
+def test_a_category_draw_takes_a_size_of_at_least_zero(bad):
+    """random_category(rng, -1, grid) returned an empty category."""
+    with pytest.raises(RecatError, match="^n must be an int >= 0"):
+        gen.random_category(random.Random(0), bad, G3)
+    assert gen.random_category(random.Random(0), 0, G3).n == 0
+
+
 def test_kowalsky_sum_checks_its_meta_generators():
     """A meta entry "abc" or None beside a second meta generator, and metas of None,
     raised a bare TypeError; an off-grid entry was accepted."""
