@@ -35,14 +35,17 @@ class EnrichedCategory:
     _op = None  # opposite(self) once built; a plain attribute, not a dataclass field
 
     def __post_init__(self):
+        names = self.names
+        if names and (not all(isinstance(a, str) for a in names) or len(set(names)) < len(names)):
+            raise RecatError(f"names must be distinct strings, got {list(names)}")
         rows = tuple(tuple(map(vals._normalize, vals._items(row, "hom row"))) for row in vals._items(self.hom, "hom"))
         object.__setattr__(self, "hom", rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise RecatError("hom must be square")
-        if not self.names:
+        if not names:
             object.__setattr__(self, "names", tuple(f"x{i}" for i in range(n)))
-        elif len(self.names) != n:
+        elif len(names) != n:
             raise RecatError("names must match the carrier size")
         if self.grid is not None and self.grid.tnorm != self.tnorm:
             raise RecatError(f"the grid is closed under {self.grid.tnorm}, not {self.tnorm}")
@@ -90,8 +93,6 @@ class EnrichedCategory:
         rows = vals._json_array(data["hom"], "hom")
         hom = tuple(tuple(vals._json_array(row, "hom row")) for row in rows)
         names = tuple(vals._json_array(data.get("names"), "names", optional=True))
-        if not all(isinstance(a, str) for a in names) or len(set(names)) < len(names):
-            raise RecatError(f"names must be distinct strings, got {list(names)}")
         return EnrichedCategory(t, hom, names, grid)
 
 

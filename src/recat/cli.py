@@ -19,7 +19,7 @@ from .balls import ball_poset_dot
 from .cat import EnrichedCategory, _compose_on, _residual_left_on, validate
 from .classify import cauchy_completion, classify
 from .errors import BoundExceededError, CapExceededError, RecatError
-from .gen import _weight_at, random_category, random_functor, random_module, random_weight
+from .gen import _weight_at, random_category, random_functor, random_module
 from .laws import (
     conical_filter_check,
     ConicalFilter,
@@ -33,7 +33,7 @@ from .laws import (
     negation_duality_check,
     powerset_monad_check,
 )
-from .presheaf import Weight, _at, _column
+from .presheaf import Weight, _at, _column, _unchecked
 from .values import _check_scalars, _encode, _json_array, _normalize, grid_validate, parse_grid_text, unit_grid
 
 EXIT_OK = 0
@@ -227,10 +227,15 @@ def _suite_kan(t, grid, rng, args):
 
 
 def _suite_kz(t, grid, rng, args):
+    """KZ on 20 drawn categories, eight weights each drawn on its hom indexed once; KZ equality
+    against Cauchy weights; the powerset monad."""
+    pos, points = grid._pos, grid.points
+
     def violations():
         for _ in range(20):
             X = random_category(rng, rng.randint(1, 4), grid)
-            ws = [random_weight(rng, X) for _ in range(8)]
+            at = [[pos[h] for h in row] for row in X.hom]
+            ws = [_unchecked(Weight, X, tuple(points[i] for i in _weight_at(rng, grid, at))) for _ in range(8)]
             yield from kz_check(X, ws, ws)["violations"]
 
     checks = [_check("kz_inequality", violations())]

@@ -89,6 +89,8 @@ def random_directed_balls(rng: random.Random, X: EnrichedCategory, length: int =
     _count(length, "length")
     if X.grid is None:
         raise RecatError("random directed balls need a grid of radii")
+    if not X.n:
+        raise RecatError("random directed balls need a non-empty category")
     pts = list(X.grid.points)
     current = (rng.randrange(X.n), rng.choice(pts))
     out = [current]

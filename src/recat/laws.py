@@ -5,14 +5,15 @@ module/cocomplete-category correspondence, the negation involution, conical
 filter axioms and the Kowalsky sum.  KZ and CF1-CF4 have one checker for both
 modes, comparing through tn.vle/tn.veq (exact on Fractions, within TOL on
 floats), so their float checks run the exact checkers on sampled points.
-The KZ check takes weights on X alone and evaluates a repeated sampled
-weight, and a repeated pair, once.  When X has a grid, the KZ check and the
-KZ equality-versus-Cauchy check index X's hom and each distinct weight once
-and run the Isbell bounds and every pair on the grid's conj/imp tables
-(`cat._compose_on`/`_residual_left_on`); without one they use the kernel.
-The module, negation, filter-axiom and powerset checks take the ValueGrid
-alone, t-norm included, and work on grid indices through its conj/imp
-tables, as do filter evaluation and the filter cotensor.  `poset._least`, the
+Each law has one loop.  The KZ check takes weights on X alone and evaluates
+a repeated sampled weight, and a repeated pair, once; it and the KZ
+equality-versus-Cauchy check pick the kernel of kz_defect's formula once: on
+grid indices through the grid's conj/imp tables (`cat._compose_on`/
+`_residual_left_on`) when X has a grid, else on values.  The negation
+involution runs one (x -> 0) -> 0 loop on the imp table or on floats.  The
+module, negation, filter-axiom and powerset checks take the ValueGrid alone,
+t-norm included, and work on grid indices through its conj/imp tables, as do
+filter evaluation and the filter cotensor.  `poset._least`, the
 one bound search, finds the pointwise least generator that a finite directed
 set holds; (->) is antitone in its first argument, so it attains F's max over
 generators; and the Kowalsky generator join is monotone in the meta and member
@@ -26,11 +27,19 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb
-from operator import eq, le
-from typing import NamedTuple
+from operator import attrgetter, eq, le
 
 from . import tnorm as tn
-from .cat import EnrichedCategory, _columns, _compose_on, _residual_left_on, is_separated, underlying_order
+from .cat import (
+    EnrichedCategory,
+    _columns,
+    _compose,
+    _compose_on,
+    _residual_left,
+    _residual_left_on,
+    is_separated,
+    underlying_order,
+)
 from .classify import is_cauchy
 from .errors import BoundExceededError, RecatError
 from .poset import FinitePoset, _joins, _least, _relabelings
@@ -62,61 +71,50 @@ def kz_defect(phi: Weight, gamma: Weight):
     free level, sub(gamma, phi).  Equality for all gamma characterizes the
     Cauchy weights.  On an empty carrier the pair is (0, 1).
     """
-    return _kz_pair(phi, gamma, isbell_ub(gamma))
-
-
-class _OnGrid(NamedTuple):
-    """A weight's values with their indices on a grid: how _kz_pair reads it there."""
-
-    values: tuple
-    at: tuple
-    grid: ValueGrid
-
-
-def _kz_pair(phi, gamma, gamma_ub):
-    """kz_defect(phi, gamma) given gamma's upper-bound coweight.
-
-    On a grid phi and gamma come as _OnGrid and gamma_ub as the bound's grid
-    indices: lhs is a max over the conj table, rhs a min over the imp table,
-    and both come back as grid points.
-    """
-    if type(phi) is not _OnGrid:
-        return pairing(phi, gamma_ub), sub(gamma, phi)
-    grid = phi.grid
-    lhs = _compose_on(grid.conj_table, (phi.at,), (gamma_ub,), 0)[0][0]
-    rhs = _residual_left_on(grid.imp_table, (phi.at,), (gamma.at,), len(grid.points) - 1)[0][0]
-    return grid.points[lhs], grid.points[rhs]
+    return pairing(phi, isbell_ub(gamma)), sub(gamma, phi)
 
 
 def _kz_operands(X: EnrichedCategory, weights):
-    """(read, bound): what _kz_pair takes for a weight and for a test weight's Isbell bound.
+    """(read, bound, verdict): kz_defect's formula on one kernel, picked once.
 
-    When X has a grid that every weight was checked on, a weight is read as
-    _OnGrid and its bound inf_x (gamma(x) -> X(x, -)) is a min over the imp
-    table, with X's hom indexed once; otherwise they are the Weight itself and
-    its isbell_ub coweight.  A weight on an equal-hom base without X's grid
-    may hold values off it, so it keeps the whole check on the kernel.
+    read(w) is a weight's vector, bound(gamma) a read test weight's Isbell bound
+    inf_x (gamma(x) -> X(x, -)), and verdict(phi, gamma, bound(gamma)) is
+    (lhs <= rhs, lhs == rhs).  When X has a grid that every weight was checked
+    on, the vectors are grid indices, which ascend with the points, X's hom is
+    indexed once and the kernel runs on the grid's tables; otherwise it runs on
+    the values under X's t-norm.  A weight on an equal-hom base without X's grid
+    may hold values off it, so it keeps the whole check on values.
     """
     grid = X.grid
     if grid is None or any(w.base is not X and w.base.grid != grid for w in weights):
-        return (lambda w: w), isbell_ub
-    pos, top = grid._pos, len(grid.points) - 1
-    cols = _columns(tuple(tuple(pos[h] for h in row) for row in X.hom), X.n)  # cols[y][x]: X(x, y)
+        compose, residual = partial(_compose, X.tnorm), partial(_residual_left, X.tnorm)
+        zero, one, hom, read = X.zero, X.one, X.hom, attrgetter("values")
+    else:
+        pos = grid._pos
+        compose, residual = partial(_compose_on, grid.conj_table), partial(_residual_left_on, grid.imp_table)
+        zero, one, hom = 0, len(grid.points) - 1, tuple(tuple(pos[h] for h in row) for row in X.hom)
 
-    def read(w):
-        return _OnGrid(w.values, tuple(pos[v] for v in w.values), grid)
+        def read(w):
+            return tuple(pos[v] for v in w.values)
+
+    cols = _columns(hom, X.n)  # cols[y][x]: X(x, y)
 
     def bound(gamma):
-        return _residual_left_on(grid.imp_table, cols, (gamma.at,), top)[0]
+        return residual(cols, (gamma,), one)[0]
 
-    return read, bound
+    def verdict(phi, gamma, gamma_ub):
+        lhs = compose((phi,), (gamma_ub,), zero)[0][0]
+        rhs = residual((phi,), (gamma,), one)[0][0]
+        return tn.vle(lhs, rhs), tn.veq(lhs, rhs)
+
+    return read, bound, verdict
 
 
 def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
     """Inequality report over the sampled weight pairs, all on X.
 
     Each distinct test weight gets one Isbell bound and each distinct
-    (phi, gamma) pair one evaluation, on grid indices when X has a grid;
+    (phi, gamma) pair one verdict, on grid indices when X has a grid;
     `total` and `equalities` count the pairs with multiplicity, and
     `violations` lists every violating pair in the order of the two lists,
     repeats included.
@@ -124,7 +122,7 @@ def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
     weights, test_weights = list(weights), list(test_weights)
     for w in weights + test_weights:
         _same_base(w.base, X)
-    read, bound = _kz_operands(X, weights + test_weights)
+    read, bound, verdict = _kz_operands(X, weights + test_weights)
     ids, reads = {}, []  # values -> int, so each vector is hashed and read once and a pair key is two ints
 
     def intern(w):
@@ -135,7 +133,7 @@ def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
 
     phis = [(phi, intern(phi)) for phi in weights]
     gammas = [(gamma, intern(gamma)) for gamma in test_weights]
-    ubs, verdicts = {}, {}  # Isbell bound per gamma; per pair None for a violation, else lhs == rhs
+    ubs, verdicts = {}, {}  # Isbell bound per gamma; (lhs <= rhs, lhs == rhs) per pair
     violations = []
     equalities = 0
     for phi, i in phis:
@@ -143,12 +141,11 @@ def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
             if (i, j) not in verdicts:
                 if j not in ubs:
                     ubs[j] = bound(reads[j])
-                lhs, rhs = _kz_pair(reads[i], reads[j], ubs[j])
-                verdicts[i, j] = tn.veq(lhs, rhs) if tn.vle(lhs, rhs) else None
-            verdict = verdicts[i, j]
-            if verdict is None:
+                verdicts[i, j] = verdict(reads[i], reads[j], ubs[j])
+            holds, equal = verdicts[i, j]
+            if not holds:
                 violations.append((phi.values, gamma.values))
-            elif verdict:
+            elif equal:
                 equalities += 1
     return {"total": len(weights) * len(test_weights), "equalities": equalities, "violations": violations}
 
@@ -159,16 +156,13 @@ def kz_equality_consistent_with_cauchy(X: EnrichedCategory, bound: int = 10**6) 
     The pairs run on grid indices (enumeration needs a grid); is_cauchy takes the weights.
     """
     weights = enumerate_weights(X, bound)
-    read, ub = _kz_operands(X, weights)
+    read, ub, verdict = _kz_operands(X, weights)
     reads = [read(w) for w in weights]
     tests = [(gamma, ub(gamma)) for gamma in reads]
-    for phi, w in zip(reads, weights):
-        everywhere_equal = all(
-            tn.veq(*_kz_pair(phi, gamma, gamma_ub)) for gamma, gamma_ub in tests
-        )
-        if everywhere_equal != (is_cauchy(w) is not None):
-            return False
-    return True
+    return all(
+        all(verdict(phi, gamma, gamma_ub)[1] for gamma, gamma_ub in tests) == (is_cauchy(w) is not None)
+        for phi, w in zip(reads, weights)
+    )
 
 
 # --- modules --------------------------------------------------------------
@@ -261,24 +255,25 @@ def modules_isomorphic(M: ModuleAction, N: ModuleAction) -> bool:
 # --- negation duality -----------------------------------------------------
 
 
+def _negation_failures(imp, zero, eq, xs):
+    """Each x in xs with (x -> 0) -> 0 unequal to x, for a residuum imp with bottom zero and an equality eq."""
+    return (x for x in xs if not eq(imp(imp(x, zero), zero), x))
+
+
 def negation_duality_check(grid: ValueGrid):
     """(verdict, first failing point) of x = (x -> 0) -> 0, read off the imp table."""
     imp = grid.imp_table
-    for i, x in enumerate(grid.points):
-        if imp[imp[i][0]][0] != i:
-            return False, x
-    return True, None
+    i = next(_negation_failures(lambda a, b: imp[a][b], 0, eq, range(len(grid.points))), None)
+    return i is None, None if i is None else grid.points[i]
 
 
 def negation_duality_check_float(t: tn.TNorm, samples=64):
     """(verdict, first failing point) of x = (x -> 0) -> 0 at k / samples, 0 < k < samples;
     samples >= 2, so at least one point is checked."""
     _count(samples, "samples", 2)
-    imp, eq = tn.evaluators(t, "float")[1], tn.equality("float")
-    for x in (k / samples for k in range(1, samples)):
-        if not eq(imp(imp(x, 0.0), 0.0), x):
-            return False, x
-    return True, None
+    imp = tn.evaluators(t, "float")[1]
+    x = next(_negation_failures(imp, 0.0, tn.equality("float"), (k / samples for k in range(1, samples))), None)
+    return x is None, x
 
 
 # --- conical filters ------------------------------------------------------

@@ -8,9 +8,9 @@ weight counterpart on `opposite(X)`, read back through `_dual`.
 
 Every weight value passes the scalar check on construction.  On a category with
 a grid, the weight law is checked on grid indices through the grid's conj table,
-and `tensor` reads r -> - off its imp table, as `_tensor_table` does for every
-tensor at once; without a grid the law and `tensor` are scalar loops over the
-(*) and -> of `tn.evaluators`.
+and `_tensor_table` reads every tensor at once off its imp table; without a grid
+the law is a scalar loop over the (*) of `tn.evaluators`.  `tensor` is one
+scalar loop over its ->, with or without a grid.
 """
 
 from __future__ import annotations
@@ -184,16 +184,12 @@ def weighted_colim(phi: Weight, f: EnrichedFunctor):
 
 
 def tensor(X: EnrichedCategory, r, x: int):
-    """Element c with X(c, y) = r -> X(x, y) for all y, or None; on a grid, r -> - is a row
-    of the imp table."""
-    grid = X.grid
+    """Element c with X(c, y) = r -> X(x, y) for all y, or None; on a grid, r must be a
+    grid point.  `_tensor_table` gives every tensor of a grid category at once."""
     _in_carrier(X, x)
-    i = _check_scalars((r,), grid, "tensor scalar ", X.mode)
-    if grid is None:
-        imp = tn.evaluators(X.tnorm, X.mode)[1]
-        return _representing(X.hom, tuple(imp(r, h) for h in X.hom[x]))
-    row, pos = grid.imp_table[i[0]], grid._pos
-    return _representing(X.hom, tuple(grid.points[row[pos[h]]] for h in X.hom[x]))
+    _check_scalars((r,), X.grid, "tensor scalar ", X.mode)
+    imp = tn.evaluators(X.tnorm, X.mode)[1]
+    return _representing(X.hom, tuple(imp(r, h) for h in X.hom[x]))
 
 
 def cotensor(X: EnrichedCategory, r, y: int):

@@ -45,6 +45,7 @@ from recat.presheaf import (
     Weight,
     _dual,
     _grid_space,
+    _same_base,
     colim,
     cotensor,
     enumerate_weights,
@@ -590,25 +591,26 @@ def _below(X: EnrichedCategory, pairs):
 
 
 # --- the KZ report pair by pair ---------------------------------------------
-# The library evaluates each distinct (phi, gamma) pair once; this loop
-# evaluates every pair in order, repeats included.
+# The library evaluates each distinct (phi, gamma) pair once, on grid indices
+# when X has a grid; this loop evaluates every pair in order, repeats
+# included, through the public formula `laws.kz_defect` on the weights.
 
 
-def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
-    """Inequality report over the sampled weight pairs."""
-    tests = [(gamma, laws.isbell_ub(gamma)) for gamma in test_weights]
+def kz_check(X: EnrichedCategory, weights, test_weights, defect=laws.kz_defect) -> dict:
+    """Inequality report over the sampled weight pairs; defect(phi, gamma) gives each pair."""
+    weights, test_weights = list(weights), list(test_weights)
+    for w in weights + test_weights:
+        _same_base(w.base, X)
     violations = []
     equalities = 0
-    total = 0
     for phi in weights:
-        for gamma, gamma_ub in tests:
-            lhs, rhs = laws._kz_pair(phi, gamma, gamma_ub)
-            total += 1
+        for gamma in test_weights:
+            lhs, rhs = defect(phi, gamma)
             if not tn.vle(lhs, rhs):
                 violations.append((phi.values, gamma.values))
             elif tn.veq(lhs, rhs):
                 equalities += 1
-    return {"total": total, "equalities": equalities, "violations": violations}
+    return {"total": len(weights) * len(test_weights), "equalities": equalities, "violations": violations}
 
 
 # --- the Kan adjunction on weights ------------------------------------------

@@ -2,8 +2,9 @@
 
 `laws.kz_check` takes weights on X alone, groups them by values and evaluates
 each distinct (phi, gamma) pair once; here it is compared with the pair-by-pair
-loop in `tests/oracles.py` on weight lists with repeats, with violations
-forced on chosen pairs.  The `recat laws` suites skip repeated draws; a stdout
+loop through `laws.kz_defect` in `tests/oracles.py` on weight lists with
+repeats, with violations forced on chosen pairs through the pair verdict of
+`laws._kz_operands`.  The `recat laws` suites skip repeated draws; a stdout
 digest pins their reports, and a counted run pins the saving.  The `kan` suite
 runs on grid indices, and its report is compared with the same check on
 `Weight`s through the checked kernel, kept in `tests/oracles.py`.
@@ -27,6 +28,7 @@ import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures
 from recat.errors import CarrierMismatchError
+from recat.poset import closure
 
 import oracles
 
@@ -49,19 +51,33 @@ def draws(rng, X, pool, count):
     return out
 
 
+def patch_verdicts(monkeypatch, wrap):
+    """Send each pair verdict of `laws.kz_check` through wrap(phi values, gamma values, verdict),
+    where verdict() is the library's own; each read weight carries its values along."""
+    real = laws._kz_operands
+
+    def operands(X, weights):
+        read, bound, verdict = real(X, weights)
+        return (
+            lambda w: (w.values, read(w)),
+            lambda gamma: bound(gamma[1]),
+            lambda phi, gamma, ub: wrap(phi[0], gamma[0], lambda: verdict(phi[1], gamma[1], ub)),
+        )
+
+    monkeypatch.setattr(laws, "_kz_operands", operands)
+
+
 def force_violations(monkeypatch, rng, pairs, share):
-    """Make `laws._kz_pair` report (1, 0) on the least of the given value pairs and on a
-    random share of the others."""
+    """Make `laws.kz_check` find a violation at the least of the given value pairs and at a
+    random share of the others; return the chosen pairs and the oracle's defect with the
+    same pairs turned into violations, (1, 0)."""
     chosen = {p for i, p in enumerate(sorted(pairs)) if i == 0 or rng.random() < share}
-    real = laws._kz_pair
+    patch_verdicts(monkeypatch, lambda a, b, verdict: (False, False) if (a, b) in chosen else verdict())
 
-    def patched(phi, gamma, gamma_ub):
-        if (phi.values, gamma.values) in chosen:
-            return tn.ONE, tn.ZERO
-        return real(phi, gamma, gamma_ub)
+    def defect(phi, gamma):
+        return (tn.ONE, tn.ZERO) if (phi.values, gamma.values) in chosen else laws.kz_defect(phi, gamma)
 
-    monkeypatch.setattr(laws, "_kz_pair", patched)
-    return chosen
+    return chosen, defect
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -80,15 +96,26 @@ def test_kz_check_matches_the_pair_by_pair_loop(name, n):
         assert rep["total"] == len(ws) * len(tests)
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_kz_check_matches_the_pair_by_pair_loop_in_float_mode(n):
+    rng = random.Random(200 + n)
+    hom = [[1.0 if i == j else round(rng.random(), 3) for j in range(n)] for i in range(n)]
+    X = cat.EnrichedCategory(tn.product, closure(hom, lambda a, b: tn.conj(tn.product, a, b)))
+    pool = [ps.weight_closure(X, [round(rng.random(), 3) for _ in range(n)]) for _ in range(3)]
+    ws = [rng.choice(pool) for _ in range(8)]
+    tests = ws[::3] + [ps.yoneda(X, a) for a in range(n)]
+    assert laws.kz_check(X, ws, tests) == oracles.kz_check(X, ws, tests)
+
+
 @pytest.mark.parametrize("name", sorted(GRIDS))
 @pytest.mark.parametrize("n", range(5))
 def test_forced_violations_keep_their_multiplicity_and_order(monkeypatch, name, n):
     rng = random.Random(100 + n)
     X = gen.random_category(rng, n, GRIDS[name])
     ws = draws(rng, X, 4, 10)
-    chosen = force_violations(monkeypatch, rng, {(a.values, b.values) for a in ws for b in ws}, 0.4)
+    chosen, defect = force_violations(monkeypatch, rng, {(a.values, b.values) for a in ws for b in ws}, 0.4)
     rep = laws.kz_check(X, ws, ws)
-    assert rep == oracles.kz_check(X, ws, ws)
+    assert rep == oracles.kz_check(X, ws, ws, defect)
     expected = [(a.values, b.values) for a in ws for b in ws if (a.values, b.values) in chosen]
     assert rep["violations"] == expected and expected
 
@@ -98,13 +125,12 @@ def test_each_distinct_pair_is_evaluated_once(monkeypatch):
     X = gen.random_category(rng, 3, GRIDS["luka3"])
     ws = draws(rng, X, 3, 12)
     calls = []
-    real = laws._kz_pair
 
-    def counted(phi, gamma, gamma_ub):
-        calls.append((phi.values, gamma.values))
-        return real(phi, gamma, gamma_ub)
+    def counted(a, b, verdict):
+        calls.append((a, b))
+        return verdict()
 
-    monkeypatch.setattr(laws, "_kz_pair", counted)
+    patch_verdicts(monkeypatch, counted)
     laws.kz_check(X, ws, ws)
     assert len(calls) == len(set(calls)) == len({w.values for w in ws}) ** 2
 

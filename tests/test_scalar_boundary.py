@@ -516,6 +516,25 @@ def test_ball_exports_and_draws_need_a_grid_of_radii():
     assert balls.ball_poset_dot(X2, grid=None) == balls.ball_poset_dot(X2, X2.grid)
 
 
+def test_ball_draws_need_a_point():
+    """random_directed_balls on an empty category with a grid raised a bare ValueError."""
+    with pytest.raises(RecatError, match="need a non-empty category"):
+        gen.random_directed_balls(random.Random(0), cat.EnrichedCategory(LUKA, (), (), G3))
+
+
+def test_category_names_are_distinct_strings_at_construction():
+    """EnrichedCategory(t, hom, ("a", "a")) and names=(0, 1) constructed, but their to_json
+    did not load, and ball_poset_dot printed node "a@0" twice; full_subcategory(X, [0, 0])
+    returned two copies of one element."""
+    for names in (("a", "a"), (0, 1), ("a", None)):
+        with pytest.raises(RecatError, match="names must be distinct strings"):
+            cat.EnrichedCategory(LUKA, X2.hom, names, X2.grid)
+    with pytest.raises(RecatError, match="names must be distinct strings"):
+        gen.full_subcategory(X2, [0, 0])
+    for X in (X2, cat.EnrichedCategory(LUKA, X2.hom, ("b", "a"), X2.grid), BASES["float"]()):
+        assert cat.EnrichedCategory.from_json(X.to_json()) == X
+
+
 def test_weight_draws_need_a_grid():
     """random_weight and random_coweight on a gridless category raised a bare AttributeError."""
     for base in ("exact", "float"):

@@ -1,9 +1,10 @@
-"""The weight law, tensors and filter evaluation on grid indices.
+"""The weight law and filter evaluation on grid indices, and tensors on and off a grid.
 
 On a category with a grid, `Weight` and `Coweight` read the law off the grid's
-conj table, `tensor`/`cotensor` read r -> - off its imp table, and so do
-`ConicalFilter` evaluation and `cotensor_filter_table`.  The oracles in
-`oracles.py` compute the same through tn.conj/tn.imp on points.
+conj table, and `ConicalFilter` evaluation and `cotensor_filter_table` read
+r -> - off its imp table.  `tensor`/`cotensor` have one scalar path, with or
+without a grid, and the gridded and gridless results are compared.  The
+oracles in `oracles.py` compute the same through tn.conj/tn.imp on points.
 """
 
 import json
