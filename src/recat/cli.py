@@ -19,21 +19,22 @@ from .balls import ball_poset_dot
 from .cat import EnrichedCategory, _compose_on, _residual_left_on, validate
 from .classify import cauchy_completion, classify
 from .errors import BoundExceededError, CapExceededError, RecatError
-from .gen import _weight_at, random_category, random_functor, random_module
+from .gen import _category_at, _weight_at, random_category, random_functor, random_module
 from .laws import (
     conical_filter_check,
     ConicalFilter,
     category_to_module,
     find_cf4_cotensor_witness,
+    _kz_loop,
+    _kz_on_grid,
     kowalsky_sum,
-    kz_check,
     kz_equality_consistent_with_cauchy,
     modules_isomorphic,
     module_to_category,
     negation_duality_check,
     powerset_monad_check,
 )
-from .presheaf import Weight, _at, _column, _unchecked
+from .presheaf import Weight, _at, _column
 from .values import _check_scalars, _encode, _json_array, _normalize, grid_validate, parse_grid_text, unit_grid
 
 EXIT_OK = 0
@@ -75,10 +76,10 @@ def load_weight(path, X: EnrichedCategory) -> Weight:
     try:
         values = [_normalize(v) for v in _json_array(data["values"], "values")]
         _check_scalars(values, X.grid, "weight value ", X.mode)
+        if len(values) != X.n:
+            raise RecatError(f"weight has {len(values)} entries for a {X.n}-point carrier")
     except (RecatError, KeyError, TypeError) as exc:
         raise _ParseFailure(f"bad weight file {path}: {exc}") from exc
-    if len(values) != X.n:
-        raise RecatError(f"weight has {len(values)} entries for a {X.n}-point carrier")
     return Weight(X, tuple(values))
 
 
@@ -227,16 +228,16 @@ def _suite_kan(t, grid, rng, args):
 
 
 def _suite_kz(t, grid, rng, args):
-    """KZ on 20 drawn categories, eight weights each drawn on its hom indexed once; KZ equality
-    against Cauchy weights; the powerset monad."""
-    pos, points = grid._pos, grid.points
+    """KZ on 20 drawn categories, eight weights each, all drawn and checked on grid indices;
+    KZ equality against Cauchy weights; the powerset monad."""
+    points = grid.points
 
     def violations():
         for _ in range(20):
-            X = random_category(rng, rng.randint(1, 4), grid)
-            at = [[pos[h] for h in row] for row in X.hom]
-            ws = [_unchecked(Weight, X, tuple(points[i] for i in _weight_at(rng, grid, at))) for _ in range(8)]
-            yield from kz_check(X, ws, ws)["violations"]
+            at = _category_at(rng, rng.randint(1, 4), grid)
+            ws = [_weight_at(rng, grid, at) for _ in range(8)]
+            for pair in _kz_loop(*_kz_on_grid(grid, at), ws, ws)[1]:
+                yield tuple(tuple(points[i] for i in w) for w in pair)
 
     checks = [_check("kz_inequality", violations())]
     Xs = random_category(rng, 2, grid)

@@ -18,16 +18,22 @@ from .presheaf import Coweight, Weight, _dual, _unchecked
 from .values import ValueGrid, _count, _in_carrier, _items, grid_validate, unit_grid
 
 
-def random_category(rng: random.Random, n: int, grid: ValueGrid) -> EnrichedCategory:
-    """Random hom matrix, repaired by sup-(*) transitive closure on the grid's tables."""
+def _category_at(rng: random.Random, n: int, grid: ValueGrid) -> tuple:
+    """random_category's hom on grid indices: a random matrix with the top index on the
+    diagonal, repaired by sup-(*) transitive closure on the grid's conj table."""
     _count(n, "n", 0)
     k = len(grid.points)
     m = [[rng.randrange(k) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         m[i][i] = k - 1
     conj = grid.conj_table
-    m = closure(m, lambda a, b: conj[a][b])
-    hom = tuple(tuple(grid.points[i] for i in row) for row in m)
+    return closure(m, lambda a, b: conj[a][b])
+
+
+def random_category(rng: random.Random, n: int, grid: ValueGrid) -> EnrichedCategory:
+    """The category on the grid whose hom is _category_at's, mapped to points."""
+    pts = grid.points
+    hom = tuple(tuple(pts[i] for i in row) for row in _category_at(rng, n, grid))
     return EnrichedCategory(grid.tnorm, hom, (), grid)
 
 

@@ -5,11 +5,14 @@ module/cocomplete-category correspondence, the negation involution, conical
 filter axioms and the Kowalsky sum.  KZ and CF1-CF4 have one checker for both
 modes, comparing through tn.vle/tn.veq (exact on Fractions, within TOL on
 floats), so their float checks run the exact checkers on sampled points.
-Each law has one loop.  The KZ check takes weights on X alone and evaluates
-a repeated sampled weight, and a repeated pair, once; it and the KZ
-equality-versus-Cauchy check pick the kernel of kz_defect's formula once: on
-grid indices through the grid's conj/imp tables (`cat._compose_on`/
-`_residual_left_on`) when X has a grid, else on values.  The negation
+Each law has one loop.  KZ's, `_kz_loop`, takes hashable vectors and
+evaluates a repeated test weight, and a repeated pair, once; `recat laws kz`
+feeds it index tuples straight from its draws, on `_kz_on_grid`, kz_defect's
+formula read off the grid's conj/imp tables and compared with plain <=/== on
+indices.  kz_check takes weights on X alone and indexes each distinct one
+once; it and the KZ equality-versus-Cauchy check pick the kernel once: on
+grid indices when X has a grid, else on values.  The equality check reads the
+Cauchy verdict off that kernel too, so no is_cauchy call is made.  The negation
 involution runs one (x -> 0) -> 0 loop on the imp table or on floats.  The
 module, negation, filter-axiom and powerset checks take the ValueGrid alone,
 t-norm included, and work on grid indices through its conj/imp tables, as do
@@ -36,11 +39,9 @@ from .cat import (
     _compose,
     _compose_on,
     _residual_left,
-    _residual_left_on,
     is_separated,
     underlying_order,
 )
-from .classify import is_cauchy
 from .errors import BoundExceededError, RecatError
 from .poset import FinitePoset, _joins, _least, _relabelings
 from .presheaf import (
@@ -74,30 +75,49 @@ def kz_defect(phi: Weight, gamma: Weight):
     return pairing(phi, isbell_ub(gamma)), sub(gamma, phi)
 
 
+def _kz_on_grid(grid: ValueGrid, at) -> tuple:
+    """(bound, verdict): kz_defect's formula on grid indices, `at` being X's hom on them.
+
+    bound(gamma) is a test weight's Isbell bound inf_x (gamma(x) -> X(x, -)), and
+    verdict(phi, gamma, bound(gamma)) is (lhs <= rhs, lhs == rhs), read off the
+    grid's conj/imp tables; indices ascend with the points, so the comparisons
+    are plain ones on ints.
+    """
+    conj, imp, top = grid.conj_table, grid.imp_table, len(grid.points) - 1
+    cols = _columns(at, len(at))  # cols[y][x]: X(x, y)
+
+    def bound(gamma):
+        return tuple(min([imp[g][h] for g, h in zip(gamma, col)], default=top) for col in cols)
+
+    def verdict(phi, gamma, gamma_ub):
+        lhs = max([conj[a][b] for a, b in zip(phi, gamma_ub)], default=0)
+        rhs = min([imp[g][a] for g, a in zip(gamma, phi)], default=top)
+        return lhs <= rhs, lhs == rhs
+
+    return bound, verdict
+
+
 def _kz_operands(X: EnrichedCategory, weights):
     """(read, bound, verdict): kz_defect's formula on one kernel, picked once.
 
-    read(w) is a weight's vector, bound(gamma) a read test weight's Isbell bound
-    inf_x (gamma(x) -> X(x, -)), and verdict(phi, gamma, bound(gamma)) is
-    (lhs <= rhs, lhs == rhs).  When X has a grid that every weight was checked
-    on, the vectors are grid indices, which ascend with the points, X's hom is
-    indexed once and the kernel runs on the grid's tables; otherwise it runs on
-    the values under X's t-norm.  A weight on an equal-hom base without X's grid
-    may hold values off it, so it keeps the whole check on values.
+    read(w) is a weight's vector, and bound and verdict are as in _kz_on_grid.
+    When X has a grid that every weight was checked on, the vectors are grid
+    indices, X's hom is indexed once and the kernel is _kz_on_grid's; otherwise
+    it runs on the values under X's t-norm and compares through tn.vle/tn.veq.
+    A weight on an equal-hom base without X's grid may hold values off it, so
+    it keeps the whole check on values.
     """
     grid = X.grid
-    if grid is None or any(w.base is not X and w.base.grid != grid for w in weights):
-        compose, residual = partial(_compose, X.tnorm), partial(_residual_left, X.tnorm)
-        zero, one, hom, read = X.zero, X.one, X.hom, attrgetter("values")
-    else:
+    if grid is not None and all(w.base is X or w.base.grid == grid for w in weights):
         pos = grid._pos
-        compose, residual = partial(_compose_on, grid.conj_table), partial(_residual_left_on, grid.imp_table)
-        zero, one, hom = 0, len(grid.points) - 1, tuple(tuple(pos[h] for h in row) for row in X.hom)
 
         def read(w):
             return tuple(pos[v] for v in w.values)
 
-    cols = _columns(hom, X.n)  # cols[y][x]: X(x, y)
+        return (read, *_kz_on_grid(grid, [tuple(pos[h] for h in row) for row in X.hom]))
+    compose, residual = partial(_compose, X.tnorm), partial(_residual_left, X.tnorm)
+    zero, one = X.zero, X.one
+    cols = _columns(X.hom, X.n)
 
     def bound(gamma):
         return residual(cols, (gamma,), one)[0]
@@ -107,61 +127,82 @@ def _kz_operands(X: EnrichedCategory, weights):
         rhs = residual((phi,), (gamma,), one)[0][0]
         return tn.vle(lhs, rhs), tn.veq(lhs, rhs)
 
-    return read, bound, verdict
+    return attrgetter("values"), bound, verdict
+
+
+def _kz_loop(bound, verdict, phis, gammas) -> tuple:
+    """(equalities, violations) of the KZ inequality over phis x gammas, the one KZ loop.
+
+    phis and gammas are hashable vectors on the kernel of bound and verdict;
+    each distinct gamma gets one Isbell bound and each distinct pair one
+    verdict.  Equalities are counted, and violating (phi, gamma) pairs listed
+    in the order of the two lists, with multiplicity.
+    """
+    ubs, verdicts = {}, {}
+    violations = []
+    equalities = 0
+    for phi in phis:
+        for gamma in gammas:
+            pair = phi, gamma
+            v = verdicts.get(pair)
+            if v is None:
+                ub = ubs.get(gamma)
+                if ub is None:
+                    ub = ubs[gamma] = bound(gamma)
+                v = verdicts[pair] = verdict(phi, gamma, ub)
+            if not v[0]:
+                violations.append(pair)
+            elif v[1]:
+                equalities += 1
+    return equalities, violations
 
 
 def kz_check(X: EnrichedCategory, weights, test_weights) -> dict:
     """Inequality report over the sampled weight pairs, all on X.
 
-    Each distinct test weight gets one Isbell bound and each distinct
-    (phi, gamma) pair one verdict, on grid indices when X has a grid;
-    `total` and `equalities` count the pairs with multiplicity, and
-    `violations` lists every violating pair in the order of the two lists,
-    repeats included.
+    Each distinct weight is read once, on grid indices when X has a grid, and
+    _kz_loop evaluates the pairs: `total` and `equalities` count them with
+    multiplicity, and `violations` lists every violating pair of values in the
+    order of the two lists, repeats included.
     """
     weights, test_weights = list(weights), list(test_weights)
     for w in weights + test_weights:
         _same_base(w.base, X)
     read, bound, verdict = _kz_operands(X, weights + test_weights)
-    ids, reads = {}, []  # values -> int, so each vector is hashed and read once and a pair key is two ints
+    reads = {}  # values -> vector: each distinct weight is read once
 
-    def intern(w):
-        i = ids.setdefault(w.values, len(ids))
-        if i == len(reads):
-            reads.append(read(w))
-        return i
+    def read_once(w):
+        v = reads.get(w.values)
+        if v is None:
+            v = reads[w.values] = read(w)
+        return v
 
-    phis = [(phi, intern(phi)) for phi in weights]
-    gammas = [(gamma, intern(gamma)) for gamma in test_weights]
-    ubs, verdicts = {}, {}  # Isbell bound per gamma; (lhs <= rhs, lhs == rhs) per pair
-    violations = []
-    equalities = 0
-    for phi, i in phis:
-        for gamma, j in gammas:
-            if (i, j) not in verdicts:
-                if j not in ubs:
-                    ubs[j] = bound(reads[j])
-                verdicts[i, j] = verdict(reads[i], reads[j], ubs[j])
-            holds, equal = verdicts[i, j]
-            if not holds:
-                violations.append((phi.values, gamma.values))
-            elif equal:
-                equalities += 1
-    return {"total": len(weights) * len(test_weights), "equalities": equalities, "violations": violations}
+    phis, gammas = [read_once(w) for w in weights], [read_once(w) for w in test_weights]
+    values = {v: w for w, v in reads.items()}
+    equalities, violations = _kz_loop(bound, verdict, phis, gammas)
+    return {
+        "total": len(weights) * len(test_weights),
+        "equalities": equalities,
+        "violations": [(values[phi], values[gamma]) for phi, gamma in violations],
+    }
 
 
 def kz_equality_consistent_with_cauchy(X: EnrichedCategory, bound: int = 10**6) -> bool:
     """Equality against every grid test weight holds exactly for Cauchy weights.
 
-    The pairs run on grid indices (enumeration needs a grid); is_cauchy takes the weights.
+    The pairs run on grid indices (enumeration needs a grid), and so does the
+    Cauchy verdict, read off the same kernel.  Proof: is_cauchy's unit check
+    is 1 <= pairing(phi, isbell_ub(phi)), the lhs of the pair (phi, phi), and
+    its rhs is sub(phi, phi) = inf_x (phi(x) -> phi(x)) = 1; since lhs <= 1,
+    phi is Cauchy iff pairing(phi, isbell_ub(phi)) = 1 = sub(phi, phi), that
+    is iff (phi, phi) is an equality.
     """
     weights = enumerate_weights(X, bound)
     read, ub, verdict = _kz_operands(X, weights)
-    reads = [read(w) for w in weights]
-    tests = [(gamma, ub(gamma)) for gamma in reads]
+    tests = [(gamma, ub(gamma)) for gamma in map(read, weights)]
     return all(
-        all(verdict(phi, gamma, gamma_ub)[1] for gamma, gamma_ub in tests) == (is_cauchy(w) is not None)
-        for phi, w in zip(reads, weights)
+        all(verdict(phi, gamma, gamma_ub)[1] for gamma, gamma_ub in tests) == verdict(phi, phi, phi_ub)[1]
+        for phi, phi_ub in tests
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import tnorm as tn
 from .errors import CapExceededError, NotClosedError, RecatError
@@ -71,6 +72,34 @@ def parse_grid_text(text: str):
     return tuple(parse_value(p) for p in s.split(",") if p.strip())
 
 
+@lru_cache(maxsize=256)
+def _quantale(pts: tuple, t: tn.TNorm) -> tuple:
+    """(point -> index, conj_table, imp_table) of the ascending exact points under t.
+
+    Shared by every ValueGrid on these points and t, which must not mutate
+    them.  An exception is not cached, so a set that misses 0 or 1 or is not
+    closed raises on every call, NotClosedError naming the first escaping pair.
+    """
+    pos = {p: i for i, p in enumerate(pts)}
+    if ZERO not in pos or ONE not in pos:
+        raise RecatError("grid must contain 0 and 1")
+    conj_rows, imp_rows = [], []
+    for x in pts:
+        conj_row, imp_row = [], []
+        for y in pts:
+            c = pos.get(tn.conj_exact_unchecked(t, x, y))
+            if c is None:
+                raise NotClosedError(x, y, "conj")
+            i = pos.get(tn.imp_exact_unchecked(t, x, y))
+            if i is None:
+                raise NotClosedError(x, y, "imp")
+            conj_row.append(c)
+            imp_row.append(i)
+        conj_rows.append(tuple(conj_row))
+        imp_rows.append(tuple(imp_row))
+    return pos, tuple(conj_rows), tuple(imp_rows)
+
+
 @dataclass(frozen=True)
 class ValueGrid:
     """A finite ascending set of rationals closed under the t-norm operations.
@@ -80,12 +109,15 @@ class ValueGrid:
     The closure check keeps what it evaluates: the grid is a finite quantale,
     and conj_table[i][j] / imp_table[i][j] are the indices of
     points[i] (*) points[j] and points[i] -> points[j].  Indices ascend with
-    the points, so sup and inf on the grid are max and min on indices.
+    the points, so sup and inf on the grid are max and min on indices.  The
+    point -> index map and both tables come from `_quantale`, a bounded
+    process-wide memo keyed on (sorted points, t-norm): equal grids share
+    them, and a grid that is not closed is checked, and raises, every time.
     """
 
     points: tuple
     tnorm: tn.TNorm
-    # point -> index, built once for membership tests and index lookups
+    # point -> index for membership tests and index lookups, and the tables, from _quantale
     _pos: dict = field(init=False, repr=False, compare=False)
     conj_table: tuple = field(init=False, repr=False, compare=False)
     imp_table: tuple = field(init=False, repr=False, compare=False)
@@ -93,26 +125,10 @@ class ValueGrid:
     def __post_init__(self):
         pts = tuple(sorted({parse_value(p) for p in _items(self.points, "grid points")}))
         object.__setattr__(self, "points", pts)
-        pos = {p: i for i, p in enumerate(pts)}
+        pos, conj_table, imp_table = _quantale(pts, self.tnorm)
         object.__setattr__(self, "_pos", pos)
-        if ZERO not in pos or ONE not in pos:
-            raise RecatError("grid must contain 0 and 1")
-        conj_rows, imp_rows = [], []
-        for x in pts:
-            conj_row, imp_row = [], []
-            for y in pts:
-                c = pos.get(tn.conj_exact_unchecked(self.tnorm, x, y))
-                if c is None:
-                    raise NotClosedError(x, y, "conj")
-                i = pos.get(tn.imp_exact_unchecked(self.tnorm, x, y))
-                if i is None:
-                    raise NotClosedError(x, y, "imp")
-                conj_row.append(c)
-                imp_row.append(i)
-            conj_rows.append(tuple(conj_row))
-            imp_rows.append(tuple(imp_row))
-        object.__setattr__(self, "conj_table", tuple(conj_rows))
-        object.__setattr__(self, "imp_table", tuple(imp_rows))
+        object.__setattr__(self, "conj_table", conj_table)
+        object.__setattr__(self, "imp_table", imp_table)
 
     def __len__(self):
         return len(self.points)

@@ -52,6 +52,8 @@ from recat.presheaf import (
     f_exists,
     f_inv,
     is_cocomplete_over_grid,
+    isbell_ub,
+    pairing,
     sub,
     tensor as tensor_at,
     weight_closure,
@@ -651,6 +653,56 @@ def suite_kan(t, grid, rng, args):
                     yield f.mapping, phi.values, gamma.values
 
     return [_check("kan_adjunction", failures())]
+
+
+# --- the KZ suite on weights ------------------------------------------------
+# `recat laws kz` draws its categories and weights and checks them on grid
+# indices, and reads the Cauchy verdict off the KZ kernel; this is the same
+# suite on checked `Weight`s, with the same draws, through the pair-by-pair
+# loop above and `is_cauchy`.
+
+
+def kz_equality_consistent_with_cauchy(X: EnrichedCategory, bound: int = 10**6) -> bool:
+    """Equality against every grid test weight holds exactly for the weights is_cauchy accepts."""
+    weights = enumerate_weights(X, bound)
+    return all(
+        all(tn.veq(*laws.kz_defect(phi, gamma)) for gamma in weights) == (is_cauchy(phi) is not None)
+        for phi in weights
+    )
+
+
+def _kz_defect_once():
+    """laws.kz_defect on weights of one base, through the checked kernel on values: each
+    test weight's Isbell bound and each pair's defect, keyed by values, computed once."""
+    bounds, seen = {}, {}
+
+    def defect(phi, gamma):
+        key = phi.values, gamma.values
+        if key not in seen:
+            if gamma.values not in bounds:
+                bounds[gamma.values] = isbell_ub(gamma)
+            seen[key] = pairing(phi, bounds[gamma.values]), sub(gamma, phi)
+        return seen[key]
+
+    return defect
+
+
+def suite_kz(t, grid, rng, args):
+    """The `kz` suite's report: KZ on 20 drawn categories of eight weights each, KZ equality
+    against Cauchy weights and the powerset monad."""
+
+    def violations():
+        for _ in range(20):
+            X = gen.random_category(rng, rng.randint(1, 4), grid)
+            ws = [Weight(X, gen.random_weight(rng, X).values) for _ in range(8)]
+            yield from kz_check(X, ws, ws, _kz_defect_once())["violations"]
+
+    checks = [_check("kz_inequality", violations())]
+    equal = kz_equality_consistent_with_cauchy(gen.random_category(rng, 2, grid), args.bound)
+    checks.append({"name": "kz_equality_vs_cauchy", "pass": equal, "witness": None})
+    monad = laws.powerset_monad_check(grid, 2, rng, samples=20)
+    checks.append({"name": "powerset_monad", "pass": monad, "witness": None})
+    return checks
 
 
 # --- conical flatness on every pair ---------------------------------------

@@ -82,8 +82,20 @@ class TestClassify:
         assert code == 0 and all(json.loads(out)["flags"].values())
 
     def test_size_mismatch(self, files, capsys):
+        # a weight of the wrong length is a bad weight file, as a non-square hom is a bad category file
         code, out = run(capsys, "classify", files["g5"], files["short"])
-        assert code == 1
+        assert code == 2
+        assert json.loads(out) == {"error": f"bad weight file {files['short']}: weight has 2 entries for a 5-point carrier"}
+
+    @pytest.mark.parametrize("values", [[], ["1"], ["1", "0", "0"]])
+    def test_a_weight_of_the_wrong_length_exits_2(self, tmp_path, capsys, values):
+        # this used to exit 1 with {"error": "weight has 1 entries for a 2-point carrier"}
+        category, weight = tmp_path / "luka2.json", tmp_path / "w.json"
+        category.write_text(json.dumps({"tnorm": "lukasiewicz", "grid": ["0", "1/2", "1"], "hom": [["1", "1/2"], ["0", "1"]]}))
+        weight.write_text(json.dumps({"values": values}))
+        code, out = run(capsys, "classify", str(category), str(weight))
+        message = f"bad weight file {weight}: weight has {len(values)} entries for a 2-point carrier"
+        assert code == 2 and json.loads(out) == {"error": message}
 
 
 class TestBalls:
@@ -189,9 +201,9 @@ class TestLaws:
         assert h.hexdigest() == "285efa1e544b28eece96b96bd42919407658ad88ef0a249759969bb6aa708aaa"
 
     def test_failure_witness_is_encoded(self, capsys, monkeypatch):
-        # the first violation is the witness, with exact values as "p/q"
-        violation = ((F(1), F(1, 3)), (F(2, 3), F(0)))
-        monkeypatch.setattr(cli, "kz_check", lambda X, ws, tests: {"violations": [violation, None]})
+        # the first violation is the witness, its grid indices mapped to exact values as "p/q"
+        violation = ((3, 1), (2, 0))  # ((1, 1/3), (2/3, 0)) on the grid {0, 1/3, 2/3, 1}
+        monkeypatch.setattr(cli, "_kz_loop", lambda bound, verdict, phis, gammas: (0, [violation, None]))
         code, out = run(capsys, "laws", "kz", "--tnorm", "lukasiewicz", "--grid", "{0,1/3,2/3,1}")
         check = json.loads(out)["checks"][0]
         assert code == 1 and check["name"] == "kz_inequality" and not check["pass"]

@@ -5,9 +5,9 @@ each distinct (phi, gamma) pair once; here it is compared with the pair-by-pair
 loop through `laws.kz_defect` in `tests/oracles.py` on weight lists with
 repeats, with violations forced on chosen pairs through the pair verdict of
 `laws._kz_operands`.  The `recat laws` suites skip repeated draws; a stdout
-digest pins their reports, and a counted run pins the saving.  The `kan` suite
-runs on grid indices, and its report is compared with the same check on
-`Weight`s through the checked kernel, kept in `tests/oracles.py`.
+digest pins their reports, and a counted run pins the saving.  The `kan` and
+`kz` suites run on grid indices, and their reports are compared with the same
+checks on `Weight`s through the checked kernel, kept in `tests/oracles.py`.
 """
 
 import contextlib
@@ -190,8 +190,57 @@ def test_laws_kan_matches_the_check_on_weights(monkeypatch, setup):
     assert on_indices == [kan_entry(seed) for seed in range(20)]
 
 
+def force_diagonal_violations(monkeypatch):
+    """Make both kz suites find a violation at each pair (phi, phi) with a value below 1:
+    the index suite through the verdict of `cli._kz_on_grid`, the oracle suite through
+    the defect of its pair-by-pair loop."""
+    real_kernel, real_check = cli._kz_on_grid, oracles.kz_check
+
+    def kernel(grid, at):
+        bound, verdict = real_kernel(grid, at)
+        top = len(grid.points) - 1
+
+        def forced(phi, gamma, ub):
+            return (False, False) if phi == gamma and min(phi) < top else verdict(phi, gamma, ub)
+
+        return bound, forced
+
+    def check(X, ws, tests, defect):
+        def forced(phi, gamma):
+            if phi.values == gamma.values and min(phi.values) < tn.ONE:
+                return tn.ONE, tn.ZERO
+            return defect(phi, gamma)
+
+        return real_check(X, ws, tests, forced)
+
+    monkeypatch.setattr(cli, "_kz_on_grid", kernel)
+    monkeypatch.setattr(oracles, "kz_check", check)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["as_drawn", "forced"])
+@pytest.mark.parametrize("setup", LAW_SETUPS, ids=lambda setup: " ".join(setup[1::2]))
+def test_laws_kz_matches_the_suite_on_weights(monkeypatch, setup, forced):
+    # the index suite against the suite on checked Weights, the pair-by-pair loop and is_cauchy;
+    # a forced violation stops the draws early, so the later checks see another rng state
+    if forced:
+        force_diagonal_violations(monkeypatch)
+
+    def kz_run(seed):
+        code, out = run(["laws", "kz", *setup, "--seed", str(seed)])
+        report = json.loads(out)
+        entry = report["checks"][0]
+        assert entry["name"] == "kz_inequality" and code == (0 if report["pass"] else 1)
+        assert entry["pass"] is not forced
+        return code, report
+
+    on_indices = [kz_run(seed) for seed in range(20)]
+    monkeypatch.setitem(cli.SUITES, "kz", oracles.suite_kz)
+    assert on_indices == [kz_run(seed) for seed in range(20)]
+
+
 def test_laws_kz_makes_fewer_scalar_calls(monkeypatch):
-    # evaluating every drawn pair made 6,598 tn.conj and tn.imp calls here
+    # evaluating every drawn pair made 6,598 tn.conj and tn.imp calls here; on grid
+    # indices end to end, the suite makes none
     calls = [0]
 
     def counted(f):
@@ -205,7 +254,7 @@ def test_laws_kz_makes_fewer_scalar_calls(monkeypatch):
     monkeypatch.setattr(tn, "imp", counted(tn.imp))
     code, out = run(["laws", "kz", "--tnorm", "godel", "--seed", "0"])
     assert code == 0 and json.loads(out)["pass"]
-    assert 0 < calls[0] < 6598
+    assert calls[0] == 0
 
 
 def test_random_module_builds_its_lattice_catalog_once_per_size(monkeypatch):

@@ -24,7 +24,7 @@ import recat.presheaf as presheaf
 import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures, gen
-from recat.errors import AxiomError, CarrierMismatchError, RecatError
+from recat.errors import AxiomError, CarrierMismatchError, NotClosedError, RecatError
 from recat.poset import antichain, boolean_lattice, chain, lattice_catalog
 from test_relation_kernel import float_category
 
@@ -87,6 +87,60 @@ def test_tables_do_not_enter_equality_or_hash():
     assert "conj_table" not in repr(a)
 
 
+def test_equal_grids_share_one_quantale():
+    # the point -> index map and both tables are built once per (points, t-norm)
+    a = vals.grid_validate([0, "1/2", 1], tn.godel)
+    b = vals.ValueGrid((1, F(1, 2), F(0)), tn.godel)
+    c = vals.grid_validate(vals.parse_grid_text("{0, 1/2, 1}"), tn.parse_tnorm("godel"))
+    for g in (b, c):
+        assert g == a
+        assert g.conj_table is a.conj_table and g.imp_table is a.imp_table and g._pos is a._pos
+
+
+def test_one_point_set_under_two_tnorms_shares_no_table():
+    godel, luka = (vals.grid_validate([0, F(1, 2), 1], t) for t in (tn.godel, tn.lukasiewicz))
+    assert godel.points == luka.points and godel != luka
+    assert godel.conj_table is not luka.conj_table and godel.imp_table is not luka.imp_table
+    assert godel.conj_table != luka.conj_table  # 1/2 (*) 1/2 is 1/2 under min, 0 under Lukasiewicz
+
+
+@pytest.mark.parametrize(
+    "points, t, pair",
+    [((0, F(1, 3), 1), tn.lukasiewicz, (F(1, 3), F(0), "imp")), ((0, F(1, 2), 1), tn.product, (F(1, 2), F(1, 2), "conj"))],
+)
+def test_a_grid_that_is_not_closed_raises_on_every_construction(points, t, pair):
+    for build in (vals.ValueGrid, vals.grid_validate, vals.ValueGrid):
+        with pytest.raises(NotClosedError) as exc:
+            build(points, t)
+        assert (exc.value.x, exc.value.y, exc.value.op) == pair
+        assert str(exc.value) == f"not closed: {pair[2]}({pair[0]}, {pair[1]}) escapes the set"
+
+
+SUITES = ("tnorm", "kan", "kz", "module", "filters")
+
+
+def test_a_second_pass_of_cli_calls_builds_no_grid_table(tmp_path):
+    X = gen.random_category(random.Random(2), 3, vals.unit_grid(5, tn.godel))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(X.to_json()))
+    calls = [
+        ["check", str(path)],
+        ["balls", str(path), "--grid", "{0,1/5,2/5,3/5,4/5,1}"],
+        *(["laws", suite, "--tnorm", "lukasiewicz", "--grid", "{0,1/3,2/3,1}", "--seed", "3"] for suite in SUITES),
+        *(["laws", suite, "--tnorm", "godel", "--seed", "3"] for suite in SUITES),
+        ["laws", "module", "--tnorm", "lukasiewicz", "--seed", "4"],
+    ]
+
+    def one_pass():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return [cli.main(argv) for argv in calls]
+
+    codes = one_pass()
+    misses = vals._quantale.cache_info().misses
+    assert one_pass() == codes == [0] * len(calls)
+    assert vals._quantale.cache_info().misses == misses
+
+
 GEN_GRIDS = ["luka1", "luka3", "luka6", "godel5", "godel_chain", "ordinal"]
 
 
@@ -103,6 +157,19 @@ def test_generators_equal_the_scalar_generators(name, seed):
             assert gen.random_weight(new, X).values == oracles.random_weight(old, Y).values
             assert gen.random_coweight(new, X).values == oracles.random_coweight(old, Y).values
     assert new.random() == old.random()
+
+
+@pytest.mark.parametrize("name", GEN_GRIDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_random_category_is_its_index_draw_on_points(name, seed):
+    g = GRIDS[name]
+    new, old = random.Random(seed), random.Random(seed)
+    for n in (0, 1, 2, 3, 5):
+        at = gen._category_at(old, n, g)
+        X = gen.random_category(new, n, g)
+        assert X.hom == tuple(tuple(g.points[i] for i in row) for row in at)
+        assert X.grid is g and X.tnorm == g.tnorm
+    assert new.getstate() == old.getstate()
 
 
 def test_a_weight_draw_needs_a_transitive_hom():

@@ -24,6 +24,8 @@ from recat.classify import is_cauchy
 from recat.errors import AxiomError
 from recat.poset import closure
 
+import oracles
+
 SIZES = range(1, 6)
 MODES = ("lukasiewicz", "godel", "product", "ordinal", "gridless")
 # an ordinal sum with the interior idempotent 1/2: Godel below it, Lukasiewicz above
@@ -125,6 +127,33 @@ def test_weights_on_a_twin_base_without_the_grid(mode, n):
             assert laws.kz_defect(gamma, phi) == yoneda_defect(gamma, phi)
 
 
+# --- the Cauchy verdict of the index kernel ----------------------------------
+# kz_check against the pair-by-pair oracle, with forced violations, on these
+# grids for n = 0..4 is in test_distinct_draws.py.
+
+INDEX_GRIDS = {
+    "luka3": vals.unit_grid(3, tn.lukasiewicz),
+    "godel4": vals.unit_grid(4, tn.godel),
+    "ordinal": ORDINAL_GRID,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_GRIDS))
+@pytest.mark.parametrize("n", range(4))
+def test_the_kernel_cauchy_verdict_is_is_cauchy(name, n):
+    """(phi, phi) is an equality of the index kernel exactly when is_cauchy accepts phi."""
+    rng = random.Random(500 + n)
+    for _ in range(3):
+        X = gen.random_category(rng, n, INDEX_GRIDS[name])
+        ws = ps.enumerate_weights(X)
+        read, bound, verdict = laws._kz_operands(X, ws)
+        cauchy = [is_cauchy(w) is not None for w in ws]
+        assert [verdict(v, v, bound(v))[1] for v in map(read, ws)] == cauchy
+        # Yoneda weights are Cauchy and 0 is not; on an empty carrier the one weight pairs to 0
+        assert set(cauchy) == ({True, False} if n else {False})
+        assert laws.kz_equality_consistent_with_cauchy(X) == oracles.kz_equality_consistent_with_cauchy(X)
+
+
 def counting(monkeypatch):
     """A one-entry list that counts every tn.conj and tn.imp call from here on."""
     calls = [0]
@@ -160,10 +189,10 @@ def test_kz_check_scalar_operation_count(monkeypatch):
 
 
 def test_equality_vs_cauchy_reads_the_tables_for_the_pairs(monkeypatch):
-    """kz_equality_consistent_with_cauchy makes no scalar call outside is_cauchy."""
+    """kz_equality_consistent_with_cauchy makes no scalar call: the pairs and the Cauchy
+    verdict both read the grid's tables."""
     X = category(random.Random(11), 2, "lukasiewicz")
     calls = counting(monkeypatch)
-    monkeypatch.setattr(laws, "is_cauchy", lambda phi: None)
     laws.kz_equality_consistent_with_cauchy(X)
     assert calls[0] == 0
 
