@@ -79,6 +79,23 @@ def random_functor(rng: random.Random, X: EnrichedCategory, Y: EnrichedCategory)
     return EnrichedFunctor(X, Y, tuple([rng.randrange(Y.n)] * X.n))
 
 
+def _functor_at(rng: random.Random, X_at, Y_at) -> tuple:
+    """random_functor's mapping on grid indices: X_at and Y_at are two homs on one grid's indices.
+
+    The same 64 tries and constant-map fallback from the same random stream; a
+    try is tested by plain <= on indices, which ascend with the grid points.
+    """
+    n, m = len(X_at), len(Y_at)
+    if n and not m:
+        raise RecatError("no functor from a non-empty category to an empty one")
+    pairs = [(x, y, h) for x, row in enumerate(X_at) for y, h in enumerate(row)]
+    for _ in range(64):
+        f = tuple(rng.randrange(m) for _ in range(n))
+        if all(h <= Y_at[f[x]][f[y]] for x, y, h in pairs):
+            return f
+    return tuple([rng.randrange(m)] * n)
+
+
 def full_subcategory(X: EnrichedCategory, subset) -> tuple:
     """(category on the subset, fully faithful inclusion functor)."""
     subset = sorted(_in_carrier(X, *_items(subset, "subset")))

@@ -25,7 +25,9 @@ outside [0,1]) goes through the checked path, which settles the mode with
 `evaluators(t, mode)` hands a loop over checked scalars its (*) and -> once:
 the evaluators themselves in float mode, so a float loop pays no dispatch per
 scalar, and `conj`/`imp` bound to t in exact mode, so the rational path and
-its gate stay as they are.
+its gate stay as they are.  `generators(t)` hands a float loop an Archimedean
+t-norm's additive generator and pseudo-inverse the same way; `generator_eval`
+and `pseudo_inverse` check their operand and then call that pair.
 """
 
 from __future__ import annotations
@@ -177,6 +179,33 @@ _FLOAT_OPS = {
 }
 
 
+# The float additive generator g and its pseudo-inverse, x (*) y = g^-1(g(x) + g(y)),
+# of each Archimedean base; like the evaluators they never check their operand.
+
+
+def _lukasiewicz_generator(x):
+    return x - 1.0
+
+
+def _lukasiewicz_pseudo_inverse(u):
+    v = u + 1.0
+    return v if v > 0.0 else 0.0
+
+
+def _product_generator(x):
+    return math.log(x) if x > 0.0 else NEG_INF
+
+
+def _product_pseudo_inverse(u):
+    return math.exp(u) if u != NEG_INF else 0.0
+
+
+_FLOAT_GENERATORS = {
+    LUKASIEWICZ: (_lukasiewicz_generator, _lukasiewicz_pseudo_inverse),
+    PRODUCT: (_product_generator, _product_pseudo_inverse),
+}
+
+
 @dataclass(frozen=True)
 class TNorm:
     """A continuous t-norm: a named base or an ordinal sum of blocks."""
@@ -186,7 +215,8 @@ class TNorm:
     # built once from the summands: the float and rational (*) and ->, whether
     # the rational pair is t's exact semantics, the Archimedean base (the inner
     # kind of one summand on [0, 1], else None) and whether -> is continuous
-    # off the diagonal
+    # off the diagonal; an Archimedean t-norm also gets its base's float
+    # generator pair, and the two fields stay unset on any other
     float_conj: object = field(init=False, repr=False, compare=False)
     float_imp: object = field(init=False, repr=False, compare=False)
     exact_conj: object = field(init=False, repr=False, compare=False)
@@ -194,6 +224,8 @@ class TNorm:
     supports_exact: bool = field(init=False, repr=False, compare=False)
     base: str | None = field(init=False, repr=False, compare=False)
     continuous_off_diagonal: bool = field(init=False, repr=False, compare=False)
+    float_generator: object = field(init=False, repr=False, compare=False)
+    float_pseudo_inverse: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (GODEL, PRODUCT, LUKASIEWICZ, ORDINAL):
@@ -210,14 +242,16 @@ class TNorm:
         float_ops = _FLOAT_OPS.get(self.kind) or (partial(_ordinal_conj, floats), partial(_ordinal_imp, floats, 1.0))
         luka = [b for b in summands if b.inner == LUKASIEWICZ]
         whole = len(summands) == 1 and summands[0].lo == ZERO and summands[0].hi == ONE
+        base = summands[0].inner if whole else None
         for name, value in (
             ("float_conj", float_ops[0]),
             ("float_imp", float_ops[1]),
             ("exact_conj", partial(_ordinal_conj, exact)),
             ("exact_imp", partial(_ordinal_imp, exact, ONE)),
             ("supports_exact", len(luka) == len(summands)),
-            ("base", summands[0].inner if whole else None),
+            ("base", base),
             ("continuous_off_diagonal", not luka or (len(luka) == 1 and luka[0].lo == ZERO)),
+            *zip(("float_generator", "float_pseudo_inverse"), _FLOAT_GENERATORS.get(base, ())),
         ):
             object.__setattr__(self, name, value)
 
@@ -362,26 +396,40 @@ def archimedean_base(t: TNorm):
     return t.base
 
 
+def generators(t: TNorm):
+    """(g, g^-1): the float additive generator pair of an Archimedean t-norm, for loops over
+    floats in [0, 1] (g) and in [-inf, 0] (g^-1) that were checked before the loop.
+
+    They are t.float_generator and t.float_pseudo_inverse, which skip every
+    check; a t-norm that is not Archimedean raises NotArchimedeanError, as in
+    archimedean_base.
+    """
+    archimedean_base(t)
+    return t.float_generator, t.float_pseudo_inverse
+
+
 def generator_eval(t: TNorm, x):
     """Additive generator value in [-inf, 0]; product uses ln, Lukasiewicz x - 1.
 
     A plain float skips the mode lookup; any other value that is no scalar
-    (a bool, a string, None, a list) raises ModeMismatchError there.
+    (a bool, a string, None, a list) raises ModeMismatchError there.  A checked
+    float goes to t.float_generator, the formula of `generators`.
     """
     base = archimedean_base(t)
     exact = type(x) is not float and mode_of(x) == "exact"
     _check_range(x)
+    if not exact:
+        return t.float_generator(x)
     if base == LUKASIEWICZ:
-        return x - (ONE if exact else 1.0)
-    if exact:
-        raise ExactModeError("the product generator ln(x) leaves the rationals")
-    return math.log(x) if x > 0.0 else NEG_INF
+        return x - ONE
+    raise ExactModeError("the product generator ln(x) leaves the rationals")
 
 
 def pseudo_inverse(t: TNorm, u):
     """Left adjoint of the generator: inverts on [t(0), 0], collapses below to 0.
 
-    A plain float skips the mode lookup, as in generator_eval.
+    A plain float skips the mode lookup, as in generator_eval, and once
+    checked goes to t.float_pseudo_inverse, the formula of `generators`.
     """
     base = archimedean_base(t)
     if type(u) is not float and mode_of(u) == "exact":
@@ -393,9 +441,7 @@ def pseudo_inverse(t: TNorm, u):
         return v if v > ZERO else ZERO
     if not u <= 0.0:  # NaN too
         raise RecatError("pseudo_inverse expects u <= 0")
-    if base == LUKASIEWICZ:
-        return max(0.0, u + 1.0)
-    return math.exp(u) if u != NEG_INF else 0.0
+    return t.float_pseudo_inverse(u)
 
 
 def continuous_off_diagonal(t: TNorm) -> bool:

@@ -5,6 +5,7 @@ or from a different characterisation, so a test can pair it with the library's
 own answer.
 """
 
+import math
 from functools import partial
 from itertools import combinations, product as iproduct
 from operator import and_
@@ -849,3 +850,55 @@ def continuous_off_diagonal_by_kind(t) -> bool:
     if not luka:
         return True
     return len(luka) == 1 and luka[0].lo == tn.ZERO
+
+
+# --- the sampled t-norm laws through the checked entry points --------------
+# `recat laws tnorm` samples its float laws with the tolerance inlined and its
+# generator identity on t's compiled generator pair; these are its two loops as
+# they read through `tn.equality` and the checked `generator_eval`/
+# `pseudo_inverse`, and the float branches those two had before the pair.
+
+
+def generator_by_base(t, x):
+    """The float additive generator as generator_eval wrote it per Archimedean base."""
+    if archimedean_base_by_kind(t) == tn.LUKASIEWICZ:
+        return x - 1.0
+    return math.log(x) if x > 0.0 else tn.NEG_INF
+
+
+def pseudo_inverse_by_base(t, u):
+    """The float pseudo-inverse as pseudo_inverse wrote it per Archimedean base."""
+    if archimedean_base_by_kind(t) == tn.LUKASIEWICZ:
+        return max(0.0, u + 1.0)
+    return math.exp(u) if u != tn.NEG_INF else 0.0
+
+
+def suite_tnorm_samples(t, rng):
+    """The float-sampled checks of `recat laws tnorm`: the laws on 2,000 triples and, for
+    an Archimedean t, the generator identity on 2,000 pairs."""
+    samples = 2000
+    conj, imp = tn.evaluators(t, "float")
+    eq = tn.equality("float")
+
+    def float_failures():
+        for _ in range(samples):
+            x, y, z = rng.random(), rng.random(), rng.random()
+            xy = conj(x, y)
+            if not eq(xy, conj(y, x)):
+                yield x, y
+            elif not eq(conj(xy, z), conj(x, conj(y, z))):
+                yield x, y, z
+            elif not eq(conj(x, imp(x, y)), min(x, y)):
+                yield x, y
+
+    def generator_failures():
+        for _ in range(samples):
+            x, y = rng.random(), rng.random()
+            u = tn.generator_eval(t, x) + tn.generator_eval(t, y)
+            if abs(tn.pseudo_inverse(t, u) - conj(x, y)) > 1e-9:
+                yield x, y
+
+    checks = [_check("laws_float_sampled", float_failures())]
+    if tn.is_archimedean(t):
+        checks.append(_check("generator_reconstruction", generator_failures()))
+    return checks

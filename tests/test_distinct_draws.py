@@ -27,7 +27,7 @@ import recat.presheaf as ps
 import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures
-from recat.errors import CarrierMismatchError
+from recat.errors import CarrierMismatchError, RecatError
 from recat.poset import closure
 
 import oracles
@@ -274,3 +274,77 @@ def test_random_module_builds_its_lattice_catalog_once_per_size(monkeypatch):
     gen._catalog_lattices.cache_clear()
     assert sorted(built) == [4, 5]
     assert gen._catalog_lattices(5) == tuple(P for P in real(5) if P.is_lattice())
+
+
+# --- the kan suite's functor draw on grid indices ---------------------------
+
+FUNCTOR_GRIDS = ("luka3", "godel2", "upper_block")
+
+
+def _on_points(grid, at):
+    return cat.EnrichedCategory(grid.tnorm, tuple(tuple(grid.points[i] for i in row) for row in at), (), grid)
+
+
+def _falls_back(seed, X_at, Y_at):
+    """Whether random_functor's 64 tries from Random(seed) all fail, so its constant map is drawn."""
+    rng, n, m = random.Random(seed), len(X_at), len(Y_at)
+    tries = (tuple(rng.randrange(m) for _ in range(n)) for _ in range(64))
+    return not any(all(X_at[x][y] <= Y_at[f[x]][f[y]] for x in range(n) for y in range(n)) for f in tries)
+
+
+@pytest.mark.parametrize("name", FUNCTOR_GRIDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_functor_at_is_random_functor_on_indices(name, seed):
+    # the same mapping and the same RNG state afterwards as the search on the categories' points
+    grid = GRIDS[name]
+    cats = random.Random(seed)
+    for n in range(1, 5):
+        for m in range(1, 5):
+            X_at, Y_at = gen._category_at(cats, n, grid), gen._category_at(cats, m, grid)
+            new, old = random.Random(100 * seed + 10 * n + m), random.Random(100 * seed + 10 * n + m)
+            f = gen._functor_at(new, X_at, Y_at)
+            assert f == gen.random_functor(old, _on_points(grid, X_at), _on_points(grid, Y_at)).mapping
+            assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("name", FUNCTOR_GRIDS)
+def test_functor_at_falls_back_to_a_constant_map_as_random_functor_does(name):
+    # an indiscrete X on four points into a discrete Y on four: only a constant map is a
+    # functor, and 64 tries miss all four constants for some of these seeds
+    grid = GRIDS[name]
+    top = len(grid.points) - 1
+    X_at = [[top] * 4 for _ in range(4)]
+    Y_at = [[top if a == b else 0 for b in range(4)] for a in range(4)]
+    fallbacks = [seed for seed in range(12) if _falls_back(seed, X_at, Y_at)]
+    assert fallbacks and len(fallbacks) < 12  # both branches are drawn
+    for seed in range(12):
+        new, old = random.Random(seed), random.Random(seed)
+        f = gen._functor_at(new, X_at, Y_at)
+        assert f == gen.random_functor(old, _on_points(grid, X_at), _on_points(grid, Y_at)).mapping
+        assert new.getstate() == old.getstate() and len(set(f)) == 1
+
+
+def test_functor_at_from_a_non_empty_category_to_an_empty_one_raises():
+    with pytest.raises(RecatError, match="non-empty category to an empty one"):
+        gen._functor_at(random.Random(0), [[1]], [])
+    assert gen._functor_at(random.Random(0), [], []) == ()
+
+
+@pytest.mark.parametrize("setup", LAW_SETUPS, ids=lambda setup: " ".join(setup[1::2]))
+def test_laws_kan_builds_no_category_or_functor(monkeypatch, setup):
+    built = []
+    for cls in (cat.EnrichedCategory, cat.EnrichedFunctor):
+        real = cls.__post_init__
+
+        def counted(self, real=real):
+            built.append(type(self).__name__)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    code, out = run(["laws", "kan", *setup, "--seed", "0"])
+    assert code == 0 and json.loads(out)["pass"]
+    assert built == []
+    # the same suite on checked Weights builds two categories and a functor per draw
+    monkeypatch.setitem(cli.SUITES, "kan", oracles.suite_kan)
+    run(["laws", "kan", *setup, "--seed", "0"])
+    assert built.count("EnrichedCategory") >= 50 and built.count("EnrichedFunctor") == 25

@@ -7,6 +7,13 @@ equal to `tn.conj`/`tn.imp` bit for bit on floats in [0,1]; in exact mode it is
 `classify` and the float law samples make no call through the checked entry,
 while exact loops still do, and a wrapper put on the tnorm module counts them.
 
+An Archimedean t-norm also carries its float additive generator pair,
+`float_generator`/`float_pseudo_inverse`, handed out by `tn.generators(t)`:
+`generator_eval`/`pseudo_inverse` check a float and then call it, and the
+generator samples of `recat laws tnorm` call it with no check per sample.  The
+suite's two sampled loops are compared with the same loops through the checked
+entry points in `tests/oracles.py`, on sound and on broken t-norms.
+
 Float `classify` reads a representable weight as the Yoneda weight it equals:
 on the seeded near-Yoneda family below, 809 weights a few ulps off a column
 were reported representable but neither Cauchy nor flat before.
@@ -15,11 +22,14 @@ were reported representable but neither Cauchy nor flat before.
 import contextlib
 import io
 import json
+import math
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
 import recat.balls as balls
 import recat.cat as cat
 import recat.classify as cl
@@ -28,7 +38,7 @@ import recat.presheaf as ps
 import recat.tnorm as tn
 import recat.values as vals
 from recat import fixtures
-from recat.errors import ExactModeError, ModeMismatchError, RecatError
+from recat.errors import ExactModeError, ModeMismatchError, NotArchimedeanError, RecatError
 from test_float_fast_path import TNORMS, bits, operands
 from test_symmetric_scan import _float_category
 
@@ -189,3 +199,134 @@ def test_a_distributor_check_takes_its_relation_in_the_carriers_mode():
 def test_values_of_another_mode_are_rejected_on_entry(call):
     with pytest.raises(RecatError):
         call()
+
+
+# --- the compiled generator pair --------------------------------------------
+
+ARCHIMEDEAN = {
+    "product": tn.product,
+    "lukasiewicz": tn.lukasiewicz,
+    "ordinal_product": tn.parse_tnorm("ordinal[(0,1,product)]"),
+}
+NOT_ARCHIMEDEAN = {
+    "godel": tn.godel,
+    "lower_product_block": tn.parse_tnorm("ordinal[(0,1/2,product)]"),
+    "upper_lukasiewicz_block": tn.parse_tnorm("ordinal[(1/2,1,lukasiewicz)]"),
+    "two_blocks": tn.parse_tnorm("ordinal[(0,1/4,lukasiewicz),(1/2,1,product)]"),
+}
+
+
+def generator_operands():
+    """(x for g, u for g^-1): edge values, then 1,000 seeded floats each."""
+    rng = random.Random(29)
+    xs = [0.0, 5e-324, math.nextafter(1.0, 0.0)] + [rng.random() for _ in range(1000)]
+    us = [tn.NEG_INF, -1e-300, 0.0] + [-rng.random() * (1.0 if k % 2 else 40.0) for k in range(1000)]
+    return xs, us
+
+
+@pytest.mark.parametrize("name", sorted(ARCHIMEDEAN))
+def test_the_generator_pair_is_the_float_branch_bit_for_bit(name):
+    t = ARCHIMEDEAN[name]
+    g, g_inv = tn.generators(t)
+    assert (g, g_inv) == (t.float_generator, t.float_pseudo_inverse)
+    xs, us = generator_operands()
+    for x in xs:
+        want = bits(oracles.generator_by_base(t, x))
+        assert bits(g(x)) == want == bits(tn.generator_eval(t, x)), (name, x)
+    for u in us:
+        want = bits(oracles.pseudo_inverse_by_base(t, u))
+        assert bits(g_inv(u)) == want == bits(tn.pseudo_inverse(t, u)), (name, u)
+
+
+@pytest.mark.parametrize("name", sorted(NOT_ARCHIMEDEAN))
+def test_a_tnorm_that_is_not_archimedean_has_no_generator_pair(name):
+    t = NOT_ARCHIMEDEAN[name]
+    assert not hasattr(t, "float_generator") and not hasattr(t, "float_pseudo_inverse")
+    with pytest.raises(NotArchimedeanError, match="is not Archimedean"):
+        tn.generators(t)
+    for call in (tn.generator_eval, tn.pseudo_inverse):
+        with pytest.raises(NotArchimedeanError):
+            call(t, 0.0)
+
+
+@pytest.mark.parametrize("name", sorted({**ARCHIMEDEAN, **NOT_ARCHIMEDEAN}))
+def test_a_tnorm_pickles_with_its_generator_pair(name):
+    t = {**ARCHIMEDEAN, **NOT_ARCHIMEDEAN}[name]
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and repr(u) == repr(t)
+    if name in NOT_ARCHIMEDEAN:
+        with pytest.raises(NotArchimedeanError):
+            tn.generators(u)
+        return
+    assert tn.generators(u) == tn.generators(t)  # module-level functions, pickled by name
+    xs, us = generator_operands()
+    assert [bits(u.float_generator(x)) for x in xs] == [bits(t.float_generator(x)) for x in xs]
+    assert [bits(u.float_pseudo_inverse(v)) for v in us] == [bits(t.float_pseudo_inverse(v)) for v in us]
+
+
+# --- the sampled laws of `recat laws tnorm` ---------------------------------
+
+
+def patched(t, **fields):
+    """A copy of t whose compiled evaluators or generator pair are replaced."""
+    u = tn.TNorm(t.kind, t.blocks)
+    for name, f in fields.items():
+        object.__setattr__(u, name, f)
+    return u
+
+
+BROKEN = {
+    "non_commutative_conj": ("laws_float_sampled", patched(
+        tn.product, float_conj=lambda x, y: x * y + (1e-10 if x < 0.05 < y else 0.0))),
+    "non_associative_conj": ("laws_float_sampled", patched(
+        tn.product, float_conj=lambda x, y: x * y + (1e-10 if x + y > 1.8 else 0.0))),
+    "nan_imp": ("laws_float_sampled", patched(  # x * nan is nan, so the difference is nan
+        tn.product, float_imp=lambda x, y: math.nan if x > 0.9 else tn.product.float_imp(x, y))),
+    "wrong_generator_pair": ("generator_reconstruction", patched(
+        tn.product, float_pseudo_inverse=tn.lukasiewicz.float_pseudo_inverse)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+@pytest.mark.parametrize("seed", range(3))
+def test_the_law_samples_fail_as_the_checked_loops_do(name, seed):
+    # the same checks, the same first witness and the same draws consumed
+    failing, t = BROKEN[name]
+    new, old = random.Random(seed), random.Random(seed)
+    checks = cli._suite_tnorm(t, None, new, None)
+    assert checks == oracles.suite_tnorm_samples(t, old)
+    assert new.getstate() == old.getstate()
+    failed = [c for c in checks if not c["pass"]]
+    assert [c["name"] for c in failed] == [failing] and failed[0]["witness"] is not None
+
+
+@pytest.mark.parametrize("text", FLOAT_TNORMS)
+@pytest.mark.parametrize("seed", range(3))
+def test_the_law_samples_pass_as_the_checked_loops_do(text, seed):
+    t = tn.parse_tnorm(text)
+    new, old = random.Random(seed), random.Random(seed)
+    checks = cli._suite_tnorm(t, None, new, None)
+    assert checks == oracles.suite_tnorm_samples(t, old) and all(c["pass"] for c in checks)
+    assert new.getstate() == old.getstate()
+
+
+def test_laws_tnorm_makes_no_checked_generator_call(monkeypatch):
+    calls = []
+
+    def counted(f):
+        def wrapper(t, v):
+            calls.append(v)
+            return f(t, v)
+
+        return wrapper
+
+    monkeypatch.setattr(tn, "generator_eval", counted(tn.generator_eval))
+    monkeypatch.setattr(tn, "pseudo_inverse", counted(tn.pseudo_inverse))
+    for setup in (["--tnorm", "product", "--mode", "float"], ["--tnorm", "lukasiewicz", "--grid", "{0,1/3,2/3,1}"],
+                  ["--tnorm", "ordinal[(0,1,product)]", "--mode", "float"]):
+        code, out = run(["laws", "tnorm", *setup, "--seed", "0"])
+        assert code == 0 and out["checks"][-1] == {"name": "generator_reconstruction", "pass": True, "witness": None}
+    assert calls == []
+    # the checked loops, through the same wrappers, make three calls per sample
+    oracles.suite_tnorm_samples(tn.product, random.Random(0))
+    assert len(calls) == 3 * 2000
