@@ -87,6 +87,7 @@ class EnrichedCategory:
 
     @staticmethod
     def from_json(data) -> "EnrichedCategory":
+        vals._json_object(data, "a category", "tnorm", "hom")
         t = tn.parse_tnorm(data["tnorm"])
         points = vals._json_array(data.get("grid"), "grid", optional=True)
         grid = vals.grid_validate(points, t) if points else None
@@ -374,6 +375,11 @@ def hom_category(X: EnrichedCategory, Y: EnrichedCategory, bound: int = 4096) ->
 
 
 def categories_isomorphic(A: EnrichedCategory, B: EnrichedCategory) -> bool:
-    """Bijective hom-preserving correspondence, by permutation search (small n)."""
+    """Bijective hom-preserving correspondence, by permutation search (small n).
+
+    Categories over different t-norms or of different modes are never
+    isomorphic, as no EnrichedFunctor joins them, even when their homs match."""
+    if A.tnorm != B.tnorm or A.mode != B.mode:
+        return False
     # not any(): the one relabelling of an empty carrier, (), is falsy
     return next(_relabelings(A.hom, B.hom, tn.veq), None) is not None

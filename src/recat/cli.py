@@ -35,7 +35,16 @@ from .laws import (
     powerset_monad_check,
 )
 from .presheaf import Weight, _column
-from .values import _check_scalars, _encode, _json_array, _normalize, grid_validate, parse_grid_text, unit_grid
+from .values import (
+    _check_scalars,
+    _encode,
+    _json_array,
+    _json_object,
+    _normalize,
+    grid_validate,
+    parse_grid_text,
+    unit_grid,
+)
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -74,6 +83,7 @@ def load_category(path) -> EnrichedCategory:
 def load_weight(path, X: EnrichedCategory) -> Weight:
     data = _load_json(path)
     try:
+        _json_object(data, "a weight", "values")
         values = [_normalize(v) for v in _json_array(data["values"], "values")]
         _check_scalars(values, X.grid, "weight value ", X.mode)
         if len(values) != X.n:

@@ -6,6 +6,7 @@ reproducible from a single seed.
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 
@@ -64,26 +65,26 @@ def random_coweight(rng: random.Random, X: EnrichedCategory) -> Coweight:
 
 
 def random_functor(rng: random.Random, X: EnrichedCategory, Y: EnrichedCategory):
-    """A random functor X -> Y from 64 tries, falling back to a constant map.
+    """A random functor X -> Y: `_functor_at` on the two homs, then one checked functor.
 
-    A try is tested by tn.vle, the comparison EnrichedFunctor makes; only the map returned is checked.
+    When X and Y share a grid the search runs on their homs indexed through it;
+    otherwise on the values, a try tested by tn.vle, the comparison
+    EnrichedFunctor makes.  Both draw the same stream and find the same map.
     """
-    if X.n and not Y.n:
-        raise RecatError("no functor from a non-empty category to an empty one")
-    hom = Y.hom
-    pairs = [(x, y, h) for x, row in enumerate(X.hom) for y, h in enumerate(row)]
-    for _ in range(64):
-        m = tuple(rng.randrange(Y.n) for _ in range(X.n))
-        if all(tn.vle(h, hom[m[x]][m[y]]) for x, y, h in pairs):
-            return EnrichedFunctor(X, Y, m)
-    return EnrichedFunctor(X, Y, tuple([rng.randrange(Y.n)] * X.n))
+    grid = X.grid
+    if grid is not None and Y.grid == grid:
+        pos = grid._pos
+        X_at, Y_at = ([[pos[h] for h in row] for row in Z.hom] for Z in (X, Y))
+        return EnrichedFunctor(X, Y, _functor_at(rng, X_at, Y_at))
+    return EnrichedFunctor(X, Y, _functor_at(rng, X.hom, Y.hom, tn.vle))
 
 
-def _functor_at(rng: random.Random, X_at, Y_at) -> tuple:
-    """random_functor's mapping on grid indices: X_at and Y_at are two homs on one grid's indices.
+def _functor_at(rng: random.Random, X_at, Y_at, le=operator.le) -> tuple:
+    """A random functor mapping X -> Y from 64 tries, falling back to a constant map.
 
-    The same 64 tries and constant-map fallback from the same random stream; a
-    try is tested by plain <= on indices, which ascend with the grid points.
+    A try f is kept when le(X(x, y), Y(f(x), f(y))) for all x, y.  The default
+    is plain <= on grid indices, which ascend with the grid points, for X_at
+    and Y_at two homs on one grid's indices.
     """
     n, m = len(X_at), len(Y_at)
     if n and not m:
@@ -91,7 +92,7 @@ def _functor_at(rng: random.Random, X_at, Y_at) -> tuple:
     pairs = [(x, y, h) for x, row in enumerate(X_at) for y, h in enumerate(row)]
     for _ in range(64):
         f = tuple(rng.randrange(m) for _ in range(n))
-        if all(h <= Y_at[f[x]][f[y]] for x, y, h in pairs):
+        if all(le(h, Y_at[f[x]][f[y]]) for x, y, h in pairs):
             return f
     return tuple([rng.randrange(m)] * n)
 

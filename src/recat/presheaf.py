@@ -10,7 +10,12 @@ Every weight value passes the scalar check on construction.  On a category with
 a grid, the weight law is checked on grid indices through the grid's conj table,
 and `_tensor_table` reads every tensor at once off its imp table; without a grid
 the law is a scalar loop over the (*) of `tn.evaluators`.  `tensor` is one
-scalar loop over its ->, with or without a grid.
+scalar loop over its ->, with or without a grid.  `sub`, the hom of PX, is a
+min over the grid's imp table on indices when both weights carry the grid, and
+`cosub` follows through `_dual`; `pairing`, Isbell and the Kan extensions run
+on the value kernel.  `sub`, `cosub`, `pairing` and the Isbell maps check the
+variance of their operands once per call: a Coweight where a Weight belongs
+raises.
 """
 
 from __future__ import annotations
@@ -118,20 +123,43 @@ def _at(f: EnrichedFunctor, vectors) -> tuple:
     return tuple(tuple(v[fx] for fx in f.mapping) for v in vectors)
 
 
+def _kind(what: str, cls, *operands):
+    """Raise unless every operand is a `cls`: a Weight and a Coweight on one base
+    have opposite variance, so the formulas of one read nothing sound off the other."""
+    for v in operands:
+        if type(v) is not cls:
+            raise RecatError(f"{what} takes a {cls.__name__}, not a {type(v).__name__}")
+
+
 def sub(phi1: Weight, phi2: Weight):
-    """Hom of the weight category: inf_x (phi1(x) -> phi2(x))."""
+    """Hom of the weight category: inf_x (phi1(x) -> phi2(x)).
+
+    When phi1's base has a grid and phi2's base an equal one, both vectors are
+    grid points: the inf is a min over the grid's imp table on indices, which
+    ascend with the points, and no scalar goes through tn.imp.  Every other
+    pair (no grid, float, or a twin base without that grid) takes the value
+    kernel."""
+    _kind("sub", Weight, phi1, phi2)
     _same_base(phi1.base, phi2.base)
     X = phi1.base
+    grid = X.grid
+    if grid is not None and phi2.base.grid == grid:
+        pos, imp = grid._pos, grid.imp_table
+        top = len(grid.points) - 1
+        return grid.points[min((imp[pos[a]][pos[b]] for a, b in zip(phi1.values, phi2.values)), default=top)]
     return _residual_left(X.tnorm, (phi2.values,), (phi1.values,), X.one)[0][0]
 
 
 def cosub(psi1: Coweight, psi2: Coweight):
     """Hom of the coweight category: inf_x (psi2(x) -> psi1(x))."""
+    _kind("cosub", Coweight, psi1, psi2)
     return sub(_dual(psi2), _dual(psi1))
 
 
 def pairing(phi: Weight, psi: Coweight):
     """sup_x phi(x) (*) psi(x), the degree that phi and psi meet."""
+    _kind("pairing", Weight, phi)
+    _kind("pairing", Coweight, psi)
     _same_base(phi.base, psi.base)
     X = phi.base
     return _compose(X.tnorm, (phi.values,), (psi.values,), X.zero)[0][0]
@@ -160,12 +188,14 @@ def _op_functor(f: EnrichedFunctor) -> EnrichedFunctor:
 
 def isbell_ub(phi: Weight) -> Coweight:
     """The coweight of upper bounds of phi: inf_x (phi(x) -> X(x, -))."""
+    _kind("isbell_ub", Weight, phi)
     X = phi.base
     return _unchecked(Coweight, X, _residual_left(X.tnorm, opposite(X).hom, (phi.values,), X.one)[0])
 
 
 def isbell_lb(psi: Coweight) -> Weight:
     """The weight of lower bounds of psi: inf_y (psi(y) -> X(-, y))."""
+    _kind("isbell_lb", Coweight, psi)
     return _dual(isbell_ub(_dual(psi)))
 
 

@@ -49,6 +49,15 @@ def _json_array(v, what: str, optional: bool = False) -> list:
     return v
 
 
+def _json_object(data, what: str, *fields):
+    """Raise unless a JSON body is an object holding every field named; `what` names it in errors."""
+    if not isinstance(data, dict):
+        raise RecatError(f"{what} must be a JSON object, not {type(data).__name__}")
+    for key in fields:
+        if key not in data:
+            raise RecatError(f"{what} has no {key!r} field")
+
+
 def format_value(v: Fraction) -> str:
     return str(Fraction(v))
 

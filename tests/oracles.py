@@ -461,6 +461,23 @@ def powerset_monad_check(t, grid, size, rng, samples=50):
     return True
 
 
+# --- the hom of PX on values ----------------------------------------------
+# On a grid `presheaf.sub` is a min over the imp table on indices; this is the
+# formula on values for every pair of bases, each -> through the checked tn.imp.
+
+
+def sub_on_values(phi1: Weight, phi2: Weight):
+    """inf_x phi1(x) -> phi2(x), and 1 of the base's mode on an empty carrier."""
+    _same_base(phi1.base, phi2.base)
+    X = phi1.base
+    return min((tn.imp(X.tnorm, a, b) for a, b in zip(phi1.values, phi2.values)), default=X.one)
+
+
+def cosub_on_values(psi1, psi2):
+    """inf_x psi2(x) -> psi1(x), as sub_on_values on the duals."""
+    return sub_on_values(_dual(psi2), _dual(psi1))
+
+
 # --- completions and the way-below distributor by grid-weight search ------
 # The library computes these as closed forms (every sup on a finite carrier is
 # a max, so Cauchy and ideal weights are representable); these search all

@@ -341,3 +341,22 @@ def test_two_empty_carriers_are_isomorphic():
     empty = ps.FinitePoset(0, ())
     assert ps.posets_isomorphic(empty, empty)
     assert not ps.posets_isomorphic(empty, ps.FinitePoset(1, ((True,),)))
+
+
+def test_categories_over_other_quantales_are_not_isomorphic():
+    """categories_isomorphic compared only the homs: a Lukasiewicz and a Godel category with one
+    hom, and an exact category and its float copy, counted as isomorphic."""
+    hom = ((F(1), F(1, 2)), (F(0), F(1)))
+    luka = cat.EnrichedCategory(tn.lukasiewicz, hom)
+    assert cat.categories_isomorphic(luka, cat.EnrichedCategory(tn.lukasiewicz, hom, (), luka_grid(2)))
+    assert not cat.categories_isomorphic(luka, cat.EnrichedCategory(tn.godel, hom))
+    assert not cat.categories_isomorphic(cat.EnrichedCategory(tn.godel, hom), luka)
+    floats = cat.EnrichedCategory(tn.lukasiewicz, ((1.0, 0.5), (0.0, 1.0)))
+    assert not cat.categories_isomorphic(luka, floats)
+    assert not cat.categories_isomorphic(floats, luka)
+    assert cat.categories_isomorphic(floats, floats)
+    # EnrichedFunctor refuses both pairs too
+    with pytest.raises(RecatError):
+        cat.EnrichedFunctor(luka, cat.EnrichedCategory(tn.godel, hom), (0, 1))
+    with pytest.raises(RecatError):
+        cat.EnrichedFunctor(luka, floats, (0, 1))

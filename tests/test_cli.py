@@ -87,6 +87,21 @@ class TestClassify:
         assert code == 2
         assert json.loads(out) == {"error": f"bad weight file {files['short']}: weight has 2 entries for a 5-point carrier"}
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ([1, 2], "a weight must be a JSON object, not list"),
+            ("1/2", "a weight must be a JSON object, not str"),
+            ({"base": "a2.json"}, "a weight has no 'values' field"),
+        ],
+    )
+    def test_a_weight_file_that_is_no_object_or_lacks_values_is_named(self, files, tmp_path, capsys, body, message):
+        # these used to print "list indices must be integers or slices, not str" and "'values'"
+        weight = tmp_path / "w.json"
+        weight.write_text(json.dumps(body))
+        code, out = run(capsys, "classify", files["a2"], str(weight))
+        assert code == 2 and json.loads(out) == {"error": f"bad weight file {weight}: {message}"}
+
     @pytest.mark.parametrize("values", [[], ["1"], ["1", "0", "0"]])
     def test_a_weight_of_the_wrong_length_exits_2(self, tmp_path, capsys, values):
         # this used to exit 1 with {"error": "weight has 1 entries for a 2-point carrier"}
@@ -253,6 +268,23 @@ class TestMalformedInput:
         p.write_text(json.dumps(data))
         code, out = run(capsys, "check", str(p))
         assert code == 2 and "error" in json.loads(out)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ([1, 2], "a category must be a JSON object, not list"),
+            (None, "a category must be a JSON object, not NoneType"),
+            ({"tnorm": "godel"}, "a category has no 'hom' field"),
+            ({"hom": [["1"]]}, "a category has no 'tnorm' field"),
+        ],
+    )
+    def test_a_category_file_that_is_no_object_or_lacks_a_field_is_named(self, tmp_path, capsys, body, message):
+        # these used to print "list indices must be integers or slices, not str" and "'hom'"
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(body))
+        for command in ("check", "complete", "balls"):
+            code, out = run(capsys, command, str(p))
+            assert code == 2 and json.loads(out) == {"error": f"bad category file {p}: {message}"}
 
     @pytest.mark.parametrize(
         "argv",

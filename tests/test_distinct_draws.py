@@ -286,7 +286,7 @@ def _on_points(grid, at):
 
 
 def _falls_back(seed, X_at, Y_at):
-    """Whether random_functor's 64 tries from Random(seed) all fail, so its constant map is drawn."""
+    """Whether the functor search's 64 tries from Random(seed) all fail, so its constant map is drawn."""
     rng, n, m = random.Random(seed), len(X_at), len(Y_at)
     tries = (tuple(rng.randrange(m) for _ in range(n)) for _ in range(64))
     return not any(all(X_at[x][y] <= Y_at[f[x]][f[y]] for x in range(n) for y in range(n)) for f in tries)
@@ -303,7 +303,7 @@ def test_functor_at_is_random_functor_on_indices(name, seed):
             X_at, Y_at = gen._category_at(cats, n, grid), gen._category_at(cats, m, grid)
             new, old = random.Random(100 * seed + 10 * n + m), random.Random(100 * seed + 10 * n + m)
             f = gen._functor_at(new, X_at, Y_at)
-            assert f == gen.random_functor(old, _on_points(grid, X_at), _on_points(grid, Y_at)).mapping
+            assert f == oracles.random_functor(old, _on_points(grid, X_at), _on_points(grid, Y_at)).mapping
             assert new.getstate() == old.getstate()
 
 
@@ -320,7 +320,7 @@ def test_functor_at_falls_back_to_a_constant_map_as_random_functor_does(name):
     for seed in range(12):
         new, old = random.Random(seed), random.Random(seed)
         f = gen._functor_at(new, X_at, Y_at)
-        assert f == gen.random_functor(old, _on_points(grid, X_at), _on_points(grid, Y_at)).mapping
+        assert f == oracles.random_functor(old, _on_points(grid, X_at), _on_points(grid, Y_at)).mapping
         assert new.getstate() == old.getstate() and len(set(f)) == 1
 
 

@@ -5,7 +5,8 @@ once.  In float mode the pair is the t-norm's compiled `float_conj`/`float_imp`,
 equal to `tn.conj`/`tn.imp` bit for bit on floats in [0,1]; in exact mode it is
 `tn.conj`/`tn.imp` bound to t, looked up when the pair is built.  So float
 `classify` and the float law samples make no call through the checked entry,
-while exact loops still do, and a wrapper put on the tnorm module counts them.
+while exact loops still do, and a wrapper put on the tnorm module counts them;
+a loop that reads a grid's tables instead, as a gridded `sub` does, makes none.
 
 An Archimedean t-norm also carries its float additive generator pair,
 `float_generator`/`float_pseudo_inverse`, handed out by `tn.generators(t)`:
@@ -117,10 +118,19 @@ def test_exact_loops_still_call_the_checked_entry(tmp_path, monkeypatch):
     assert calls["conj"] > 0 and calls["imp"] > 0
     before = dict(calls)
     t = fixtures.upper_block_sum()  # ordinal[(1/2,1,lukasiewicz)]
-    X = cat.EnrichedCategory(t, ((1, F(3, 4)), (F(1, 2), 1)), (), vals.grid_validate([0, F(1, 2), F(3, 4), 1], t))
+    X = cat.EnrichedCategory(t, ((1, F(3, 4)), (F(1, 2), 1)))
     phi = ps.yoneda(X, 0)
     assert ps.sub(ps.f_exists(cat.EnrichedFunctor(X, X, (1, 1)), phi), phi) == F(1, 2)
     assert calls["conj"] > before["conj"] and calls["imp"] > before["imp"]
+    # with a grid, sub reads the imp table: the Kan extension still calls tn.conj, sub no tn.imp
+    before = dict(calls)
+    X = cat.EnrichedCategory(t, X.hom, (), vals.grid_validate([0, F(1, 2), F(3, 4), 1], t))
+    phi = ps.yoneda(X, 0)
+    extended = ps.f_exists(cat.EnrichedFunctor(X, X, (1, 1)), phi)
+    assert calls["conj"] > before["conj"]
+    before = dict(calls)
+    assert ps.sub(extended, phi) == F(1, 2)
+    assert calls == before
 
 
 @pytest.mark.parametrize("setup", [
